@@ -43,10 +43,11 @@ bench-pytest:
 bench-only:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# requires ruff (CI installs it; not part of the runtime deps)
+# requires ruff (CI installs it; not part of the runtime deps); the format
+# gate covers the same subsystems as the CI lint job
 lint:
 	ruff check .
-	ruff format --check src/repro/bench
+	ruff format --check src/repro/bench src/repro/mpiio src/repro/mpi src/repro/model
 
 # regenerate every figure from the paper's evaluation
 figures:

@@ -43,22 +43,21 @@ def sieve_spans(file_regions: RegionList, buffer_size: int):
         raise RegionError("data sieving requires file regions sorted by offset")
     if r.count == 0:
         return RegionList.empty(), np.empty(0, np.int64)
-    start, end = r.extent
-    span_off, span_len, useful = [], [], []
-    w0 = start
-    while w0 < end:
-        w1 = min(w0 + buffer_size, end)
-        clipped = r.clip(w0, w1)
-        if clipped.count:
-            lo, hi = clipped.extent
-            span_off.append(lo)
-            span_len.append(hi - lo)
-            useful.append(clipped.total_bytes)
-        w0 = w1
-    return (
-        RegionList(np.array(span_off, np.int64), np.array(span_len, np.int64)),
-        np.array(useful, np.int64),
-    )
+    # Windows tile the extent in buffer_size steps from its first byte.
+    # Split the regions at window boundaries once and reduce each window's
+    # pieces; windows holding no piece never appear.
+    start = int(r.offsets[0])
+    pieces = r.shift(-start).split_at_boundaries(buffer_size)
+    window = pieces.offsets // buffer_size
+    if (window[1:] < window[:-1]).any():
+        # Overlapping regions: gather each window's pieces, in region order.
+        order = np.argsort(window, kind="stable")
+        pieces, window = pieces.take(order), window[order]
+    first = np.flatnonzero(np.diff(window, prepend=-1))
+    lo = pieces.offsets[first] + start
+    hi = np.maximum.reduceat(pieces.ends, first) + start
+    useful = np.add.reduceat(pieces.lengths, first)
+    return RegionList._trusted(lo, hi - lo, nonempty=True), useful
 
 
 class DataSievingIO(AccessMethod):

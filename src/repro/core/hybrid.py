@@ -44,15 +44,13 @@ def cluster_extents(file_regions: RegionList, gap_threshold: int) -> RegionList:
     r = file_regions.coalesced()
     if r.count <= 1:
         return r
-    gaps = r.offsets[1:] - r.ends[:-1]
-    new_cluster = np.empty(r.count, dtype=bool)
-    new_cluster[0] = True
-    new_cluster[1:] = gaps > gap_threshold
-    starts = r.offsets[new_cluster]
-    cluster_id = np.cumsum(new_cluster) - 1
-    ends = np.zeros(cluster_id[-1] + 1, dtype=np.int64)
-    np.maximum.at(ends, cluster_id, r.ends)
-    return RegionList(starts, ends - starts)
+    # Coalesced runs are disjoint and sorted, so their ends are their own
+    # running maximum: each cluster ends where its last run does.
+    ends = r.ends
+    brk = r.offsets[1:] - ends[:-1] > gap_threshold
+    starts = np.concatenate((r.offsets[:1], r.offsets[1:][brk]))
+    stops = np.concatenate((ends[:-1][brk], ends[-1:]))
+    return RegionList._trusted(starts, stops - starts, nonempty=True)
 
 
 class HybridIO(AccessMethod):

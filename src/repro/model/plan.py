@@ -43,7 +43,8 @@ class RankPlan:
     #: File regions accessed on the wire, in request order (includes sieving
     #: waste — gaps inside fetched windows).
     regions: RegionList
-    #: Logical request id of every region (monotone, 0-based).
+    #: Logical request id of every region (non-decreasing, 0-based; checked
+    #: on construction, and the model's message grouping relies on it).
     chunk_of_region: np.ndarray
     #: Application-useful bytes of the transfer.
     useful_bytes: int
@@ -62,14 +63,17 @@ class RankPlan:
             raise ModelError(f"bad kind {self.kind!r}")
         if self.wire_mode not in ("per_region", "descriptor"):
             raise ModelError(f"bad wire_mode {self.wire_mode!r}")
-        if len(self.chunk_of_region) != self.regions.count:
+        chunks = self.chunk_of_region
+        if len(chunks) != self.regions.count:
             raise ModelError("chunk_of_region must parallel regions")
+        if chunks.size and (chunks[0] < 0 or (chunks[1:] < chunks[:-1]).any()):
+            raise ModelError("chunk_of_region must be non-negative and non-decreasing")
 
     @property
     def n_requests(self) -> int:
         if self.chunk_of_region.size == 0:
             return 0
-        return int(self.chunk_of_region.max()) + 1
+        return int(self.chunk_of_region[-1]) + 1
 
     @property
     def moved_bytes(self) -> int:

@@ -98,65 +98,64 @@ def _decompose_phase(
     phase: RankPlan, rank: int, cfg: ClusterConfig, loads: _Loads
 ) -> Dict[str, float]:
     """Attribute one phase's load to servers/links; return rank-local stats."""
-    pcount = cfg.stripe.resolve_pcount(cfg.n_iods)
-    ssize = cfg.stripe.stripe_size
-    pieces, parents = split_with_parents(phase.regions, ssize)
+    ns = cfg.n_iods
+    pcount = cfg.stripe.resolve_pcount(ns)
+    pieces, parents, unit = split_with_parents(phase.regions, cfg.stripe.stripe_size)
     if pieces.count == 0:
         return {"msgs": 0.0, "work": 0.0, "req_wire": 0.0, "resp_wire": 0.0}
-    unit = pieces.offsets // ssize
-    server = ((cfg.stripe.base + unit % pcount) % cfg.n_iods).astype(np.int64)
-    chunk = phase.chunk_of_region[parents]
-    key = server * np.int64(phase.n_requests) + chunk
-    uniq, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    msg_server = (uniq // phase.n_requests).astype(np.int64)
-    msg_bytes = np.bincount(inverse, weights=pieces.lengths.astype(np.float64))
+    server = (cfg.stripe.base + unit % pcount) % ns
+    # Group pieces into (server, request) messages.  Request ids never
+    # decrease along the pieces (RankPlan checks it), so a stable sort by
+    # server leaves the (server, request) key sorted; a message starts
+    # wherever the key changes.  Narrow server ids make it a radix sort.
+    order = np.argsort(server.astype(np.min_scalar_type(ns - 1)), kind="stable")
+    key = (server * np.int64(phase.n_requests) + phase.chunk_of_region[parents])[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(first, append=key.size)
+    n_msgs = first.size
+    msg_server = server[order[first]]
+    lengths = pieces.lengths
+    msg_bytes = np.add.reduceat(lengths[order], first).astype(np.float64)
     # -- wire sizing per message --------------------------------------
     if phase.wire_mode == "descriptor":
-        trailing = np.full(len(uniq), 32.0)
+        trailing = np.full(n_msgs, 32.0)
     else:
         trailing = np.where(counts > 1, 16.0 * counts, 0.0)
     if phase.kind == "write":
         req_payload = REQUEST_HEADER_BYTES + trailing + msg_bytes
-        resp_payload = np.full(len(uniq), float(RESPONSE_HEADER_BYTES))
+        resp_payload = np.full(n_msgs, float(RESPONSE_HEADER_BYTES))
     else:
         req_payload = REQUEST_HEADER_BYTES + trailing
         resp_payload = RESPONSE_HEADER_BYTES + msg_bytes
     req_wire = _wire(cfg, req_payload)
     resp_wire = _wire(cfg, resp_payload)
     # -- accumulate -----------------------------------------------------
-    ns = cfg.n_iods
-    loads.msgs += np.bincount(msg_server, minlength=ns)
+    server_msgs = np.bincount(msg_server, minlength=ns)
+    server_bytes = np.bincount(server, weights=lengths.astype(np.float64), minlength=ns)
+    loads.msgs += server_msgs
     loads.pieces += np.bincount(server, minlength=ns)
-    loads.bytes += np.bincount(server, weights=pieces.lengths.astype(np.float64), minlength=ns)
+    loads.bytes += server_bytes
     if phase.kind == "write":
-        loads.write_msgs += np.bincount(msg_server, minlength=ns)
-        loads.write_bytes += np.bincount(
-            server, weights=pieces.lengths.astype(np.float64), minlength=ns
-        )
+        loads.write_msgs += server_msgs
+        loads.write_bytes += server_bytes
     else:
-        loads.read_bytes += np.bincount(
-            server, weights=pieces.lengths.astype(np.float64), minlength=ns
-        )
+        loads.read_bytes += server_bytes
     loads.rx_wire += np.bincount(msg_server, weights=req_wire, minlength=ns)
     loads.tx_wire += np.bincount(msg_server, weights=resp_wire, minlength=ns)
     loads.client_tx[rank] += req_wire.sum()
     loads.client_rx[rank] += resp_wire.sum()
     # -- rank-local -------------------------------------------------------
     costs = cfg.costs
+    nbytes = float(pieces.total_bytes)
     work = (
-        len(uniq) * costs.iod_request_cost
+        n_msgs * costs.iod_request_cost
         + pieces.count * costs.iod_region_cost
-        + _disk_time_estimate(
-            cfg,
-            kind=phase.kind,
-            nbytes=float(pieces.lengths.sum()),
-            unique_bytes=float(pieces.lengths.sum()),
-        )
+        + _disk_time_estimate(cfg, kind=phase.kind, nbytes=nbytes, unique_bytes=nbytes)
     )
     if phase.kind == "write":
-        work += len(uniq) * costs.iod_write_commit_cost
+        work += n_msgs * costs.iod_write_commit_cost
     return {
-        "msgs": float(len(uniq)),
+        "msgs": float(n_msgs),
         "work": work,
         "req_wire": float(req_wire.sum()),
         "resp_wire": float(resp_wire.sum()),

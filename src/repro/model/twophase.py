@@ -20,7 +20,7 @@ crossover studies use to predict where two-phase overtakes list I/O.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,18 +44,35 @@ __all__ = ["predict_twophase", "crossover_point"]
 
 
 def _aggregator_regions(
-    metas: dict, domains: List[Tuple[int, int]], rank: int, rounds: int, cb_buffer: Optional[int]
+    union: RegionList, domain: Tuple[int, int], cb_buffer: Optional[int]
 ) -> RegionList:
-    """File regions aggregator ``rank`` accesses, in round order (the
-    engine's merged/coalesced per-window union)."""
-    out = RegionList.empty()
-    for rnd in range(rounds):
-        wa, wb = round_window(domains[rank], rnd, cb_buffer)
-        union = RegionList.empty()
-        for r in metas.values():
-            union = union.concat(r.clip(wa, wb))
-        out = out.concat(union.coalesced())
-    return out
+    """File regions an aggregator accesses, in round order: the coalesced
+    ``union`` of every rank's regions clipped to each round's window of
+    ``domain`` (the engine's merged per-window union)."""
+    a, b = domain
+    lo = np.searchsorted(union.ends, a, side="right")
+    hi = np.searchsorted(union.offsets, b)
+    regions = union.slice_regions(lo, hi).clip(a, b)
+    if cb_buffer is None or regions.count == 0:
+        return regions
+    # Rounds cut the domain every cb_buffer bytes from its start.
+    return regions.shift(-a).split_at_boundaries(cb_buffer).shift(a)
+
+
+def _clip_table(regions: RegionList, wa: np.ndarray, wb: np.ndarray):
+    """``(count, total_bytes)`` of ``regions.clip(wa[i], wb[i])`` for every
+    window ``i``, by binary search over a sorted, disjoint list."""
+    if regions.count == 0:
+        zero = np.zeros(wa.shape, np.int64)
+        return zero, zero
+    off, ends = regions.offsets, regions.ends
+    i0 = np.searchsorted(ends, wa, side="right")  # first region ending after wa
+    i1 = np.searchsorted(off, wb)  # first region starting at or after wb
+    count = np.where(wa < wb, i1 - i0, 0)
+    cum = np.concatenate(([0], np.cumsum(regions.lengths)))
+    head = np.maximum(wa - off[np.minimum(i0, off.size - 1)], 0)
+    tail = np.maximum(ends[np.maximum(i1 - 1, 0)] - wb, 0)
+    return count, np.where(count > 0, cum[i1] - cum[i0] - head - tail, 0)
 
 
 def predict_twophase(
@@ -79,9 +96,13 @@ def predict_twophase(
     cap = cfg.list_io_max_regions
 
     # -- file phase: only aggregators touch PVFS -----------------------
+    union = RegionList(
+        np.concatenate([r.offsets for r in metas.values()]),
+        np.concatenate([r.lengths for r in metas.values()]),
+    ).coalesced()
     plans = []
     for rank in range(n):
-        regions = _aggregator_regions(metas, domains, rank, rounds, cb_buffer)
+        regions = _aggregator_regions(union, domains[rank], cb_buffer)
         plans.append(
             RankPlan(
                 method="twophase",
@@ -101,42 +122,37 @@ def predict_twophase(
         [META_HEADER + META_BYTES_PER_REGION * metas[r].count for r in range(n)], np.float64
     )
     meta_wire = _wire(cfg, meta_msg)
+    # Source src sends aggregator d one data message in round rnd when its
+    # regions clipped to d's round window are non-empty; axes (src, rnd, d).
+    windows = np.array(
+        [[round_window(d, rnd, cb_buffer) for d in domains] for rnd in range(rounds)], np.int64
+    )
+    tables = [_clip_table(metas[src], windows[..., 0], windows[..., 1]) for src in range(n)]
+    count = np.array([c for c, _ in tables])
+    nbytes = np.array([b for _, b in tables])
+    if kind == "write":  # rank ships its clip (offsets + data) to aggregator d
+        wire = _wire(cfg, DATA_HEADER + META_BYTES_PER_REGION * count + nbytes)
+    else:  # aggregator d ships each requester its pieces
+        wire = _wire(cfg, DATA_HEADER + nbytes)
+    remote = count > 0
+    remote[np.arange(n), :, np.arange(n)] = False
+    # Writes counted at senders, reads at requesters: each transfer once.
+    exchange_payload = int(nbytes[remote].sum())
     exchange = np.zeros(n)
-    exchange_payload = 0
     for rank in range(n):
         tx = (n - 1) * meta_wire[rank]
         rx = float(meta_wire.sum() - meta_wire[rank])
-        for rnd in range(rounds):
-            windows = [round_window(d, rnd, cb_buffer) for d in domains]
-            for d, (wa, wb) in enumerate(windows):
-                if kind == "write":
-                    # rank ships its clip to aggregator d; d receives all clips
-                    mine = metas[rank].clip(wa, wb)
-                    if mine.count and d != rank:
-                        msg = DATA_HEADER + META_BYTES_PER_REGION * mine.count
-                        tx += float(_wire(cfg, msg + mine.total_bytes))
-                        exchange_payload += mine.total_bytes
-                    if d == rank:
-                        for src, r in metas.items():
-                            got = r.clip(wa, wb)
-                            if got.count and src != rank:
-                                msg = DATA_HEADER + META_BYTES_PER_REGION * got.count
-                                rx += float(_wire(cfg, msg + got.total_bytes))
-                else:
-                    # aggregator d ships each requester its pieces
-                    mine = metas[rank].clip(wa, wb)
-                    if mine.count and d != rank:
-                        rx += float(_wire(cfg, DATA_HEADER + mine.total_bytes))
-                        exchange_payload += mine.total_bytes
-                    if d == rank:
-                        for req, r in metas.items():
-                            want = r.clip(wa, wb)
-                            if want.count and req != rank:
-                                tx += float(_wire(cfg, DATA_HEADER + want.total_bytes))
+        # Accumulated in exchange order: round by round, this rank's own
+        # messages by aggregator, and as an aggregator its peers' by rank.
+        own = wire[rank][remote[rank]].tolist()
+        peers = wire[:, :, rank].T[remote[:, :, rank].T].tolist()
+        sent, received = (own, peers) if kind == "write" else (peers, own)
+        for w in sent:
+            tx += w
+        for w in received:
+            rx += w
         pack = metas[rank].total_bytes / memcpy  # pack (write) / unpack (read)
         exchange[rank] = pack + (tx + rx) / bw + cfg.network.latency * (1 + rounds)
-    # exchange_payload double-counts nothing but loops over both sides;
-    # writes counted at senders, reads at requesters — each transfer once.
     exchange_bound = float(exchange.max())
 
     return Prediction(

@@ -15,7 +15,11 @@ builds on:
 
 Everything is O(n log n) or better in the number of regions and never loops
 over regions in Python for the hot paths, per the HPC guide's "vectorize the
-for loops" rule.
+for loops" rule.  Operations whose input is already sorted are linear
+merges rather than general set operations: :func:`pair_pieces` merges the
+two lists' strictly increasing breakpoints (no hash-based union), and
+:meth:`RegionList.coalesced`, once its input is sorted, reads each run's
+end from the running maximum of the region ends (no scatter-max).
 """
 
 from __future__ import annotations
@@ -241,14 +245,11 @@ class RegionList:
         if r.count <= 1:
             return r
         ends = np.maximum.accumulate(r.ends)
-        # A new run starts where the offset exceeds the running max end.
-        new_run = np.empty(r.count, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = r.offsets[1:] > ends[:-1]
-        starts = r.offsets[new_run]
-        run_id = np.cumsum(new_run) - 1
-        run_ends = np.zeros(run_id[-1] + 1, dtype=np.int64)
-        np.maximum.at(run_ends, run_id, r.ends)
+        # A new run starts where the offset exceeds the running max end, and
+        # the run before it ends at that running max.
+        brk = r.offsets[1:] > ends[:-1]
+        starts = np.concatenate((r.offsets[:1], r.offsets[1:][brk]))
+        run_ends = np.concatenate((ends[:-1][brk], ends[-1:]))
         return RegionList._trusted(starts, run_ends - starts, nonempty=True)
 
     def concat(self, other: "RegionList") -> "RegionList":
@@ -477,8 +478,9 @@ def pair_pieces(a: RegionList, b: RegionList) -> Tuple[np.ndarray, np.ndarray, n
     lengths)`` of contiguous pieces such that copying piece-by-piece realizes
     the full noncontiguous transfer.
 
-    Vectorized: piece boundaries are the union of both lists' cumulative
-    length breakpoints.
+    Linear merge: piece boundaries are the union of both lists' cumulative
+    length breakpoints, which strictly increase to the same total, so the
+    shorter breakpoint list is merged into the longer one.
     """
     a = a.drop_empty()
     b = b.drop_empty()
@@ -491,14 +493,24 @@ def pair_pieces(a: RegionList, b: RegionList) -> Tuple[np.ndarray, np.ndarray, n
         return z, z.copy(), z.copy()
     cum_a = np.cumsum(a.lengths)
     cum_b = np.cumsum(b.lengths)
-    bounds = np.union1d(cum_a, cum_b)  # sorted piece end positions
-    piece_end = bounds
-    piece_start = np.concatenate(([0], bounds[:-1]))
+    swap = cum_a.size > cum_b.size
+    small, large = (cum_b, cum_a) if swap else (cum_a, cum_b)
+    # Every small breakpoint is <= the shared total, so pos stays in range.
+    pos = np.searchsorted(large, small)
+    new = large[pos] != small
+    piece_end = np.insert(large, pos[new], small[new])  # sorted piece end positions
+    piece_start = np.concatenate(([0], piece_end[:-1]))
     piece_len = piece_end - piece_start
-    # Source region for each piece: the region whose cumulative range
-    # contains piece_start.
-    ia = np.searchsorted(cum_a, piece_start, side="right")
-    ib = np.searchsorted(cum_b, piece_start, side="right")
+    # Source region for each piece: how many of that list's breakpoints
+    # precede it in the merge.  small[j] lands at pos[j] plus the number of
+    # new breakpoints inserted before it.
+    in_small = np.zeros(piece_end.size, dtype=bool)
+    in_small[pos + np.cumsum(new) - new] = True
+    in_large = np.ones(piece_end.size, dtype=bool)
+    in_large[in_small] = ~new
+    i_small = np.cumsum(in_small) - in_small
+    i_large = np.cumsum(in_large) - in_large
+    ia, ib = (i_large, i_small) if swap else (i_small, i_large)
     base_a = np.concatenate(([0], cum_a[:-1]))
     base_b = np.concatenate(([0], cum_b[:-1]))
     a_off = a.offsets[ia] + (piece_start - base_a[ia])
@@ -506,33 +518,37 @@ def pair_pieces(a: RegionList, b: RegionList) -> Tuple[np.ndarray, np.ndarray, n
     return a_off, b_off, piece_len
 
 
-def split_with_parents(regions: RegionList, boundary: int) -> Tuple[RegionList, np.ndarray]:
+def split_with_parents(
+    regions: RegionList, boundary: int
+) -> Tuple[RegionList, np.ndarray, np.ndarray]:
     """Like :meth:`RegionList.split_at_boundaries`, additionally returning
-    each piece's originating region index.
+    each piece's originating region index and its ``boundary`` unit
+    (``offset // boundary``).
 
     The analytic model needs parents to attribute stripe-unit pieces back
     to logical requests (region i of a plan belongs to request
-    ``chunk_of_region[i]``).
+    ``chunk_of_region[i]``), and units to place them on servers.
     """
     if boundary <= 0:
         raise RegionError("boundary must be positive")
     r = regions.drop_empty()
     if r.count == 0:
-        return r, np.empty(0, np.int64)
+        return r, np.empty(0, np.int64), np.empty(0, np.int64)
+    ends = r.ends
     first_unit = r.offsets // boundary
-    last_unit = (r.ends - 1) // boundary
-    pieces_per = (last_unit - first_unit + 1).astype(np.int64)
+    pieces_per = (ends - 1) // boundary - first_unit + 1
     n_pieces = int(pieces_per.sum())
     reg_idx = np.repeat(np.arange(r.count, dtype=np.int64), pieces_per)
     if n_pieces == r.count:
-        return r, reg_idx
-    firsts = np.zeros(n_pieces, dtype=np.int64)
-    firsts[np.cumsum(pieces_per)[:-1]] = pieces_per[:-1]
-    j = np.arange(n_pieces, dtype=np.int64) - np.cumsum(firsts)
-    unit = first_unit[reg_idx] + j
+        return r, reg_idx, first_unit
+    # Piece k lies in unit k - (index of its region's first piece) + first_unit.
+    unit = np.arange(n_pieces, dtype=np.int64) + np.repeat(
+        first_unit + pieces_per - np.cumsum(pieces_per), pieces_per
+    )
     piece_start = np.maximum(r.offsets[reg_idx], unit * boundary)
-    piece_end = np.minimum(r.ends[reg_idx], (unit + 1) * boundary)
-    return RegionList._trusted(piece_start, piece_end - piece_start, nonempty=True), reg_idx
+    piece_end = np.minimum(ends[reg_idx], (unit + 1) * boundary)
+    pieces = RegionList._trusted(piece_start, piece_end - piece_start, nonempty=True)
+    return pieces, reg_idx, unit
 
 
 def build_flat_indices(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -287,11 +287,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, body: Dict[str, Any]) -> None:
         blob = json.dumps(body, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
+        # Log and count the request before the client can read the reply,
+        # so the client's next request (a metrics read, say) observes it.
         self.service._log(
             {
                 "event": "request",
@@ -305,6 +302,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.service.metrics.counter("service.http.requests").inc()
             if status >= 400:
                 self.service.metrics.counter("service.http.errors").inc()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(blob)))
+        self.end_headers()
+        self.wfile.write(blob)
 
     def _error(self, status: int, err_type: str, message: str) -> None:
         self._send(status, {"error": {"type": err_type, "message": message}})

@@ -81,8 +81,10 @@ class TestRegionProperties:
 
     @given(region_lists(), st.integers(1, 64))
     def test_split_with_parents_consistent(self, r, boundary):
-        pieces, parents = split_with_parents(r, boundary)
-        assert pieces.count == len(parents)
+        pieces, parents, units = split_with_parents(r, boundary)
+        assert pieces.count == len(parents) == len(units)
+        assert pieces == r.split_at_boundaries(boundary)
+        np.testing.assert_array_equal(units, pieces.offsets // boundary)
         base = r.drop_empty()
         if pieces.count:
             assert (parents[1:] >= parents[:-1]).all()  # monotone
