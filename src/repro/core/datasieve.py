@@ -21,11 +21,30 @@ import numpy as np
 
 from ..errors import RegionError
 from ..mpi import Communicator
-from ..regions import RegionList, pair_pieces
+from ..regions import RegionList, pair_pieces, split_with_parents
 from ..pvfs.client import PVFSFile
 from .base import AccessMethod, validate_transfer
 
 __all__ = ["DataSievingIO", "sieve_spans"]
+
+
+def _window_pieces(regions: RegionList, buffer_size: int):
+    """Split sorted, non-empty regions at sieve buffer window boundaries.
+
+    Windows tile the extent in ``buffer_size`` steps from its first byte.
+    Returns ``(pieces, parent, first)``: the pieces grouped by window, in
+    region order within each window; the index in ``regions`` each piece
+    came from; and the position of each non-empty window's first piece.
+    Windows holding no piece never appear.
+    """
+    start = int(regions.offsets[0])
+    pieces, parent, window = split_with_parents(regions.shift(-start), buffer_size)
+    if (window[1:] < window[:-1]).any():
+        # Overlapping regions: gather each window's pieces, in region order.
+        order = np.argsort(window, kind="stable")
+        pieces, parent, window = pieces.take(order), parent[order], window[order]
+    first = np.flatnonzero(np.diff(window, prepend=-1))
+    return pieces.shift(start), parent, first
 
 
 def sieve_spans(file_regions: RegionList, buffer_size: int):
@@ -33,8 +52,9 @@ def sieve_spans(file_regions: RegionList, buffer_size: int):
 
     Returns ``(spans, useful)``: the trimmed read/write spans (one per
     non-empty buffer window, in file order) and the useful byte count in
-    each.  Shared by :class:`DataSievingIO` and the analytic model so the
-    two can never disagree about request counts.
+    each.  :class:`DataSievingIO` plans its windows with the same
+    :func:`_window_pieces`, so the simulator and the analytic model can
+    never disagree about request counts.
     """
     if buffer_size <= 0:
         raise RegionError("sieve buffer size must be positive")
@@ -43,19 +63,9 @@ def sieve_spans(file_regions: RegionList, buffer_size: int):
         raise RegionError("data sieving requires file regions sorted by offset")
     if r.count == 0:
         return RegionList.empty(), np.empty(0, np.int64)
-    # Windows tile the extent in buffer_size steps from its first byte.
-    # Split the regions at window boundaries once and reduce each window's
-    # pieces; windows holding no piece never appear.
-    start = int(r.offsets[0])
-    pieces = r.shift(-start).split_at_boundaries(buffer_size)
-    window = pieces.offsets // buffer_size
-    if (window[1:] < window[:-1]).any():
-        # Overlapping regions: gather each window's pieces, in region order.
-        order = np.argsort(window, kind="stable")
-        pieces, window = pieces.take(order), window[order]
-    first = np.flatnonzero(np.diff(window, prepend=-1))
-    lo = pieces.offsets[first] + start
-    hi = np.maximum.reduceat(pieces.ends, first) + start
+    pieces, _, first = _window_pieces(r, buffer_size)
+    lo = pieces.offsets[first]
+    hi = np.maximum.reduceat(pieces.ends, first)
     useful = np.add.reduceat(pieces.lengths, first)
     return RegionList._trusted(lo, hi - lo, nonempty=True), useful
 
@@ -89,7 +99,7 @@ class DataSievingIO(AccessMethod):
             raise RegionError("data sieving writes require disjoint file regions")
 
     # ------------------------------------------------------------------
-    def _windows(self, f, memory, mem_regions, file_regions):
+    def _windows(self, f, mem_regions, file_regions):
         """Yield per-window work: (read_lo, read_hi, piece arrays).
 
         Pieces are contiguous in both memory and the file; each window's
@@ -99,29 +109,14 @@ class DataSievingIO(AccessMethod):
         mem_off, file_off, lengths = pair_pieces(mem_regions, file_regions)
         if lengths.size == 0:
             return
-        file_end = file_off + lengths
-        bsize = self._buffer(f)
-        start, end = int(file_off[0]), int(file_end[-1])
-        w0 = start
-        while w0 < end:
-            w1 = min(w0 + bsize, end)
-            # pieces overlapping [w0, w1)
-            first = int(np.searchsorted(file_end, w0, side="right"))
-            last = int(np.searchsorted(file_off, w1, side="left"))
-            if first >= last:
-                w0 = w1
-                continue
-            fo = file_off[first:last].copy()
-            fe = file_end[first:last].copy()
-            mo = mem_off[first:last].copy()
-            # clip boundary-crossing pieces to the window
-            head_trim = np.maximum(w0 - fo, 0)
-            fo += head_trim
-            mo += head_trim
-            fe = np.minimum(fe, w1)
-            ln = fe - fo
-            yield int(fo[0]), int(fe[-1]), mo, fo, ln
-            w0 = w1
+        paired = RegionList._trusted(file_off, lengths, nonempty=True)
+        pieces, parent, first = _window_pieces(paired, self._buffer(f))
+        fo, ln = pieces.offsets, pieces.lengths
+        mo = mem_off[parent] + (fo - file_off[parent])
+        hi = np.maximum.reduceat(pieces.ends, first)
+        stops = np.append(first[1:], fo.size)
+        for a, b, h in zip(first.tolist(), stops.tolist(), hi.tolist()):
+            yield int(fo[a]), h, mo[a:b], fo[a:b], ln[a:b]
 
     # ------------------------------------------------------------------
     def read(self, f: PVFSFile, memory, mem_regions, file_regions):
@@ -130,7 +125,7 @@ class DataSievingIO(AccessMethod):
         sim = f.client.sim
         useful = 0
         fetched = 0
-        for lo, hi, mo, fo, ln in self._windows(f, memory, mem_regions, file_regions):
+        for lo, hi, mo, fo, ln in self._windows(f, mem_regions, file_regions):
             data = yield from f.read(lo, hi - lo)
             nbytes = int(ln.sum())
             useful += nbytes
@@ -151,7 +146,7 @@ class DataSievingIO(AccessMethod):
         self._check_file_regions(file_regions, for_write=True)
         sim = f.client.sim
         move = f.client.move_bytes
-        for lo, hi, mo, fo, ln in self._windows(f, memory, mem_regions, file_regions):
+        for lo, hi, mo, fo, ln in self._windows(f, mem_regions, file_regions):
             span = hi - lo
             covered = int(ln.sum())
             if covered < span:

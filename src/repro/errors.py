@@ -31,7 +31,6 @@ __all__ = [
     "ServerCrashed",
     "ServerFenced",
     "RetryExhausted",
-    "ServiceError",
 ]
 
 
@@ -138,12 +137,6 @@ class ServerFenced(FaultError):
     def __init__(self, message: str, epoch: int = 0) -> None:
         super().__init__(message)
         self.epoch = epoch
-
-
-class ServiceError(ReproError):
-    """Base class for simulation-service failures (:mod:`repro.service`):
-    malformed job payloads on the daemon side, failed HTTP exchanges on
-    the client side.  Subclasses carry the wire-level detail."""
 
 
 class RetryExhausted(FaultError):

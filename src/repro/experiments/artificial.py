@@ -28,8 +28,8 @@ _WRITE_METHODS = ("multiple", "list")
 
 #: figure number -> (figure label, pattern recipe, methods, direction,
 #: which Scale client list drives the sweep).  One row per artificial
-#: figure so spec construction has a single source of truth shared by
-#: the drivers and the service job builders.
+#: figure so the four drivers build their specs from a single source of
+#: truth.
 FIGURE_RECIPES = {
     "9": ("fig09", "one_dim_cyclic", _READ_METHODS, "read", "cyclic_clients"),
     "10": ("fig10", "one_dim_cyclic", _WRITE_METHODS, "write", "cyclic_clients"),
@@ -47,8 +47,7 @@ def build_specs(
     faults=None,
 ) -> List[PointSpec]:
     """The sweep specs of one artificial figure (9/10/11/12) — exactly
-    the points the figure driver runs, importable without running them
-    (the service's ``figure`` jobs are built from this)."""
+    the points the figure driver runs, importable without running them."""
     label, pattern_name, methods, kind, client_attr = FIGURE_RECIPES[figure]
     clients = tuple(clients or getattr(scale, client_attr))
     accesses = tuple(accesses or scale.accesses_sweep)

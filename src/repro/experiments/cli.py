@@ -34,13 +34,6 @@ regression suite and gates on a committed baseline — see
     pvfs-sim bench run --scale smoke --out BENCH_ci.json
     pvfs-sim bench compare benchmarks/baseline_smoke.json BENCH_ci.json
 
-Service mode: the ``serve`` subcommand runs a long-lived HTTP/JSON
-daemon fronting the sweep engine, and ``submit``/``status``/``wait``/
-``fetch``/``jobs`` are the thin client — see ``docs/service.md``::
-
-    pvfs-sim serve --port 8642 &
-    pvfs-sim submit figure 9 --scale smoke --mode des --wait
-
 Observability (DES mode only): ``--trace-out FILE.json`` captures every
 simulated run and writes the longest one as a Perfetto-loadable trace
 (open it at ``ui.perfetto.dev``); ``--report`` prints the bottleneck
@@ -85,15 +78,7 @@ SUBCOMMANDS: Dict[str, str] = {
     "chaos": "run benchmarks under injected faults (docs/faults.md)",
     "bench": "deterministic regression suite: run|compare|list (docs/benchmarking.md)",
     "profile": "kernel + host profiling of the suite (docs/performance.md)",
-    "serve": "run the simulation service daemon (docs/service.md)",
-    "submit": "submit a figure/chaos/bench/spec-file job to the daemon",
-    "status": "one service job's state and progress",
-    "wait": "block until a service job finishes",
-    "fetch": "download a finished service job's points",
-    "jobs": "list jobs on the daemon",
 }
-
-_SERVICE_COMMANDS = ("serve", "submit", "status", "wait", "fetch", "jobs")
 
 
 def _subcommand_epilog() -> str:
@@ -229,11 +214,6 @@ def main(argv: List[str] | None = None) -> int:
         from ..obs.profcli import main as profile_main
 
         return profile_main(argv[1:])
-    if argv and argv[0] in _SERVICE_COMMANDS:
-        # `pvfs-sim serve|submit|status|wait|fetch|jobs` — the service.
-        from ..service.cli import main as service_main
-
-        return service_main(argv)
     args = _parser().parse_args(argv)
     scale = SCALES[args.scale]
     mode = args.mode or ("model" if not scale.des_friendly else "des")
@@ -244,26 +224,13 @@ def main(argv: List[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    obs = None
-    if args.trace_out or args.report:
-        if mode != "des":
-            print(
-                "error: --trace-out/--report need the discrete-event simulator; "
-                "add --mode des (and a des-friendly --scale)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.trace_out:
-            # Fail before the (potentially long) sweep, not after it.
-            try:
-                with open(args.trace_out, "w"):
-                    pass
-            except OSError as exc:
-                print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
-                return 2
-        from ..obs import ObsSession
-
-        obs = ObsSession()
+    if (args.trace_out or args.report) and mode != "des":
+        print(
+            "error: --trace-out/--report need the discrete-event simulator; "
+            "add --mode des (and a des-friendly --scale)",
+            file=sys.stderr,
+        )
+        return 2
     faults = None
     if args.straggler:
         if mode != "des":
@@ -285,6 +252,24 @@ def main(argv: List[str] | None = None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
+    if args.cb_buffer is not None and args.cb_buffer < 1:
+        print("error: --cb-buffer must be a positive byte count", file=sys.stderr)
+        return 2
+    if args.trace_out:
+        # Every argument is valid; fail before the (potentially long)
+        # sweep, not after it.  Opening for writing truncates the file,
+        # so this probe must come after all validation.
+        try:
+            with open(args.trace_out, "w"):
+                pass
+        except OSError as exc:
+            print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
+            return 2
+    obs = None
+    if args.trace_out or args.report:
+        from ..obs import ObsSession
+
+        obs = ObsSession()
     cache = None
     if not args.no_cache:
         from ..sweep import ResultCache, default_cache_dir
@@ -298,9 +283,6 @@ def main(argv: List[str] | None = None) -> int:
     figures = sorted(FIGURES, key=int) if args.all else [args.figure]
     all_points = []
     failed = False
-    if args.cb_buffer is not None and args.cb_buffer < 1:
-        print("error: --cb-buffer must be a positive byte count", file=sys.stderr)
-        return 2
     for fig in figures:
         result = _run_one(
             fig,

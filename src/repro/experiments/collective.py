@@ -50,7 +50,7 @@ def build_specs(
     cb_buffer: Optional[int] = None,
 ) -> List[object]:
     """The sweep specs of Figure 18 — the driver's exact points,
-    importable without running them (service ``figure`` jobs).
+    importable without running them.
 
     ``cb_buffer`` bounds the collective buffer of both the MPI-IO
     collective and the first-class two-phase series (``None`` keeps

@@ -39,7 +39,7 @@ def build_specs(
     faults=None,
 ) -> List[PointSpec]:
     """The sweep specs of Figure 15 — the driver's exact points,
-    importable without running them (service ``figure`` jobs)."""
+    importable without running them."""
     clients = tuple(clients or scale.flash_clients)
     specs: List[PointSpec] = []
     for n in clients:

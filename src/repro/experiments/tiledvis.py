@@ -33,7 +33,7 @@ def build_specs(
     faults=None,
 ) -> List[PointSpec]:
     """The sweep specs of Figure 17 — the driver's exact points,
-    importable without running them (service ``figure`` jobs)."""
+    importable without running them."""
     pattern = tiled_visualization(scale.tiled)
     cfg = ClusterConfig.chiba_city(n_clients=pattern.n_ranks)
     if faults is not None and mode == "des":

@@ -219,6 +219,30 @@ class TestDataSieving:
         res = cluster.run_workload(wl, clients=[0])
         assert res.client_returns == ["disjoint required"]
 
+    @pytest.mark.parametrize("buffer_size", [None, 64, 7])
+    def test_nested_regions_read_like_multiple_io(self, buffer_size):
+        # Sorted but overlapping: the second region lies inside the first,
+        # so the sieve window must reach the first region's end.
+        cluster = make_cluster()
+        data = np.arange(200, dtype=np.uint8)
+        fil = RegionList([0, 10], [100, 10])
+        mem = RegionList.single(0, 110)
+
+        def wl(client):
+            f = yield from client.open("/n", create=True)
+            yield from f.write(0, data)
+            out = []
+            for method in (MultipleIO(), DataSievingIO(buffer_size)):
+                buf = np.zeros(110, np.uint8)
+                yield from method.read(f, buf, mem, fil)
+                out.append(buf)
+            yield from f.close()
+            return out
+
+        multiple, sieve = cluster.run_workload(wl, clients=[0]).client_returns[0]
+        np.testing.assert_array_equal(multiple, np.concatenate((data[:100], data[10:20])))
+        np.testing.assert_array_equal(sieve, multiple)
+
     def test_wasted_bytes_accounted(self):
         cluster = make_cluster()
         fil = RegionList.strided(0, 4, 10, 100)  # 40 useful of 310 extent

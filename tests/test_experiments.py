@@ -1,5 +1,8 @@
 """Tests for the experiment harness, figure drivers, reporting, and CLI."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.config import ClusterConfig
@@ -19,7 +22,7 @@ from repro.experiments import (
     model_point,
     points_to_csv,
 )
-from repro.experiments.cli import FIGURES, main
+from repro.experiments.cli import FIGURES, SUBCOMMANDS, main
 from repro.patterns import one_dim_cyclic, tiled_visualization
 
 
@@ -127,6 +130,20 @@ class TestFigureDrivers:
         assert modes["twophase"] == "des"
         assert modes["twophase-model"] == "model"
 
+    def test_figure18_cb_buffer_adds_exchange_rounds(self):
+        from repro.experiments.collective import figure18
+
+        def elapsed(cb_buffer):
+            res = figure18(scale=SMOKE, clients=(2,), cb_buffer=cb_buffer)
+            return {p.series: p.elapsed for p in res.points}
+
+        unbounded, bounded = elapsed(None), elapsed(64)
+        for series in ("mpiio-coll", "twophase"):
+            assert bounded[series] > unbounded[series], series
+        # the bound only touches the collective buffer
+        for series in ("multiple", "list", "mpiio-indep"):
+            assert bounded[series] == unbounded[series], series
+
     def test_figure18_falls_back_from_paper_scale(self):
         from repro.experiments.collective import figure18
         from repro.experiments.presets import PAPER
@@ -199,3 +216,67 @@ class TestCLI:
     def test_scales_registry(self):
         assert {"paper", "scaled", "smoke"} <= set(SCALES)
         assert not SCALES["paper"].des_friendly
+
+    def test_cli_forwards_cb_buffer_to_figure18(self, monkeypatch, capsys):
+        seen = {}
+        real = FIGURES["18"]
+
+        def spy(**kwargs):
+            seen.update(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setitem(FIGURES, "18", spy)
+        rc = main(["--figure", "18", "--scale", "smoke", "--mode", "des", "--cb-buffer", "64"])
+        assert rc in (0, 1)
+        assert seen["cb_buffer"] == 64
+        assert "fig18" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["--straggler", "oops"], ["--jobs", "0"], ["--cb-buffer", "0"]],
+        ids=["straggler", "jobs", "cb-buffer"],
+    )
+    def test_bad_flag_leaves_trace_out_untouched(self, bad, tmp_path, capsys):
+        trace = tmp_path / "t.json"
+        trace.write_bytes(b"previous trace")
+        argv = ["--figure", "18", "--scale", "smoke", "--mode", "des", "--trace-out", str(trace)]
+        assert main(argv + bad) == 2
+        assert "error:" in capsys.readouterr().err
+        assert trace.read_bytes() == b"previous trace"
+
+
+class TestDispatchAndHelp:
+    """``pvfs-sim --help`` once drifted out of sync with the manual
+    subcommand dispatch in ``main``; the SUBCOMMANDS table feeds the help
+    epilog, and these tests keep dispatcher, help text, table and README
+    aligned."""
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for name in SUBCOMMANDS:
+            assert name in help_text, f"{name!r} missing from pvfs-sim --help"
+
+    def test_subcommands_table_matches_dispatcher(self):
+        assert set(SUBCOMMANDS) == {"obs", "chaos", "bench", "profile"}
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_subcommands_dispatch(self, name, capsys):
+        # Each name reaches its own parser rather than falling through to
+        # the figure parser's --figure/--all requirement.
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"pvfs-sim {name}" in capsys.readouterr().out
+
+    def test_unknown_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve"])
+        assert exc.value.code == 2
+
+    def test_readme_lists_exactly_the_subcommands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.findall(r"^\| `pvfs-sim (\w+)` \|", readme, flags=re.MULTILINE)
+        assert listed == list(SUBCOMMANDS)

@@ -5,10 +5,13 @@ linear merge over already-sorted input replaced, kept verbatim: the
 ``np.union1d`` breakpoint union of :func:`repro.regions.pair_pieces`, the
 ``np.maximum.at`` run ends of ``coalesced``/``cluster_extents``, the
 one-clip-per-window loop of :func:`repro.core.datasieve.sieve_spans`, the
-``np.unique`` message grouping of the model's phase decomposition, and the
-clip-loop two-phase exchange with its per-round aggregator unions.
-Hypothesis checks the code in ``src/`` against them for exact equality:
-``np.array_equal`` on arrays and ``==`` on floats.
+per-window ``while`` loop of ``DataSievingIO._windows``, the ``np.unique``
+message grouping of the model's phase decomposition, and the clip-loop
+two-phase exchange with its per-round aggregator unions.  Hypothesis checks
+the code in ``src/`` against them for exact equality: ``np.array_equal`` on
+arrays and ``==`` on floats.  The old ``_windows`` loop is exact only for
+sorted, disjoint regions (it assumed sorted piece ends); sorted, overlapping
+regions are checked against ``sieve_spans`` instead.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ClusterConfig, StripeParams
-from repro.core.datasieve import sieve_spans
+from repro.core.datasieve import DataSievingIO, sieve_spans
 from repro.core.hybrid import cluster_extents
 from repro.core.twophase import wire_order
 from repro.errors import ModelError, RegionError
@@ -132,6 +135,41 @@ def ref_sieve_spans(file_regions: RegionList, buffer_size: int):
         RegionList(np.array(span_off, np.int64), np.array(span_len, np.int64)),
         np.array(useful, np.int64),
     )
+
+
+def ref_windows(self, f, memory, mem_regions, file_regions):
+    """Yield per-window work: (read_lo, read_hi, piece arrays).
+
+    Pieces are contiguous in both memory and the file; each window's
+    read span is trimmed to the pieces it actually contains, and pieces
+    crossing a window edge are split.
+    """
+    mem_off, file_off, lengths = pair_pieces(mem_regions, file_regions)
+    if lengths.size == 0:
+        return
+    file_end = file_off + lengths
+    bsize = self._buffer(f)
+    start, end = int(file_off[0]), int(file_end[-1])
+    w0 = start
+    while w0 < end:
+        w1 = min(w0 + bsize, end)
+        # pieces overlapping [w0, w1)
+        first = int(np.searchsorted(file_end, w0, side="right"))
+        last = int(np.searchsorted(file_off, w1, side="left"))
+        if first >= last:
+            w0 = w1
+            continue
+        fo = file_off[first:last].copy()
+        fe = file_end[first:last].copy()
+        mo = mem_off[first:last].copy()
+        # clip boundary-crossing pieces to the window
+        head_trim = np.maximum(w0 - fo, 0)
+        fo += head_trim
+        mo += head_trim
+        fe = np.minimum(fe, w1)
+        ln = fe - fo
+        yield int(fo[0]), int(fe[-1]), mo, fo, ln
+        w0 = w1
 
 
 def ref_decompose_phase(phase: RankPlan, rank: int, cfg: ClusterConfig, loads: _Loads):
@@ -485,6 +523,55 @@ class TestSieveSpans:
     def test_unsorted_still_rejected(self):
         with pytest.raises(RegionError):
             sieve_spans(RegionList([50, 0], [5, 5]), 16)
+
+
+# ---------------------------------------------------------------------------
+# DataSievingIO._windows: the sieve_spans planner == the per-window loop
+# ---------------------------------------------------------------------------
+
+
+class TestSieveWindows:
+    @given(
+        disjoint_lists(max_regions=25, max_gap=3000, shuffle=False),
+        st.integers(8, 200),
+        st.data(),
+    )
+    def test_matches_window_loop_on_disjoint_lists(self, fil, buffer_size, data):
+        mem = data.draw(stream_lists(fil.total_bytes))
+        method = DataSievingIO(buffer_size)
+        got = list(method._windows(None, mem, fil))
+        want = list(ref_windows(method, None, None, mem, fil))
+        assert len(got) == len(want)
+        for (lo, hi, *arrays), (ref_lo, ref_hi, *ref_arrays) in zip(got, want):
+            assert (lo, hi) == (ref_lo, ref_hi)
+            for a, b in zip(arrays, ref_arrays):
+                assert np.array_equal(a, b)
+                assert a.dtype == b.dtype
+
+    @given(
+        region_lists(max_len=400),
+        st.one_of(st.integers(1, 512), st.integers(1, 1 << 40)),
+        st.data(),
+    )
+    def test_spans_match_sieve_spans(self, fil, buffer_size, data):
+        # sorted by offset, possibly overlapping or nested: the model and
+        # the simulator plan the same spans with the same useful bytes
+        fil = fil.sorted()
+        mem = data.draw(stream_lists(fil.total_bytes))
+        windows = list(DataSievingIO(buffer_size)._windows(None, mem, fil))
+        spans, useful = sieve_spans(fil, buffer_size)
+        assert [(lo, hi - lo) for lo, hi, *_ in windows] == list(spans)
+        assert [int(ln.sum()) for *_, ln in windows] == useful.tolist()
+
+    def test_far_apart_regions_plan_two_windows(self):
+        # The window loop visits every window between the two regions: at
+        # a 32 MiB buffer that is about 3.4e7 empty windows.
+        far = 1 << 50
+        fil = RegionList([0, far], [10, 10])
+        method = DataSievingIO(32 * 1024 * 1024)
+        windows = list(method._windows(None, RegionList.single(0, 20), fil))
+        assert [(lo, hi) for lo, hi, *_ in windows] == [(0, 10), (far, far + 10)]
+        assert [mo.tolist() for _, _, mo, _, _ in windows] == [[0], [10]]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.patterns import block_block, one_dim_cyclic
 from repro.pvfs import Cluster
 from repro.regions import RegionList, build_flat_indices
 from repro.sweep import PointSpec, run_sweep
-from repro.sweep.spec import MpiioSpec, canonical
+from repro.sweep.spec import MpiioSpec
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +322,9 @@ class TestModel:
 
 
 # ---------------------------------------------------------------------------
-# wire codec / cache keys
+# cache keys
 # ---------------------------------------------------------------------------
 class TestWire:
-    def test_mpiio_spec_cb_buffer_roundtrips(self):
-        from repro.experiments.presets import SMOKE
-        from repro.service import decode_spec, encode_spec
-
-        spec = MpiioSpec(
-            scale=SMOKE, n_ranks=2, collective=True, cb_buffer=65536
-        )
-        assert decode_spec(encode_spec(spec)) == spec
-        assert canonical(decode_spec(encode_spec(spec))) == canonical(spec)
-
     def test_cb_buffer_changes_cache_key(self):
         from repro.experiments.presets import SMOKE
 
