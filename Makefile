@@ -30,11 +30,11 @@ bench-compare:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli bench compare \
 		benchmarks/baseline_smoke.json BENCH_local.json --wall-tolerance none
 
-# kernel + host profiling: SSR headline, per-handler table, flamegraph
-# input (profile.json / profile.collapsed / profile.pstats, metrics JSONL)
+# kernel + host profiling: SSR headline, per-handler table, hottest
+# functions, flamegraph input (profile.json / .collapsed / .pstats)
 profile:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli profile \
-		--scale smoke --out profile --metrics-out profile_metrics.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli bench run \
+		--scale smoke --repeats 1 --profile profile
 
 # pytest-benchmark microbenchmarks (wall-clock timings, not gated)
 bench-pytest:

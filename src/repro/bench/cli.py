@@ -4,6 +4,7 @@
 
     pvfs-sim bench run --scale smoke --repeats 3 --out BENCH_ci.json
     pvfs-sim bench run --scale smoke --trace-out bench.trace.json
+    pvfs-sim bench run --scale smoke --repeats 1 --profile prof
     pvfs-sim bench compare benchmarks/baseline_smoke.json BENCH_ci.json \
         --wall-tolerance none --table regressions.md
     pvfs-sim bench list
@@ -84,14 +85,9 @@ def _parser() -> argparse.ArgumentParser:
         "--profile",
         metavar="PREFIX",
         help="after timing, re-run the suite once under the kernel profiler "
-        "and cProfile; writes PREFIX.json (handler table + SSR), "
+        "and cProfile; prints the handler table and the hottest host "
+        "functions, and writes PREFIX.json (handler table + SSR), "
         "PREFIX.collapsed (flamegraph input), and PREFIX.pstats",
-    )
-    run.add_argument(
-        "--metrics-out",
-        metavar="FILE.jsonl",
-        help="export the suite's time-series metrics registry as JSONL "
-        "(summarize with 'pvfs-sim obs FILE.jsonl')",
     )
     run.add_argument(
         "--cache-dir",
@@ -130,13 +126,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    if args.no_fastpath:
-        import os
+    if not args.no_fastpath:
+        return _run_suite(args)
+    import os
 
-        from ..simulate.fastpath import NO_FASTPATH_ENV
+    from ..simulate.fastpath import NO_FASTPATH_ENV
 
-        # Env (not a parameter) so spawned sweep workers inherit it too.
-        os.environ[NO_FASTPATH_ENV] = "1"
+    # Env (not a parameter) so spawned sweep workers inherit it too; the
+    # caller's value comes back once the run is over.
+    previous = os.environ.get(NO_FASTPATH_ENV)
+    os.environ[NO_FASTPATH_ENV] = "1"
+    try:
+        return _run_suite(args)
+    finally:
+        if previous is None:
+            del os.environ[NO_FASTPATH_ENV]
+        else:
+            os.environ[NO_FASTPATH_ENV] = previous
+
+
+def _run_suite(args) -> int:
     if args.repeats < 1:
         print("error: --repeats must be >= 1", file=sys.stderr)
         return 2
@@ -150,11 +159,6 @@ def _run(args) -> int:
         cache = ResultCache(args.cache_dir)
     out = args.out or time.strftime("BENCH_%Y%m%d_%H%M%SZ.json", time.gmtime())
     say = (lambda _msg: None) if args.quiet else print
-    metrics = None
-    if args.metrics_out:
-        from ..obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
     try:
         result = suite.run_suite(
             SCALES[args.scale],
@@ -162,7 +166,6 @@ def _run(args) -> int:
             repeats=args.repeats,
             jobs=args.jobs,
             cache=cache,
-            metrics=metrics,
             progress=say,
         )
     except BenchError as exc:
@@ -171,12 +174,6 @@ def _run(args) -> int:
     schema.save(result, out)
     print(_summary_markdown(result))
     print(f"wrote {len(result.scenarios)} scenario(s) to {out}")
-    if metrics is not None:
-        metrics.write_jsonl(args.metrics_out)
-        print(
-            f"wrote metrics registry to {args.metrics_out} "
-            f"(summarize with 'pvfs-sim obs {args.metrics_out}')"
-        )
     if args.profile:
         try:
             _profile_after_run(args, result)
@@ -213,7 +210,7 @@ def _profile_after_run(args, result: schema.BenchResult) -> None:
     from ..obs import prof
 
     prefix = args.profile
-    (profile, _per_scenario), cprofile = prof.capture_cprofile(
+    profile, cprofile = prof.capture_cprofile(
         suite.profile_suite,
         SCALES[args.scale],
         scenarios=args.scenario,
@@ -227,6 +224,9 @@ def _profile_after_run(args, result: schema.BenchResult) -> None:
     print(profile.headline())
     print()
     print(profile.to_markdown(top=10))
+    print("## hottest host functions (cProfile)")
+    print()
+    print(prof.top_functions_markdown(cprofile, n=10))
     print(
         f"wrote kernel profile to {prefix}.json, {n_stacks} collapsed "
         f"stacks to {prefix}.collapsed, raw pstats to {prefix}.pstats"

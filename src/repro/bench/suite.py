@@ -260,14 +260,20 @@ def scenario_names() -> List[str]:
     return [sc.name for sc in SUITE]
 
 
+def _select(names: Optional[Sequence[str]]) -> List[Scenario]:
+    """The named scenarios in the given order (default: the whole suite)."""
+    if names is None:
+        return list(SUITE)
+    for name in names:
+        if name not in _BY_NAME:
+            known = ", ".join(scenario_names())
+            raise BenchError(f"unknown scenario {name!r} (suite: {known})")
+    return [_BY_NAME[name] for name in names]
+
+
 def build_specs(name: str, scale: Scale) -> List:
     """The sweep specs scenario ``name`` runs at ``scale``."""
-    try:
-        scenario = _BY_NAME[name]
-    except KeyError:
-        known = ", ".join(scenario_names())
-        raise BenchError(f"unknown scenario {name!r} (suite: {known})") from None
-    return scenario.specs(scale)
+    return _select([name])[0].specs(scale)
 
 
 def _utc_stamp() -> str:
@@ -281,7 +287,6 @@ def run_suite(
     repeats: int = 3,
     jobs: int = 1,
     cache=None,
-    metrics=None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> BenchResult:
     """Run the suite; return a schema-versioned :class:`BenchResult`.
@@ -297,18 +302,8 @@ def run_suite(
     if repeats < 1:
         raise BenchError("repeats must be >= 1")
     say = progress or (lambda _msg: None)
-    if scenarios is None:
-        selected = list(SUITE)
-    else:
-        selected = []
-        for name in scenarios:
-            if name not in _BY_NAME:
-                known = ", ".join(scenario_names())
-                raise BenchError(f"unknown scenario {name!r} (suite: {known})")
-            selected.append(_BY_NAME[name])
-
     results: List[ScenarioResult] = []
-    for scenario in selected:
+    for scenario in _select(scenarios):
         specs = scenario.specs(scale)
         walls: List[float] = []
         sim: Optional[SimMetrics] = None
@@ -316,14 +311,7 @@ def run_suite(
         for repeat in range(repeats):
             t0 = time.perf_counter()
             points, _stats = run_sweep(
-                specs,
-                jobs=jobs,
-                cache=cache,
-                # Fold metrics from the first repeat only: later repeats
-                # are bit-identical, and double-counting would make the
-                # registry depend on ``repeats``.
-                metrics=metrics if repeat == 0 else None,
-                label=f"bench/{scenario.name}",
+                specs, jobs=jobs, cache=cache, label=f"bench/{scenario.name}"
             )
             walls.append(time.perf_counter() - t0)
             agg = SimMetrics.from_points(points)
@@ -368,49 +356,26 @@ def profile_suite(
     *,
     scenarios: Optional[Sequence[str]] = None,
     expected: Optional[BenchResult] = None,
-    metrics=None,
-    obs=None,
-    progress: Optional[Callable[[str], None]] = None,
 ):
     """Run the selected scenarios once, serially, under the kernel profiler.
 
-    Returns ``(profile, per_scenario)``: the frozen
-    :class:`~repro.obs.prof.KernelProfile` covering every simulator the
-    run constructed, and a name → :class:`SimMetrics` map.  When
-    ``expected`` (a timed :class:`BenchResult` from the same scale) is
-    given, each scenario's simulated metrics are cross-checked against
-    the recorded ones — the profiler is passive, so any divergence is a
-    determinism bug and raises :class:`~repro.errors.BenchError`.
-    ``metrics`` / ``obs`` ride along on the same single pass, so one
-    profiled run can also yield the metrics JSONL and a trace.
+    Returns the frozen :class:`~repro.obs.prof.KernelProfile` covering
+    every simulator the run constructed.  When ``expected`` (a timed
+    :class:`BenchResult` from the same scale) is given, each scenario's
+    simulated metrics are cross-checked against the recorded ones — the
+    profiler is passive, so any divergence is a determinism bug and
+    raises :class:`~repro.errors.BenchError`.
     """
     from ..obs.prof import KernelProfiler, profiled
-
-    say = progress or (lambda _msg: None)
-    if scenarios is None:
-        selected = list(SUITE)
-    else:
-        selected = []
-        for name in scenarios:
-            if name not in _BY_NAME:
-                known = ", ".join(scenario_names())
-                raise BenchError(f"unknown scenario {name!r} (suite: {known})")
-            selected.append(_BY_NAME[name])
 
     profiler = KernelProfiler()
     per_scenario: Dict[str, SimMetrics] = {}
     with profiled(profiler):
-        for scenario in selected:
-            specs = scenario.specs(scale)
+        for scenario in _select(scenarios):
             points, _stats = run_sweep(
-                specs,
-                jobs=1,
-                metrics=metrics,
-                obs=obs if scenario.family != "micro" else None,
-                label=f"profile/{scenario.name}",
+                scenario.specs(scale), jobs=1, label=f"profile/{scenario.name}"
             )
             per_scenario[scenario.name] = SimMetrics.from_points(points)
-            say(f"[profile] {scenario.name}: {len(points)} point(s)")
     if expected is not None:
         for name, sim in per_scenario.items():
             try:
@@ -422,7 +387,7 @@ def profile_suite(
                     f"profiled run of {name!r} diverged from the timed run "
                     f"({sim} != {recorded}) — the profiler must stay passive"
                 )
-    return profiler.profile(), per_scenario
+    return profiler.profile()
 
 
 def capture_slowest(result: BenchResult, scale_name: str, obs) -> Optional[str]:

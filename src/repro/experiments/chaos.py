@@ -612,6 +612,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     scale = SCALES[args.scale]
+    try:
+        # Build what the sweep builds from these flags, so a bad value is
+        # refused here rather than as a traceback part-way through it.
+        _replicated_cfg(_pattern(args.benchmark, scale)[0], args.replicas, args.ack)
+        IodCrash(iod=0, at=0.0, restart_after=args.restart_after)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.scenario == "all":
         # failover-read is pointless without a replica to fail over to, so
         # "all" only includes it once --replicas asks for redundancy.

@@ -74,10 +74,9 @@ FIGURES: Dict[str, Callable] = {
 #: ``pvfs-sim --help`` prints this table so the top-level help can never
 #: drift out of sync with the dispatcher again (tests pin the two).
 SUBCOMMANDS: Dict[str, str] = {
-    "obs": "summarize a saved trace or metrics file",
+    "obs": "summarize a saved trace",
     "chaos": "run benchmarks under injected faults (docs/faults.md)",
     "bench": "deterministic regression suite: run|compare|list (docs/benchmarking.md)",
-    "profile": "kernel + host profiling of the suite (docs/performance.md)",
 }
 
 
@@ -128,12 +127,6 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print bottleneck attribution for the longest simulated run "
         "(DES mode only)",
-    )
-    p.add_argument(
-        "--metrics-out",
-        metavar="FILE.jsonl",
-        help="export per-figure metrics (counters, histograms) as JSONL; "
-        "summarize with 'pvfs-sim obs FILE.jsonl'",
     )
     p.add_argument(
         "--straggler",
@@ -209,11 +202,6 @@ def main(argv: List[str] | None = None) -> int:
         from ..bench.cli import main as bench_main
 
         return bench_main(argv[1:])
-    if argv and argv[0] == "profile":
-        # `pvfs-sim profile ...` — kernel + host profiling (SSR headline).
-        from ..obs.profcli import main as profile_main
-
-        return profile_main(argv[1:])
     args = _parser().parse_args(argv)
     scale = SCALES[args.scale]
     mode = args.mode or ("model" if not scale.des_friendly else "des")
@@ -275,11 +263,6 @@ def main(argv: List[str] | None = None) -> int:
         from ..sweep import ResultCache, default_cache_dir
 
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    metrics = None
-    if args.metrics_out:
-        from ..obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
     figures = sorted(FIGURES, key=int) if args.all else [args.figure]
     all_points = []
     failed = False
@@ -294,8 +277,6 @@ def main(argv: List[str] | None = None) -> int:
             cache=cache,
             cb_buffer=args.cb_buffer,
         )
-        if metrics is not None:
-            metrics.record_sweep(f"fig{fig}", result.points)
         print(result.markdown())
         if result.sweep_stats is not None:
             print(result.sweep_stats.summary_line())
@@ -310,12 +291,6 @@ def main(argv: List[str] | None = None) -> int:
         with open(args.csv, "w") as fh:
             fh.write(points_to_csv(all_points))
         print(f"wrote {len(all_points)} points to {args.csv}")
-    if metrics is not None:
-        metrics.write_jsonl(args.metrics_out)
-        print(
-            f"wrote metrics for {len(figures)} figure(s) to {args.metrics_out} "
-            f"(summarize with 'pvfs-sim obs {args.metrics_out}')"
-        )
     if obs is not None and obs.runs:
         best = obs.best_run()
         if args.report:

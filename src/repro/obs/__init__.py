@@ -12,39 +12,22 @@ resource monitors into three user-facing artifacts:
   ranked by busy fraction and critical-path share, with a one-line
   verdict ("disk-bound", "nic-bound", ...).
 
-Two further layers answer "where does the time go" continuously:
-
-* a **metrics pipeline** (:mod:`repro.obs.metrics`) — counters, gauges,
-  fixed-bucket histograms with quantiles, and epoch-sampled time series
-  per NIC / disk / IOD / client / queue, exported as schema-versioned
-  JSONL and Perfetto counter tracks;
-* a **kernel profiler** (:mod:`repro.obs.prof`) — events dispatched and
-  host wall time per handler kind, heap pressure, and the
-  simulated-seconds-per-wall-second (SSR) headline, plus cProfile
-  capture with collapsed-stack (flamegraph) export.
+A **kernel profiler** (:mod:`repro.obs.prof`) answers where the *host*
+time goes: events dispatched and wall time per handler kind, heap
+pressure, and the simulated-seconds-per-wall-second (SSR) headline, plus
+cProfile capture with collapsed-stack (flamegraph) export.
 
 Entry point for traces is :class:`~repro.obs.session.ObsSession`; the
-experiments CLI exposes it as ``--trace-out`` / ``--report``, the
-``obs`` subcommand summarizes saved traces and metrics JSONL files, and
-the ``profile`` subcommand (:mod:`repro.obs.profcli`) drives the
-profiler.
+experiments CLI exposes it as ``--trace-out`` / ``--report``, and the
+``obs`` subcommand summarizes saved traces.  ``pvfs-sim bench run
+--profile`` drives the profiler.
 
-Everything here is passive: attaching a session, a registry, or the
-profiler never advances simulated time, so observed and unobserved runs
-produce bit-identical results.
+Everything here is passive: attaching a session or the profiler never
+advances simulated time, so observed and unobserved runs produce
+bit-identical results.
 """
 
 from .bottleneck import BottleneckReport, QueueStat, ResourceStat, attribute
-from .metrics import (
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-    from_capture,
-    load_jsonl,
-)
 from .monitor import ClusterMonitor, ResourceMonitor, merge_intervals
 from .perfetto import TRACE_VERSION, build_trace, write_trace
 from .prof import KernelProfile, KernelProfiler, capture_cprofile, profiled
@@ -63,14 +46,6 @@ __all__ = [
     "BottleneckReport",
     "ResourceStat",
     "QueueStat",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Series",
-    "from_capture",
-    "load_jsonl",
-    "METRICS_SCHEMA_VERSION",
     "KernelProfiler",
     "KernelProfile",
     "profiled",

@@ -1,20 +1,14 @@
-"""``obs`` subcommand: summarize saved observability artifacts.
+"""``obs`` subcommand: summarize a saved trace.
 
 ::
 
-    pvfs-sim obs /tmp/trace.json            # trace: summary + verdict
+    pvfs-sim obs /tmp/trace.json            # summary + verdict
     pvfs-sim obs /tmp/trace.json --json     # machine-readable report
-    pvfs-sim obs /tmp/metrics.jsonl         # metrics: hottest counters,
-                                            # histogram quantiles, series
-    pvfs-sim obs /tmp/metrics.jsonl --top 20
     python -m repro.obs.cli /tmp/trace.json # same, standalone
 
-Handles both artifact formats without the original run: the trace-event
-JSON written by ``--trace-out`` (per-category and per-lane statistics
-recomputed from the events, plus the embedded bottleneck report) and the
-metrics JSONL written by ``--metrics-out`` (top-N hottest counters,
-histogram quantile table, time-series overview).  The format is
-detected from the file's first line.
+Reads the trace-event JSON written by ``--trace-out`` without the
+original run: per-category and per-lane statistics are recomputed from
+the events, and the bottleneck report comes from the embedded copy.
 """
 
 from __future__ import annotations
@@ -25,18 +19,7 @@ import sys
 from collections import defaultdict
 from typing import Dict, List
 
-__all__ = ["main", "summarize", "summarize_metrics"]
-
-
-def _is_metrics_file(path: str) -> bool:
-    """True when the first line is a ``pvfs-sim-metrics`` JSONL header."""
-    with open(path) as fh:
-        first = fh.readline()
-    try:
-        header = json.loads(first)
-    except ValueError:
-        return False
-    return isinstance(header, dict) and header.get("tool") == "pvfs-sim-metrics"
+__all__ = ["main", "summarize"]
 
 
 def _load(path: str) -> dict:
@@ -115,105 +98,19 @@ def summarize(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def summarize_metrics(doc: dict, top: int = 10) -> str:
-    """Human-readable summary of a loaded metrics JSONL document.
-
-    ``doc`` is the structure :func:`repro.obs.metrics.load_jsonl`
-    returns; ``top`` caps the hottest-counter and histogram tables.
-    """
-    header = doc.get("header", {})
-    counters: Dict[str, float] = doc.get("counters", {})
-    gauges: Dict[str, float] = doc.get("gauges", {})
-    histograms: List[dict] = doc.get("histograms", [])
-    series: List[dict] = doc.get("series", [])
-
-    lines: List[str] = []
-    label = header.get("label") or "(unlabelled)"
-    lines.append(f"# metrics summary — {label}")
-    lines.append("")
-    lines.append(
-        f"instruments: {len(counters)} counters, {len(gauges)} gauges, "
-        f"{len(histograms)} histograms, {len(series)} series "
-        f"(schema v{header.get('schema_version', '?')})"
-    )
-    lines.append("")
-
-    if counters:
-        ranked = sorted(counters.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
-        lines.append(f"## hottest counters (top {len(ranked)} of {len(counters)})")
-        lines.append("")
-        lines.append("| counter | value |")
-        lines.append("|---|---|")
-        for name, value in ranked:
-            lines.append(f"| {name} | {value:,.6g} |")
-        lines.append("")
-
-    if gauges:
-        lines.append("| gauge | value |")
-        lines.append("|---|---|")
-        for name in sorted(gauges):
-            lines.append(f"| {name} | {gauges[name]:,.6g} |")
-        lines.append("")
-
-    if histograms:
-        ranked_h = sorted(histograms, key=lambda h: (-h.get("count", 0), h["name"]))[:top]
-        lines.append(f"## histograms (top {len(ranked_h)} of {len(histograms)} by count)")
-        lines.append("")
-        lines.append("| histogram | n | mean | p50 | p90 | p99 | max |")
-        lines.append("|---|---|---|---|---|---|---|")
-        for h in ranked_h:
-            count = h.get("count", 0)
-            mean = h.get("sum", 0.0) / count if count else 0.0
-            q = h.get("quantiles", {})
-            lines.append(
-                f"| {h['name']} | {count} | {mean:.6g} "
-                f"| {q.get('p50', 0.0):.6g} | {q.get('p90', 0.0):.6g} "
-                f"| {q.get('p99', 0.0):.6g} | {h.get('max', 0.0):.6g} |"
-            )
-        lines.append("")
-
-    if series:
-        lines.append("| series | unit | samples | last value |")
-        lines.append("|---|---|---|---|")
-        for s in sorted(series, key=lambda s: s["name"])[:top]:
-            samples = s.get("samples", [])
-            last = samples[-1][1] if samples else 0.0
-            lines.append(
-                f"| {s['name']} | {s.get('unit') or '-'} "
-                f"| {len(samples)} | {last:.6g} |"
-            )
-        if len(series) > top:
-            lines.append(f"| ... {len(series) - top} more series ... | | | |")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pvfs-sim obs",
-        description="Summarize a trace JSON (--trace-out) or metrics JSONL "
-        "(--metrics-out) without the original run",
+        description="Summarize a trace JSON (--trace-out) without the original run",
     )
-    parser.add_argument("trace", help="path to the trace JSON or metrics JSONL file")
+    parser.add_argument("trace", help="path to the trace JSON file")
     parser.add_argument(
         "--json",
         action="store_true",
-        help="traces: print the embedded bottleneck report as JSON instead",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        metavar="N",
-        help="metrics: rows per table (default: 10)",
+        help="print the embedded bottleneck report as JSON instead",
     )
     args = parser.parse_args(argv)
     try:
-        if _is_metrics_file(args.trace):
-            from .metrics import load_jsonl
-
-            print(summarize_metrics(load_jsonl(args.trace), top=max(1, args.top)))
-            return 0
         doc = _load(args.trace)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

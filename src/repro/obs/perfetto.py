@@ -25,9 +25,26 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["build_trace", "write_trace", "TRACE_VERSION"]
+__all__ = ["build_trace", "write_trace", "TRACE_VERSION", "FAULT_CATEGORIES"]
 
 TRACE_VERSION = 1
+
+#: Fault-injection windows and the client's survival actions (see
+#: repro.faults).  Each lands on a "faults" lane of the affected node, so
+#: a crash window lines up visually with the retries it caused, and the
+#: bottleneck report's fault table summarizes the same categories.
+FAULT_CATEGORIES = (
+    "fault.crash",
+    "fault.disk_stall",
+    "fault.fence",
+    "fault.resync",
+    "fault.link_down",
+    "fault.packet_loss",
+    "client.timeout",
+    "client.retry_backoff",
+    "client.failover",
+    "net.link_stall",
+)
 
 #: Thread ordering inside one process (lower = higher in the UI).
 _TID_ORDER = ("requests", "service", "disk", "queue wait", "nic.tx", "nic.rx", "faults")
@@ -132,28 +149,19 @@ def _span_lane(span) -> Optional[Tuple[str, str]]:
         return meta.get("src", span.label), "nic.tx"
     if cat == "net.wait":
         return meta.get("src", span.label), "nic.tx"
-    # Fault-injection windows and the client's survival actions (see
-    # repro.faults): each lands on a "faults" lane of the affected node so
-    # a crash window lines up visually with the retries it caused.
-    if cat in ("fault.crash", "fault.disk_stall", "fault.fence", "fault.resync"):
-        return f"iod{meta.get('iod', 0)}", "faults"
+    if cat not in FAULT_CATEGORIES:
+        return None
+    if cat.startswith("client."):
+        return f"client{meta.get('client', 0)}", "faults"
     if cat in ("fault.link_down", "fault.packet_loss"):
         return meta.get("node", span.label), "faults"
-    if cat in ("client.timeout", "client.retry_backoff", "client.failover"):
-        return f"client{meta.get('client', 0)}", "faults"
     if cat == "net.link_stall":
         return meta.get("src", span.label), "faults"
-    return None
+    return f"iod{meta.get('iod', 0)}", "faults"
 
 
-def build_trace(capture, metrics=None) -> Dict[str, Any]:
-    """Render one :class:`~repro.obs.session.RunCapture` as a trace dict.
-
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) adds one
-    Perfetto counter track per epoch-sampled series on a dedicated
-    ``metrics`` process lane — utilization, queue depths, and bytes per
-    epoch plot as graphs above the span timelines.
-    """
+def build_trace(capture) -> Dict[str, Any]:
+    """Render one :class:`~repro.obs.session.RunCapture` as a trace dict."""
     lanes = _Lanes()
     events: List[dict] = []
     for span in capture.spans:
@@ -209,10 +217,6 @@ def build_trace(capture, metrics=None) -> Dict[str, Any]:
                     "args": {"depth": depth},
                 }
             )
-    if metrics is not None:
-        from .metrics import perfetto_counter_events
-
-        events.extend(perfetto_counter_events(metrics, lanes.pid("metrics")))
     events.sort(key=lambda e: (e["ts"], e["pid"], e.get("tid", 0)))
     report = capture.report()
     return {
@@ -230,9 +234,9 @@ def build_trace(capture, metrics=None) -> Dict[str, Any]:
     }
 
 
-def write_trace(capture, path: str, metrics=None) -> Dict[str, Any]:
+def write_trace(capture, path: str) -> Dict[str, Any]:
     """Serialize :func:`build_trace` output to ``path``; returns the dict."""
-    doc = build_trace(capture, metrics=metrics)
+    doc = build_trace(capture)
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return doc

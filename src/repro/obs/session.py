@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from ..simulate import Span
 from .bottleneck import BottleneckReport, attribute
 from .monitor import ClusterMonitor, ResourceMonitor
-from .perfetto import build_trace, write_trace
+from .perfetto import FAULT_CATEGORIES, build_trace, write_trace
 
 __all__ = ["RunCapture", "ObsSession"]
 
@@ -42,31 +42,17 @@ class RunCapture:
     monitors: Dict[str, ResourceMonitor]
     summary: Dict[str, Dict[str, float]]
     dropped_by_category: Dict[str, int] = field(default_factory=dict)
-    #: Snapshot of the cluster's simulation counters at capture time
-    #: (``net.payload_bytes``, per-client request counts, ...), feeding
-    #: the ``sim.*`` aggregates in :func:`repro.obs.metrics.from_capture`.
-    counters: Dict[str, float] = field(default_factory=dict)
 
     @property
     def elapsed(self) -> float:
         return self.t1 - self.t0
-
-    _FAULT_CATEGORIES = (
-        "fault.crash",
-        "fault.disk_stall",
-        "fault.link_down",
-        "fault.packet_loss",
-        "client.timeout",
-        "client.retry_backoff",
-        "net.link_stall",
-    )
 
     def report(self) -> BottleneckReport:
         report = attribute(self.monitors, self.t0, self.t1, label=self.label)
         report.faults = {
             cat: stats
             for cat, stats in self.summary.items()
-            if cat in self._FAULT_CATEGORIES
+            if cat in FAULT_CATEGORIES
         }
         return report
 
@@ -113,7 +99,6 @@ class ObsSession:
             monitors=monitor.monitors,
             summary=tracer.summary(),
             dropped_by_category=dict(tracer.dropped_by_category),
-            counters=cluster.counters.as_dict(),
         )
         monitor.detach()
         self.runs.append(run)
@@ -137,54 +122,18 @@ class ObsSession:
         return None
 
     # -- outputs -------------------------------------------------------
-    def export_trace(
-        self, path: str, run: Optional[RunCapture] = None, *, metrics=None
-    ) -> dict:
-        """Write a Perfetto trace JSON for ``run`` (default: best run).
-
-        ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) adds
-        its time series as counter tracks on a dedicated lane."""
+    def export_trace(self, path: str, run: Optional[RunCapture] = None) -> dict:
+        """Write a Perfetto trace JSON for ``run`` (default: best run)."""
         run = run or self.best_run()
         if run is None:
             raise ValueError("no runs captured — nothing to export")
-        return write_trace(run, path, metrics=metrics)
+        return write_trace(run, path)
 
     def build_trace(self, run: Optional[RunCapture] = None) -> dict:
         run = run or self.best_run()
         if run is None:
             raise ValueError("no runs captured — nothing to export")
         return build_trace(run)
-
-    def build_metrics(
-        self, run: Optional[RunCapture] = None, *, epoch_s: Optional[float] = None
-    ):
-        """Epoch-sampled :class:`~repro.obs.metrics.MetricsRegistry` for
-        ``run`` (default: best run)."""
-        from .metrics import from_capture
-
-        run = run or self.best_run()
-        if run is None:
-            raise ValueError("no runs captured — nothing to meter")
-        return from_capture(run, epoch_s=epoch_s)
-
-    def export_metrics(
-        self,
-        path: str,
-        run: Optional[RunCapture] = None,
-        *,
-        epoch_s: Optional[float] = None,
-        registry=None,
-    ):
-        """Write metrics JSONL for ``run``; extra instruments already in
-        ``registry`` (e.g. sweep-level counters) are included."""
-        from .metrics import from_capture
-
-        run = run or self.best_run()
-        if run is None:
-            raise ValueError("no runs captured — nothing to export")
-        reg = from_capture(run, epoch_s=epoch_s, registry=registry)
-        reg.write_jsonl(path)
-        return reg
 
     def report(self, run: Optional[RunCapture] = None) -> BottleneckReport:
         run = run or self.best_run()

@@ -109,17 +109,10 @@ def run_sweep(
     jobs: int = 1,
     cache=None,
     obs=None,
-    metrics=None,
     label: str = "",
     progress: Optional[Callable[[str], None]] = None,
 ) -> Tuple[List[Any], SweepStats]:
-    """Run every spec; return results in spec order plus sweep accounting.
-
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) receives
-    the completed results folded **in spec order** — never in completion
-    order — so the merged registry is bit-identical at any ``jobs`` count
-    (the per-worker merge is deterministic by construction).
-    """
+    """Run every spec; return results in spec order plus sweep accounting."""
     t_start = time.perf_counter()
     stats = SweepStats(
         label=label,
@@ -174,9 +167,6 @@ def run_sweep(
         if best not in captured_live:
             specs[best].run(obs=obs)
             say(f"[{label}] recaptured point {best + 1} for observability")
-
-    if metrics is not None and results and all(r is not None for r in results):
-        metrics.record_sweep(label, results)
 
     stats.wall_s = time.perf_counter() - t_start
     if obs is not None:

@@ -6,6 +6,7 @@ the PointSpec-free and cluster-backed paths.
 """
 
 import json
+import os
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.bench import SUITE, build_specs, load, scenario_names
 from repro.bench.cli import main as bench_main
 from repro.experiments.cli import main as cli_main
 from repro.experiments.presets import SMOKE
+from repro.simulate import NO_FASTPATH_ENV, fastpath_enabled
 
 _FAST = ("micro_kernel_churn", "micro_net_stream", "micro_disk_runs")
 
@@ -130,6 +132,17 @@ def test_run_validates_flags(tmp_path, capsys):
     assert bench_main(["run", "--repeats", "0", "--out", out]) == 2
     assert bench_main(["run", "--jobs", "0", "--out", out]) == 2
     capsys.readouterr()
+
+
+def test_no_fastpath_is_restored_after_the_run(tmp_path, monkeypatch):
+    # The flag switches the fast paths off for this run only (spawned
+    # workers inherit it meanwhile); later simulators in the caller's
+    # process take the fast paths again.
+    monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
+    out = tmp_path / "x.json"
+    assert _run(out, scenarios=("micro_kernel_churn",), extra=["--no-fastpath"]) == 0
+    assert NO_FASTPATH_ENV not in os.environ
+    assert fastpath_enabled()
 
 
 def test_run_with_cache_dir_records_cache_flag(tmp_path):

@@ -40,6 +40,21 @@ class TestChaosCli:
         assert len(lines) == 2
         assert lines[1].startswith("straggler,artificial,")
 
+    @pytest.mark.parametrize(
+        "flag",
+        [("--replicas", "0"), ("--replicas", "9"), ("--restart-after", "-1")],
+        ids=["replicas-0", "replicas-9", "restart-after-negative"],
+    )
+    def test_bad_flag_is_a_usage_error(self, flag, tmp_path, capsys):
+        # smoke scale has 8 I/O daemons, so 9 replicas cannot be placed.
+        path = tmp_path / "chaos.csv"
+        rc = chaos.main(["--no-cache", "--csv", str(path), *flag])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not path.exists()
+
 
 class TestRunScenario:
     def test_crash_row_recovers(self):

@@ -260,7 +260,7 @@ class TestDispatchAndHelp:
             assert name in help_text, f"{name!r} missing from pvfs-sim --help"
 
     def test_subcommands_table_matches_dispatcher(self):
-        assert set(SUBCOMMANDS) == {"obs", "chaos", "bench", "profile"}
+        assert set(SUBCOMMANDS) == {"obs", "chaos", "bench"}
 
     @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
     def test_subcommands_dispatch(self, name, capsys):
@@ -272,9 +272,12 @@ class TestDispatchAndHelp:
         assert f"pvfs-sim {name}" in capsys.readouterr().out
 
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["serve"])
-        assert exc.value.code == 2
+        # Removed subcommands stay usage errors; profiling runs through
+        # `pvfs-sim bench run --profile`.
+        for name in ("serve", "profile"):
+            with pytest.raises(SystemExit) as exc:
+                main([name])
+            assert exc.value.code == 2
 
     def test_readme_lists_exactly_the_subcommands(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -140,45 +140,6 @@ class TestHostProfiling:
 
 
 class TestCli:
-    def test_profile_subcommand_smoke(self, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        prefix = str(tmp_path / "prof")
-        rc = main(
-            [
-                "profile",
-                "--scenario",
-                "micro_kernel_churn",
-                "--out",
-                prefix,
-                "--top",
-                "5",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "SSR" in out
-        assert "| handler |" in out
-        assert (tmp_path / "prof.json").exists()
-        assert (tmp_path / "prof.collapsed").exists()
-        assert (tmp_path / "prof.pstats").exists()
-
-    def test_profile_subcommand_no_cprofile(self, tmp_path, capsys):
-        from repro.obs.profcli import main
-
-        prefix = str(tmp_path / "k")
-        rc = main(["--scenario", "micro_net_stream", "--out", prefix, "--no-cprofile"])
-        assert rc == 0
-        assert (tmp_path / "k.json").exists()
-        assert not (tmp_path / "k.collapsed").exists()
-
-    def test_profile_list_and_bad_scenario(self, capsys):
-        from repro.obs.profcli import main
-
-        assert main(["--list"]) == 0
-        assert "micro_kernel_churn" in capsys.readouterr().out
-        assert main(["--scenario", "nope"]) == 2
-
     def test_bench_run_profile_flag(self, tmp_path, capsys):
         from repro.bench.cli import main
 
@@ -196,8 +157,6 @@ class TestCli:
                 str(tmp_path / "B.json"),
                 "--profile",
                 prefix,
-                "--metrics-out",
-                str(tmp_path / "m.jsonl"),
                 "--quiet",
             ]
         )
@@ -205,6 +164,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SSR" in out
         assert "| SSR |" in out  # summary table carries the new columns
+        assert "| handler |" in out
+        assert "## hottest host functions (cProfile)" in out
+        assert "| function |" in out
         assert (tmp_path / "bp.json").exists()
         assert (tmp_path / "bp.collapsed").exists()
-        assert (tmp_path / "m.jsonl").exists()
+        assert (tmp_path / "bp.pstats").exists()

@@ -133,6 +133,32 @@ class TestReadFailover:
         assert exhausted > 0
         assert oracle.counters.get("faults.fences", 0) == 0
 
+    def test_report_covers_every_fault_lane_category(self):
+        # The bottleneck report's fault table covers every category the
+        # trace draws on "faults" lanes, fence/resync/failover included.
+        from repro.obs import ObsSession
+
+        plan = FaultPlan((IodCrash(iod=1, at=0.05, restart_after=5.0),))
+        cluster = _cluster(replicas=2, n_clients=2, plan=plan)
+        obs = ObsSession()
+        obs.attach(cluster)
+        cluster.run_workload(self._workload(_bytes(self.N)))
+        run = obs.capture(cluster)
+        events = obs.build_trace(run)["traceEvents"]
+        fault_lanes = {
+            (e["pid"], e["tid"])
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+            and e["args"]["name"] == "faults"
+        }
+        on_lanes = {
+            e["cat"]
+            for e in events
+            if e["ph"] == "X" and (e["pid"], e["tid"]) in fault_lanes
+        }
+        assert {"fault.fence", "fault.resync", "client.failover"} <= on_lanes
+        assert on_lanes <= set(run.report().faults)
+
     def test_replicas_one_still_dies(self):
         # The guarded regression: the paper's unreplicated layout cannot
         # survive a daemon crash — the read exhausts its retry budget.
