@@ -107,15 +107,6 @@ class TestObsSubcommand:
         rc = obs_main([str(bad)])
         assert rc == 2
         assert "traceEvents" in capsys.readouterr().err
-        # A metrics-style JSONL file (one JSON object per line) is not a
-        # trace either.
-        jsonl = tmp_path / "m.jsonl"
-        jsonl.write_text(
-            '{"kind": "header", "tool": "pvfs-sim-metrics"}\n'
-            '{"kind": "counter", "name": "x", "value": 1.0}\n'
-        )
-        assert obs_main([str(jsonl)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestHarnessTraceOption:

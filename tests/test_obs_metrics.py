@@ -1,240 +1,25 @@
-"""Tests for repro.obs.metrics: instruments, merges, JSONL, sweep folding.
+"""The ``obs`` subcommand after the post-hoc metrics registry was removed.
 
-The load-bearing guarantees:
-
-* the per-worker sweep fold is deterministic — ``run_sweep`` with
-  ``jobs=1`` and ``jobs=4`` produce registries with identical snapshots;
-* fixed-bucket histograms merge bucketwise in any order;
-* the JSONL export round-trips through :func:`repro.obs.metrics.load_jsonl`
-  and is summarized by ``pvfs-sim obs``;
-* :func:`from_capture` derives epoch series from a real traced run
-  without perturbing the simulation.
+``repro.obs.metrics`` and the subcommand's metrics-JSONL branch are gone:
+``pvfs-sim obs`` reads Chrome traces only and refuses anything else with
+exit code 2, including the JSONL files the registry used to write.
 """
 
-import pytest
-
-from repro.config import ClusterConfig, StripeParams
-from repro.errors import ConfigError
-from repro.obs import ObsSession
-from repro.obs.metrics import (
-    DEFAULT_BYTE_BUCKETS,
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-    from_capture,
-    load_jsonl,
-)
-from repro.sweep import PointSpec, run_sweep
-from repro.units import MiB
-
-
-def _specs(n_accesses=(4, 8)):
-    cfg = ClusterConfig.chiba_city(n_clients=2)
-    return [
-        PointSpec(
-            figure="figM",
-            pattern="one_dim_cyclic",
-            pattern_args=(1 * MiB, 2, acc),
-            method=method,
-            kind="read",
-            mode="des",
-            cfg=cfg,
-            x=acc,
-        )
-        for acc in n_accesses
-        for method in ("list", "multiple")
-    ]
-
-
-class TestInstruments:
-    def test_counter(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        other = Counter("x")
-        other.inc(1.5)
-        c.merge(other)
-        assert c.value == 5.0
-        assert c.to_json() == {"kind": "counter", "name": "x", "value": 5.0}
-
-    def test_gauge_merge_takes_max(self):
-        g = Gauge("depth")
-        g.set(3.0)
-        g.set_max(2.0)  # lower: ignored
-        assert g.value == 3.0
-        other = Gauge("depth")
-        other.set(7.0)
-        g.merge(other)
-        assert g.value == 7.0
-
-    def test_histogram_quantiles_within_observed_range(self):
-        h = Histogram("t", bounds=(1.0, 2.0, 5.0, 10.0))
-        for v in (0.5, 1.5, 1.6, 3.0, 4.0):
-            h.observe(v)
-        assert h.count == 5
-        assert h.mean == pytest.approx(2.12)
-        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
-            assert h.min <= h.quantile(q) <= h.max
-
-    def test_histogram_overflow_bucket(self):
-        h = Histogram("t", bounds=(1.0,))
-        h.observe(100.0)
-        assert h.counts[-1] == 1
-        assert h.quantile(0.99) <= 100.0
-
-    def test_histogram_merge_is_order_independent(self):
-        a, b = Histogram("t"), Histogram("t")
-        for i, v in enumerate((1e-6, 3e-4, 0.02, 1.5, 9.0)):
-            (a if i % 2 else b).observe(v)
-        ab = Histogram("t")
-        ab.merge(a)
-        ab.merge(b)
-        ba = Histogram("t")
-        ba.merge(b)
-        ba.merge(a)
-        assert ab.to_json() == ba.to_json()
-
-    def test_histogram_merge_rejects_different_bounds(self):
-        a = Histogram("t")
-        b = Histogram("t", bounds=DEFAULT_BYTE_BUCKETS)
-        with pytest.raises(ConfigError):
-            a.merge(b)
-
-    def test_histogram_rejects_bad_bounds(self):
-        with pytest.raises(ConfigError):
-            Histogram("t", bounds=(5.0, 1.0))
-
-    def test_series(self):
-        s = Series("util", unit="ratio")
-        s.record(1.0, 0.5)
-        s.record(0.5, 0.2)
-        other = Series("util")
-        other.record(0.75, 0.9)
-        s.merge(other)
-        assert [t for t, _ in s.samples] == [0.5, 0.75, 1.0]
-
-
-class TestRegistry:
-    def test_get_or_create(self):
-        r = MetricsRegistry()
-        assert r.counter("a") is r.counter("a")
-        assert r.gauge("g") is r.gauge("g")
-        assert r.histogram("h") is r.histogram("h")
-        assert r.series("s") is r.series("s")
-
-    def test_top_counters(self):
-        r = MetricsRegistry()
-        r.counter("small").inc(1)
-        r.counter("big").inc(100)
-        r.counter("mid").inc(10)
-        assert [c.name for c in r.top_counters(2)] == ["big", "mid"]
-
-    def test_merge_and_snapshot_equality(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for r in (a, b):
-            r.counter("n").inc(2)
-            r.histogram("h").observe(0.5)
-        a.merge(b)
-        expect = MetricsRegistry()
-        expect.counter("n").inc(4)
-        expect.histogram("h").observe(0.5)
-        expect.histogram("h").observe(0.5)
-        assert a.snapshot() == expect.snapshot()
-
-    def test_jsonl_round_trip(self, tmp_path):
-        r = MetricsRegistry(label="unit")
-        r.counter("c").inc(3)
-        r.gauge("g").set(2.5)
-        r.histogram("h").observe(0.01)
-        r.series("s", unit="B").record(0.5, 42.0)
-        path = tmp_path / "m.jsonl"
-        r.write_jsonl(str(path))
-        doc = load_jsonl(str(path))
-        assert doc["header"]["schema_version"] == METRICS_SCHEMA_VERSION
-        assert doc["header"]["label"] == "unit"
-        assert doc["counters"] == {"c": 3.0}
-        assert doc["gauges"] == {"g": 2.5}
-        assert doc["histograms"][0]["name"] == "h"
-        assert doc["series"][0]["samples"] == [[0.5, 42.0]]
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "header", "tool": "other"}\n')
-        with pytest.raises(ValueError):
-            load_jsonl(str(path))
-        path.write_text("")
-        with pytest.raises(ValueError):
-            load_jsonl(str(path))
-
-
-class TestSweepFold:
-    def test_jobs1_vs_jobs4_snapshots_identical(self):
-        specs = _specs()
-        serial, parallel = MetricsRegistry(), MetricsRegistry()
-        run_sweep(specs, jobs=1, metrics=serial, label="m")
-        run_sweep(specs, jobs=4, metrics=parallel, label="m")
-        assert serial.snapshot() == parallel.snapshot()
-
-    def test_sweep_counters_match_points(self):
-        specs = _specs(n_accesses=(4,))
-        reg = MetricsRegistry()
-        points, _ = run_sweep(specs, jobs=1, metrics=reg, label="m")
-        by_name = {c.name: c.value for c in reg.counters}
-        assert by_name["sweep.m.points"] == len(points)
-        assert by_name["sweep.m.moved_bytes"] == sum(p.moved_bytes for p in points)
-        assert by_name["sweep.m.events"] == sum(p.sim_events for p in points)
-        assert all(p.sim_events > 0 for p in points)
+from repro.obs.cli import main as obs_main
 
 
 class TestFromCapture:
-    def test_epoch_series_from_traced_run(self):
-        from repro.experiments.harness import des_point
-        from repro.patterns import one_dim_cyclic
-
-        obs = ObsSession()
-        pattern = one_dim_cyclic(1 * MiB, 2, 8)
-        cfg = ClusterConfig(n_clients=2, n_iods=2, stripe=StripeParams(stripe_size=4096))
-        baseline = des_point(pattern, "list", "read", cfg)
-        observed = des_point(pattern, "list", "read", cfg, obs=obs)
-        # Metering is passive: the simulated outcome is bit-identical.
-        assert observed.elapsed == baseline.elapsed
-        assert observed.moved_bytes == baseline.moved_bytes
-
-        reg = from_capture(obs.best_run())
-        names = {s.name for s in reg.all_series}
-        assert any(n.startswith("util.") for n in names)
-        assert any(n.startswith("queue.") for n in names)
-        assert "net.bytes_per_epoch" in names
-        counters = {c.name: c.value for c in reg.counters}
-        assert counters["sim.net.payload_bytes"] == baseline.moved_bytes
-        hists = {h.name for h in reg.histograms}
-        assert any(h.startswith("span.") for h in hists)
-        # Utilization series stay within [0, 1].
-        for s in reg.all_series:
-            if s.name.startswith("util."):
-                assert all(0.0 <= v <= 1.0 for _, v in s.samples)
-
-    def test_obs_cli_summarizes_metrics_file(self, tmp_path, capsys):
-        from repro.obs.cli import main as obs_main
-
-        r = MetricsRegistry(label="cli")
-        r.counter("hot").inc(99)
-        r.histogram("lat").observe(0.25)
-        path = tmp_path / "m.jsonl"
-        r.write_jsonl(str(path))
-        assert obs_main([str(path), "--top", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "metrics summary" in out
-        assert "hot" in out and "99" in out
-        assert "lat" in out
-
     def test_obs_cli_still_rejects_garbage(self, tmp_path, capsys):
-        from repro.obs.cli import main as obs_main
-
         path = tmp_path / "junk.json"
         path.write_text('{"nope": 1}')
         assert obs_main([str(path)]) == 2
+        capsys.readouterr()
+
+        # A metrics JSONL file (one JSON object per line) is not a trace.
+        jsonl = tmp_path / "m.jsonl"
+        jsonl.write_text(
+            '{"kind": "header", "tool": "pvfs-sim-metrics"}\n'
+            '{"kind": "counter", "name": "x", "value": 1.0}\n'
+        )
+        assert obs_main([str(jsonl)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

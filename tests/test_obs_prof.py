@@ -140,6 +140,37 @@ class TestHostProfiling:
 
 
 class TestCli:
+    def test_profile_subcommand_smoke(self, tmp_path, capsys):
+        # Profiling through the top-level `pvfs-sim` entry point: the old
+        # `profile` subcommand is now `pvfs-sim bench run --profile`.
+        from repro.experiments.cli import main
+
+        prefix = str(tmp_path / "prof")
+        rc = main(
+            [
+                "bench",
+                "run",
+                "--scale",
+                "smoke",
+                "--repeats",
+                "1",
+                "--scenario",
+                "micro_kernel_churn",
+                "--out",
+                str(tmp_path / "B.json"),
+                "--profile",
+                prefix,
+                "--quiet",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "SSR" in out
+        assert "| handler |" in out
+        assert (tmp_path / "prof.json").exists()
+        assert (tmp_path / "prof.collapsed").exists()
+        assert (tmp_path / "prof.pstats").exists()
+
     def test_bench_run_profile_flag(self, tmp_path, capsys):
         from repro.bench.cli import main
 
