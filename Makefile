@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-out bench bench-compare bench-pytest bench-only \
+.PHONY: install test test-out bench bench-compare bench-pytest \
 	profile lint figures figures-paper examples clean
 
 install:
@@ -15,33 +15,29 @@ test:
 test-out:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q 2>&1 | tee test_output.txt
 
-# deterministic regression suite (see docs/benchmarking.md)
+# deterministic regression suite (see docs/benchmarking.md); host time is
+# measured by perfbench (see perfbench/README.md)
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli bench run --scale smoke
 
-# Note: the committed baseline was regenerated by the fast-path kernel PR.
-# That was a wall-clock/SSR-only movement — simulated metrics are identical
-# bit-for-bit (the compare gate would have failed otherwise), and the
-# result schema is unchanged.  Sanity-check the oracle with
-# `... bench run --no-fastpath ...` before the compare: it must also pass.
+# Simulated metrics must match the committed baseline bit for bit.  Check
+# the oracle the same way with `... bench run --no-fastpath ...`: it must
+# also pass.
 bench-compare:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli bench run \
 		--scale smoke --out BENCH_local.json
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli bench compare \
-		benchmarks/baseline_smoke.json BENCH_local.json --wall-tolerance none
+		benchmarks/baseline_smoke.json BENCH_local.json
 
-# kernel + host profiling: SSR headline, per-handler table, hottest
-# functions, flamegraph input (profile.json / .collapsed / .pstats)
+# host profiling of one gate pass under cProfile: hottest functions plus
+# flamegraph input (profile.collapsed) and raw stats (profile.pstats)
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli bench run \
 		--scale smoke --repeats 1 --profile profile
 
-# pytest-benchmark microbenchmarks (wall-clock timings, not gated)
+# scaled figure, ablation and extension claim tests (plain pytest)
 bench-pytest:
-	$(PYTHON) -m pytest benchmarks/
-
-bench-only:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/
 
 # requires ruff (CI installs it; not part of the runtime deps); the format
 # gate covers the same subsystems as the CI lint job

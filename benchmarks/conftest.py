@@ -1,12 +1,15 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the scaled claim tests.
 
 Each ``test_figNN_*`` module regenerates one figure of the paper:
 
 * the figure's data table (simulated seconds per method/sweep point) is
   printed AND written to ``benchmarks/results/figNN_<scale>.md``;
-* the paper's qualitative claims are asserted via the driver's checks;
-* pytest-benchmark times the simulator itself on a representative point
-  (wall-clock cost of reproducing the experiment, not simulated time).
+* the paper's qualitative claims are asserted via the driver's checks.
+
+The ``test_ablation_*`` and ``test_beyond_*`` modules assert the
+ablations and extensions the same way.  Everything here is plain pytest
+(``python -m pytest -q benchmarks/``); host time is measured by
+``perfbench/``.
 
 Scaled DES runs keep the paper's topology (8 iods, 16 KiB stripes) at
 1/64 volume; EXPERIMENTS.md holds the paper-scale model tables.

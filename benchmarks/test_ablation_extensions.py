@@ -158,13 +158,3 @@ def test_vector_advantage_grows_with_fragmentation(vector_sweep):
         for acc in (512, 2048, 8192)
     ]
     assert ratios[-1] > ratios[0]
-
-
-@pytest.mark.benchmark(group="ablation-ext")
-@pytest.mark.parametrize("method", ["list", "hybrid", "vector"])
-def test_bench_extensions(benchmark, method):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 2048)
-    cfg = ClusterConfig.chiba_city(n_clients=8)
-    benchmark.pedantic(
-        lambda: des_point(pattern, method, "read", cfg), rounds=3, iterations=1
-    )

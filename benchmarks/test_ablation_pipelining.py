@@ -93,17 +93,3 @@ def test_pipelined_correctness():
 
     cluster.run_workload(wl, clients=[0])
     np.testing.assert_array_equal(out, payload)
-
-
-@pytest.mark.benchmark(group="ablation-pipeline")
-@pytest.mark.parametrize("depth", [1, 16])
-def test_bench_pipelined(benchmark, depth):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 512)
-    cfg = ClusterConfig.chiba_city(n_clients=8)
-    benchmark.pedantic(
-        lambda: des_point(
-            pattern, "multiple", "read", cfg, method_opts={"pipeline_depth": depth}
-        ),
-        rounds=2,
-        iterations=1,
-    )

@@ -77,13 +77,3 @@ def test_read_benefit_saturates_at_transfer_floor(cap_sweep):
     write_gain = cap_sweep[8].elapsed / cap_sweep[1024].elapsed
     assert read_gain < 5.0
     assert write_gain > 4 * read_gain
-
-
-@pytest.mark.benchmark(group="ablation-cap")
-@pytest.mark.parametrize("cap", [16, 64, 256])
-def test_bench_cap(benchmark, cap):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 2048)
-    cfg = ClusterConfig.chiba_city(n_clients=8, list_io_max_regions=cap)
-    benchmark.pedantic(
-        lambda: model_point(pattern, "list", "write", cfg), rounds=3, iterations=1
-    )

@@ -103,12 +103,3 @@ def test_sieve_buffer_is_second_order(sieve_sweep):
     t1 = sieve_sweep[1 * MiB].elapsed
     t32 = sieve_sweep[32 * MiB].elapsed
     assert t1 <= t32 <= 2.5 * t1
-
-
-@pytest.mark.benchmark(group="ablation-stripe")
-def test_bench_stripe_16k(benchmark):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 1024)
-    cfg = ClusterConfig.chiba_city(n_clients=8)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "list", "read", cfg), rounds=3, iterations=1
-    )

@@ -137,13 +137,3 @@ def test_collective_scales_with_ranks():
     t8 = run_flash_mpiio(8, collective=True).elapsed
     # aggregate volume grows 4x; parallel aggregators keep growth sublinear
     assert t8 < 4 * t2
-
-
-@pytest.mark.benchmark(group="beyond")
-@pytest.mark.parametrize("mode", ["independent", "collective"])
-def test_bench_mpiio(benchmark, mode):
-    benchmark.pedantic(
-        lambda: run_flash_mpiio(2, collective=(mode == "collective")),
-        rounds=3,
-        iterations=1,
-    )

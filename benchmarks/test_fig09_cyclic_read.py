@@ -7,9 +7,7 @@ roughly doubles when the client count doubles.
 
 import pytest
 
-from repro.config import ClusterConfig
-from repro.experiments import SCALED, figure9, des_point
-from repro.patterns import one_dim_cyclic
+from repro.experiments import SCALED, figure9
 
 ACCESSES = (512, 1024, 2048)
 CLIENTS = (8, 16)
@@ -46,30 +44,3 @@ def test_fig09_request_count_ratio(fig9_result):
         m = fig9_result.points_for("multiple", n_clients=n)[-1]
         l = fig9_result.points_for("list", n_clients=n)[-1]
         assert m.logical_requests == pytest.approx(64 * l.logical_requests, rel=0.05)
-
-
-@pytest.mark.benchmark(group="fig09")
-def test_fig09_bench_multiple(benchmark):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 512)
-    cfg = ClusterConfig.chiba_city(n_clients=8)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "multiple", "read", cfg), rounds=2, iterations=1
-    )
-
-
-@pytest.mark.benchmark(group="fig09")
-def test_fig09_bench_list(benchmark):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 512)
-    cfg = ClusterConfig.chiba_city(n_clients=8)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "list", "read", cfg), rounds=3, iterations=1
-    )
-
-
-@pytest.mark.benchmark(group="fig09")
-def test_fig09_bench_datasieve(benchmark):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 512)
-    cfg = ClusterConfig.chiba_city(n_clients=8)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "datasieve", "read", cfg), rounds=3, iterations=1
-    )

@@ -52,21 +52,3 @@ def test_fig10_writes_slower_than_reads(fig10_result):
         if p.x == ACCESSES[0]
     )
     assert write > 5 * read
-
-
-@pytest.mark.benchmark(group="fig10")
-def test_fig10_bench_multiple_write(benchmark):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 512)
-    cfg = ClusterConfig.chiba_city(n_clients=8)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "multiple", "write", cfg), rounds=2, iterations=1
-    )
-
-
-@pytest.mark.benchmark(group="fig10")
-def test_fig10_bench_list_write(benchmark):
-    pattern = one_dim_cyclic(SCALED.artificial_total, 8, 512)
-    cfg = ClusterConfig.chiba_city(n_clients=8)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "list", "write", cfg), rounds=3, iterations=1
-    )

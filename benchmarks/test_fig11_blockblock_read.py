@@ -87,21 +87,3 @@ def test_fig11_upturn_zoom(save_result):
     # mechanism: messages saturate while requests keep growing
     assert series[4].server_messages == series[2].server_messages
     assert series[4].logical_requests == 4 * series[2].logical_requests
-
-
-@pytest.mark.benchmark(group="fig11")
-def test_fig11_bench_multiple(benchmark):
-    pattern = block_block(SCALED.artificial_total, 4, 1024)
-    cfg = ClusterConfig.chiba_city(n_clients=4)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "multiple", "read", cfg), rounds=2, iterations=1
-    )
-
-
-@pytest.mark.benchmark(group="fig11")
-def test_fig11_bench_list(benchmark):
-    pattern = block_block(SCALED.artificial_total, 4, 1024)
-    cfg = ClusterConfig.chiba_city(n_clients=4)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "list", "read", cfg), rounds=3, iterations=1
-    )

@@ -8,9 +8,7 @@ the two orders of magnitude difference."
 
 import pytest
 
-from repro.config import ClusterConfig
-from repro.experiments import SCALED, des_point, figure10, figure12
-from repro.patterns import block_block
+from repro.experiments import SCALED, figure10, figure12
 
 ACCESSES = (1024, 2048, 4096)
 CLIENTS = (4, 16)
@@ -44,21 +42,3 @@ def test_fig12_similar_to_cyclic_writes(fig12_result):
     l = {p.x: p.elapsed for p in fig12_result.points_for("list", n_clients=16)}
     gap_bb = m[2048] / l[2048]
     assert gap_bb / gap_cyc < 3 and gap_cyc / gap_bb < 3
-
-
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_bench_multiple_write(benchmark):
-    pattern = block_block(SCALED.artificial_total, 4, 1024)
-    cfg = ClusterConfig.chiba_city(n_clients=4)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "multiple", "write", cfg), rounds=2, iterations=1
-    )
-
-
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_bench_list_write(benchmark):
-    pattern = block_block(SCALED.artificial_total, 4, 1024)
-    cfg = ClusterConfig.chiba_city(n_clients=4)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "list", "write", cfg), rounds=3, iterations=1
-    )

@@ -9,9 +9,7 @@ multiple and list stay roughly flat per client count.
 
 import pytest
 
-from repro.config import ClusterConfig
-from repro.experiments import SCALED, des_point, figure15
-from repro.patterns import flash_io
+from repro.experiments import SCALED, figure15
 
 
 @pytest.fixture(scope="module")
@@ -71,30 +69,3 @@ def test_fig15_sieve_requests_tiny(fig15_result):
     for p in sieve:
         # RMW: one read + one write request per 32 MB window per proc.
         assert p.logical_requests <= 4 * p.n_clients
-
-
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_bench_multiple(benchmark):
-    pattern = flash_io(2, SCALED.flash)
-    cfg = ClusterConfig.chiba_city(n_clients=2)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "multiple", "write", cfg), rounds=1, iterations=1
-    )
-
-
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_bench_list(benchmark):
-    pattern = flash_io(2, SCALED.flash)
-    cfg = ClusterConfig.chiba_city(n_clients=2)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "list", "write", cfg), rounds=3, iterations=1
-    )
-
-
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_bench_datasieve(benchmark):
-    pattern = flash_io(2, SCALED.flash)
-    cfg = ClusterConfig.chiba_city(n_clients=2)
-    benchmark.pedantic(
-        lambda: des_point(pattern, "datasieve", "write", cfg), rounds=3, iterations=1
-    )

@@ -9,9 +9,7 @@ requests.
 
 import pytest
 
-from repro.config import ClusterConfig
-from repro.experiments import SCALED, des_point, figure17
-from repro.patterns import tiled_visualization
+from repro.experiments import SCALED, figure17
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +56,3 @@ def test_fig17_sieving_fetches_overlap_waste(fig17_result):
     sieve = next(p for p in fig17_result.points if p.series == "datasieve")
     listio = next(p for p in fig17_result.points if p.series == "list")
     assert sieve.moved_bytes > 2 * listio.moved_bytes
-
-
-@pytest.mark.benchmark(group="fig17")
-@pytest.mark.parametrize("method", ["multiple", "datasieve", "list"])
-def test_fig17_bench(benchmark, method):
-    pattern = tiled_visualization(SCALED.tiled)
-    cfg = ClusterConfig.chiba_city(n_clients=pattern.n_ranks)
-    benchmark.pedantic(
-        lambda: des_point(pattern, method, "read", cfg), rounds=3, iterations=1
-    )

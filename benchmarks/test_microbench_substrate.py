@@ -1,13 +1,12 @@
-"""Microbenchmarks of the substrates: event kernel, region algebra,
+"""Substrate checks at benchmark size: event kernel, region algebra,
 striping, cache.
 
-These are wall-clock benchmarks of the *simulator implementation* (not
-simulated time) — they guard the vectorized hot paths against regressions,
-since a slow region algebra makes paper-scale sweeps infeasible.
+Each test drives one vectorized hot path at the input size its old
+wall-clock benchmark used and asserts the result.  Host time is measured
+by ``perfbench/`` (``--trace 1`` splits it by layer), not here.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import CacheConfig, StripeParams
 from repro.pvfs.striping import map_regions
@@ -16,93 +15,68 @@ from repro.simulate import Resource, Simulator
 from repro.storage import BlockCache
 
 
-@pytest.mark.benchmark(group="micro-kernel")
-def test_bench_event_throughput(benchmark):
-    """Chained timeout events (the kernel's basic step rate)."""
+def test_event_throughput():
+    """Chained timeout events (the kernel's basic step)."""
+    sim = Simulator()
 
-    def run():
-        sim = Simulator()
+    def ticker(sim):
+        for _ in range(10_000):
+            yield sim.timeout(1.0)
 
-        def ticker(sim):
-            for _ in range(10_000):
-                yield sim.timeout(1.0)
-
-        sim.process(ticker(sim))
-        sim.run()
-        return sim.now
-
-    assert benchmark(run) == 10_000
+    sim.process(ticker(sim))
+    sim.run()
+    assert sim.now == 10_000
 
 
-@pytest.mark.benchmark(group="micro-kernel")
-def test_bench_resource_contention(benchmark):
+def test_resource_contention():
     """1000 jobs through a capacity-2 resource."""
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
 
-    def run():
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
+    def job(sim):
+        with res.request() as req:
+            yield req
+            yield sim.timeout(1.0)
 
-        def job(sim):
-            with res.request() as req:
-                yield req
-                yield sim.timeout(1.0)
-
-        for _ in range(1000):
-            sim.process(job(sim))
-        sim.run()
-        return res.total_requests
-
-    assert benchmark(run) == 1000
+    for _ in range(1000):
+        sim.process(job(sim))
+    sim.run()
+    assert res.total_requests == 1000
 
 
-@pytest.mark.benchmark(group="micro-regions")
-def test_bench_coalesce_100k(benchmark):
+def test_coalesce_100k():
     rng = np.random.default_rng(1)
     r = RegionList(np.sort(rng.integers(0, 10**9, 100_000)), rng.integers(1, 100, 100_000))
-    out = benchmark(r.coalesced)
-    assert out.count <= r.count
+    assert r.coalesced().count <= r.count
 
 
-@pytest.mark.benchmark(group="micro-regions")
-def test_bench_split_at_boundaries_100k(benchmark):
+def test_split_at_boundaries_100k():
     r = RegionList.strided(0, 100_000, 100, 150)
-    out = benchmark(lambda: r.split_at_boundaries(64))
-    assert out.total_bytes == r.total_bytes
+    assert r.split_at_boundaries(64).total_bytes == r.total_bytes
 
 
-@pytest.mark.benchmark(group="micro-regions")
-def test_bench_pair_pieces_100k(benchmark):
+def test_pair_pieces_100k():
     a = RegionList.strided(0, 100_000, 64, 100)
     b = RegionList.strided(0, 50_000, 128, 200)
-    ao, bo, ln = benchmark(lambda: pair_pieces(a, b))
+    _ao, _bo, ln = pair_pieces(a, b)
     assert int(ln.sum()) == a.total_bytes
 
 
-@pytest.mark.benchmark(group="micro-regions")
-def test_bench_flat_indices_1m_bytes(benchmark):
+def test_flat_indices_1m_bytes():
     r = RegionList.strided(0, 10_000, 100, 173)
-    idx = benchmark(lambda: build_flat_indices(r.offsets, r.lengths))
-    assert idx.size == r.total_bytes
+    assert build_flat_indices(r.offsets, r.lengths).size == r.total_bytes
 
 
-@pytest.mark.benchmark(group="micro-striping")
-def test_bench_map_regions_100k(benchmark):
+def test_map_regions_100k():
     r = RegionList.strided(0, 100_000, 149, 1200)
-    sp = StripeParams(stripe_size=16384)
-    smap = benchmark(lambda: map_regions(r, sp, 8))
+    smap = map_regions(r, StripeParams(stripe_size=16384), 8)
     assert smap.total_bytes == r.total_bytes
 
 
-@pytest.mark.benchmark(group="micro-cache")
-def test_bench_cache_churn(benchmark):
-    cfg = CacheConfig(capacity=1024 * 4096, block_size=4096)
+def test_cache_churn():
+    cache = BlockCache(CacheConfig(capacity=1024 * 4096, block_size=4096))
     blocks = np.arange(4096, dtype=np.int64)
-
-    def run():
-        cache = BlockCache(cfg)
-        for start in range(0, 4096, 64):
-            cache.insert("f", blocks[start : start + 64], dirty=True)
-            cache.lookup("f", blocks[start : start + 64])
-        return len(cache)
-
-    assert benchmark(run) == 1024
+    for start in range(0, 4096, 64):
+        cache.insert("f", blocks[start : start + 64], dirty=True)
+        cache.lookup("f", blocks[start : start + 64])
+    assert len(cache) == 1024

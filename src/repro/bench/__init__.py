@@ -6,14 +6,14 @@ gives the repository a machine-readable baseline to gate on:
 * :mod:`repro.bench.suite` — the curated scenario suite (one per figure
   family plus kernel/network/storage microbenchmarks) and its runner;
 * :mod:`repro.bench.schema` — schema-versioned ``BENCH_*.json`` results
-  with bit-identical simulated metrics and median-of-N wall clocks;
-* :mod:`repro.bench.compare` — per-metric tolerance policy (0% for
-  simulated metrics, a configurable band for wall clock) and the
-  regression table;
+  with bit-identical simulated metrics;
+* :mod:`repro.bench.compare` — the zero-tolerance comparison of those
+  metrics and the regression table;
 * :mod:`repro.bench.cli` — the ``pvfs-sim bench run|compare|list``
   subcommand CI gates on.
 
-See ``docs/benchmarking.md`` for the file format and baseline-refresh
+Host time is measured by ``perfbench/``, not here.  See
+``docs/benchmarking.md`` for the file format and baseline-refresh
 workflow.
 """
 
@@ -23,7 +23,6 @@ from .schema import (
     BenchResult,
     ScenarioResult,
     SimMetrics,
-    WallMetrics,
     load,
     save,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "BenchResult",
     "ScenarioResult",
     "SimMetrics",
-    "WallMetrics",
     "load",
     "save",
     "Scenario",

@@ -2,29 +2,32 @@
 
 ::
 
-    pvfs-sim bench run --scale smoke --repeats 3 --out BENCH_ci.json
+    pvfs-sim bench run --scale smoke --out BENCH_ci.json
     pvfs-sim bench run --scale smoke --trace-out bench.trace.json
     pvfs-sim bench run --scale smoke --repeats 1 --profile prof
     pvfs-sim bench compare benchmarks/baseline_smoke.json BENCH_ci.json \
-        --wall-tolerance none --table regressions.md
+        --table regressions.md
     pvfs-sim bench list
 
-``run`` writes a schema-versioned ``BENCH_<timestamp>.json``; ``compare``
-exits 0 when the candidate matches the baseline under the tolerance
-policy (0% for simulated metrics, a configurable band for wall clock)
-and 1 with a regression table otherwise, making it directly CI-gateable.
-See ``docs/benchmarking.md``.
+``run`` writes a schema-versioned ``BENCH_<timestamp>.json`` of simulated
+metrics; ``compare`` exits 0 when the candidate matches the baseline bit
+for bit and 1 with a regression table otherwise, making it directly
+CI-gateable.  Host time is measured by ``perfbench/``, not here.  See
+``docs/benchmarking.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import List, Optional
 
 from ..errors import BenchError
+from ..experiments.cli import check_writable
 from ..experiments.presets import SCALES
+from ..obs import ObsSession, prof
 from . import compare as compare_mod
 from . import schema, suite
 
@@ -59,8 +62,9 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="N",
-        help="timed executions per scenario for the wall-clock median "
-        "(default: 3; simulated metrics are identical across repeats)",
+        help="executions per scenario, a determinism check: every repeat "
+        "must reproduce the first one's simulated metrics bit for bit "
+        "(default: 3)",
     )
     run.add_argument(
         "--jobs",
@@ -78,22 +82,15 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--trace-out",
         metavar="FILE.json",
-        help="after timing, re-run the slowest cluster scenario and write "
-        "its Perfetto trace (open at ui.perfetto.dev)",
+        help="after the run, re-run the traceable scenario with the most "
+        "server messages and write its Perfetto trace (open at ui.perfetto.dev)",
     )
     run.add_argument(
         "--profile",
         metavar="PREFIX",
-        help="after timing, re-run the suite once under the kernel profiler "
-        "and cProfile; prints the handler table and the hottest host "
-        "functions, and writes PREFIX.json (handler table + SSR), "
-        "PREFIX.collapsed (flamegraph input), and PREFIX.pstats",
-    )
-    run.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="serve sweep points from this result cache (off by default: "
-        "cache hits would make the wall clock measure cache service)",
+        help="run the suite serially under cProfile; prints the hottest host "
+        "functions and writes PREFIX.collapsed (flamegraph input) and "
+        "PREFIX.pstats",
     )
     run.add_argument(
         "--no-fastpath",
@@ -107,14 +104,6 @@ def _parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="diff two result files; exit 1 on regression")
     cmp_.add_argument("baseline", help="baseline BENCH_*.json")
     cmp_.add_argument("candidate", help="candidate BENCH_*.json")
-    cmp_.add_argument(
-        "--wall-tolerance",
-        default=None,
-        metavar="PCT|none",
-        help="allowed wall-clock slowdown in percent, or 'none' to report "
-        "wall clock without gating (default: "
-        f"{compare_mod.DEFAULT_WALL_TOLERANCE * 100:.0f})",
-    )
     cmp_.add_argument(
         "--table",
         metavar="PATH",
@@ -152,22 +141,26 @@ def _run_suite(args) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
-    cache = None
-    if args.cache_dir:
-        from ..sweep import ResultCache
-
-        cache = ResultCache(args.cache_dir)
     out = args.out or time.strftime("BENCH_%Y%m%d_%H%M%SZ.json", time.gmtime())
-    say = (lambda _msg: None) if args.quiet else print
+    outputs = [out, args.trace_out]
+    if args.profile:
+        outputs += [args.profile + ".collapsed", args.profile + ".pstats"]
+    if not check_writable(*outputs):
+        return 2
+    gate_pass = functools.partial(
+        suite.run_suite,
+        SCALES[args.scale],
+        scenarios=args.scenario,
+        repeats=args.repeats,
+        # cProfile sees only this process, so a profiled pass is serial.
+        jobs=1 if args.profile else args.jobs,
+        progress=None if args.quiet else print,
+    )
     try:
-        result = suite.run_suite(
-            SCALES[args.scale],
-            scenarios=args.scenario,
-            repeats=args.repeats,
-            jobs=args.jobs,
-            cache=cache,
-            progress=say,
-        )
+        if args.profile:
+            result, cprofile = prof.capture_cprofile(gate_pass)
+        else:
+            result = gate_pass()
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -175,62 +168,31 @@ def _run_suite(args) -> int:
     print(_summary_markdown(result))
     print(f"wrote {len(result.scenarios)} scenario(s) to {out}")
     if args.profile:
-        try:
-            _profile_after_run(args, result)
-        except BenchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        n_stacks = prof.write_collapsed(cprofile, args.profile + ".collapsed")
+        prof.write_pstats(cprofile, args.profile + ".pstats")
+        print("## hottest host functions (cProfile)")
+        print()
+        print(prof.top_functions_markdown(cprofile, n=10))
+        print(
+            f"wrote {n_stacks} collapsed stacks to {args.profile}.collapsed, "
+            f"raw pstats to {args.profile}.pstats"
+        )
     if args.trace_out:
-        from ..obs import ObsSession
-
         obs = ObsSession()
-        traced = suite.capture_slowest(result, args.scale, obs)
+        traced = suite.capture_busiest(result, obs)
         if traced is None:
             print(
-                "no traceable scenario in this run (micro scenarios have no "
-                "cluster to monitor); skipping trace export",
+                "no traceable scenario in this run (micro and chaos scenarios "
+                "take no observability session); skipping trace export",
                 file=sys.stderr,
             )
         else:
             obs.export_trace(args.trace_out, obs.best_run())
             print(
-                f"wrote Perfetto trace of slowest scenario {traced!r} to "
+                f"wrote Perfetto trace of {traced!r} (most server messages) to "
                 f"{args.trace_out} (open at ui.perfetto.dev)"
             )
     return 0
-
-
-def _profile_after_run(args, result: schema.BenchResult) -> None:
-    """Serve ``bench run --profile PREFIX``: one serial profiled re-run.
-
-    The re-run happens after (never during) the timed repeats, under both
-    the kernel profiler and cProfile, and is cross-checked bit-identical
-    against the timed result — see :func:`repro.bench.suite.profile_suite`.
-    """
-    from ..obs import prof
-
-    prefix = args.profile
-    profile, cprofile = prof.capture_cprofile(
-        suite.profile_suite,
-        SCALES[args.scale],
-        scenarios=args.scenario,
-        expected=result,
-    )
-    prof.save_profile_json(
-        profile, prefix + ".json", scale=args.scale, scenarios=args.scenario or "all"
-    )
-    n_stacks = prof.write_collapsed(cprofile, prefix + ".collapsed")
-    prof.write_pstats(cprofile, prefix + ".pstats")
-    print(profile.headline())
-    print()
-    print(profile.to_markdown(top=10))
-    print("## hottest host functions (cProfile)")
-    print()
-    print(prof.top_functions_markdown(cprofile, n=10))
-    print(
-        f"wrote kernel profile to {prefix}.json, {n_stacks} collapsed "
-        f"stacks to {prefix}.collapsed, raw pstats to {prefix}.pstats"
-    )
 
 
 def _summary_markdown(result: schema.BenchResult) -> str:
@@ -238,44 +200,27 @@ def _summary_markdown(result: schema.BenchResult) -> str:
         f"## bench run: {result.scale} scale, {result.repeats} repeat(s), "
         f"jobs={result.jobs}",
         "",
-        "| scenario | points | sim elapsed (s) | moved (MB) | requests "
-        "| events | wall median (s) | wall spread (s) | SSR |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "| scenario | points | sim elapsed (s) | moved (MB) | requests | server messages |",
+        "|---|---|---|---|---|---|",
     ]
     for sc in result.scenarios:
         lines.append(
             f"| {sc.name} | {sc.sim.n_points} | {sc.sim.elapsed_s:.6f} "
             f"| {sc.sim.moved_bytes / 1e6:.2f} | {sc.sim.logical_requests} "
-            f"| {sc.wall.events} | {sc.wall.median_s:.3f} "
-            f"| {sc.wall.min_s:.3f}..{sc.wall.max_s:.3f} "
-            f"| {sc.wall.ssr:.3f} |"
+            f"| {sc.sim.server_messages} |"
         )
     return "\n".join(lines) + "\n"
 
 
-def _parse_wall_tolerance(raw: Optional[str]) -> Optional[float]:
-    if raw is None:
-        return compare_mod.DEFAULT_WALL_TOLERANCE
-    if raw.strip().lower() == "none":
-        return None
-    try:
-        pct = float(raw)
-    except ValueError:
-        raise BenchError(f"--wall-tolerance must be a percentage or 'none', got {raw!r}") from None
-    if pct < 0:
-        raise BenchError("--wall-tolerance must be non-negative")
-    return pct / 100.0
-
-
 def _compare(args) -> int:
+    if not check_writable(args.table):
+        return 2
     try:
-        tolerance = _parse_wall_tolerance(args.wall_tolerance)
         baseline = schema.load(args.baseline)
         candidate = schema.load(args.candidate)
         report = compare_mod.compare_results(
             baseline,
             candidate,
-            wall_tolerance=tolerance,
             baseline_path=args.baseline,
             candidate_path=args.candidate,
         )

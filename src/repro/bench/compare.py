@@ -1,17 +1,10 @@
 """Regression detection between two benchmark result files.
 
-Per-metric tolerance policy:
-
-* **Simulated metrics** (``sim.*``) are compared at *zero* tolerance —
-  they are bit-identical across runs at the same seed, so any drift in
-  either direction means the change altered simulated behaviour and must
-  be acknowledged by refreshing the baseline.
-* **Wall-clock medians** regress only when the candidate is *slower*
-  than the baseline by more than the configured fractional band
-  (``wall_tolerance``); getting faster never fails.  Pass ``None`` to
-  report wall clock informationally without gating (the right policy
-  when baseline and candidate ran on different machines, e.g. a
-  committed baseline checked on a CI runner).
+Simulated metrics (``sim.*``) are compared at *zero* tolerance: they are
+bit-identical across runs at the same seed, so any drift in either
+direction means the change altered simulated behaviour and must be
+acknowledged by refreshing the baseline.  Host time is not compared;
+``perfbench/`` measures it with bounds and noise evidence.
 
 A scenario present in the baseline but missing from the candidate is a
 regression (coverage loss); a scenario new in the candidate is reported
@@ -27,10 +20,6 @@ from ..errors import BenchError
 from .schema import BenchResult, SimMetrics
 
 __all__ = ["CompareRow", "CompareReport", "compare_results"]
-
-#: Wall-clock band used when the caller does not choose one: the
-#: candidate may be up to 50% slower before the gate trips.
-DEFAULT_WALL_TOLERANCE = 0.5
 
 
 @dataclass(frozen=True)
@@ -58,7 +47,6 @@ class CompareReport:
 
     baseline_path: str
     candidate_path: str
-    wall_tolerance: Optional[float]
     rows: List[CompareRow] = field(default_factory=list)
 
     @property
@@ -70,16 +58,11 @@ class CompareReport:
         return not self.regressions
 
     def to_markdown(self) -> str:
-        tol = (
-            "informational"
-            if self.wall_tolerance is None
-            else f"+{self.wall_tolerance * 100:.0f}%"
-        )
         lines = [
             "### bench compare",
             "",
             f"baseline `{self.baseline_path}` vs candidate "
-            f"`{self.candidate_path}` — sim tolerance 0%, wall tolerance {tol}",
+            f"`{self.candidate_path}` — sim tolerance 0%",
             "",
             "| scenario | metric | baseline | candidate | delta | status |",
             "|---|---|---|---|---|---|",
@@ -113,11 +96,10 @@ def compare_results(
     baseline: BenchResult,
     candidate: BenchResult,
     *,
-    wall_tolerance: Optional[float] = DEFAULT_WALL_TOLERANCE,
     baseline_path: str = "baseline",
     candidate_path: str = "candidate",
 ) -> CompareReport:
-    """Diff two results under the tolerance policy; never raises on
+    """Diff two results' simulated metrics; never raises on
     regressions (inspect ``report.ok``), raises :class:`BenchError` when
     the files are not comparable (different scales)."""
     if baseline.scale != candidate.scale:
@@ -125,13 +107,7 @@ def compare_results(
             f"cannot compare across scales: baseline is {baseline.scale!r}, "
             f"candidate is {candidate.scale!r}"
         )
-    if wall_tolerance is not None and wall_tolerance < 0:
-        raise BenchError("wall_tolerance must be non-negative")
-    report = CompareReport(
-        baseline_path=baseline_path,
-        candidate_path=candidate_path,
-        wall_tolerance=wall_tolerance,
-    )
+    report = CompareReport(baseline_path=baseline_path, candidate_path=candidate_path)
     candidate_names = {sc.name for sc in candidate.scenarios}
     for base_sc in baseline.scenarios:
         if base_sc.name not in candidate_names:
@@ -161,24 +137,6 @@ def compare_results(
                     note="sim drift" if drifted else "",
                 )
             )
-        base_w = base_sc.wall.median_s
-        cand_w = cand_sc.wall.median_s
-        if wall_tolerance is None:
-            status, note = "info", "not gated"
-        elif cand_w > base_w * (1.0 + wall_tolerance):
-            status, note = "regression", "slower than tolerance"
-        else:
-            status, note = "ok", ""
-        report.rows.append(
-            CompareRow(
-                scenario=base_sc.name,
-                metric="wall.median_s",
-                baseline=base_w,
-                candidate=cand_w,
-                status=status,
-                note=note,
-            )
-        )
     baseline_names = {sc.name for sc in baseline.scenarios}
     for cand_sc in candidate.scenarios:
         if cand_sc.name not in baseline_names:

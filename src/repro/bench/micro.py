@@ -9,8 +9,7 @@ exactly like a figure point.
 
 The *simulated* outcome of every spec is a pure function of its frozen
 parameters (no host randomness, no wall-clock reads), so the simulated
-metrics are bit-identical across runs; the bench harness times ``run()``
-with the host clock to get the wall-clock side.
+metrics are bit-identical across runs.
 
 ``obs`` is accepted for protocol compatibility but ignored: these specs
 build bare substrates, not a full :class:`~repro.pvfs.Cluster`, so there
@@ -47,9 +46,8 @@ class KernelChurnSpec(_MicroSpec):
     """Event-kernel scheduling churn: ``n_procs`` processes contending for
     a small resource pool, each holding it ``events_per_proc`` times.
 
-    Simulated elapsed measures the contention schedule; the host wall
-    clock measures the kernel's step rate (the hot loop every DES run
-    pays for)."""
+    Simulated elapsed measures the contention schedule, and the event
+    count the kernel's churn (the hot loop every DES run pays for)."""
 
     n_procs: int = 64
     events_per_proc: int = 200

@@ -3,13 +3,11 @@
 One :class:`BenchResult` records one run of the curated suite
 (:mod:`repro.bench.suite`): per scenario, the **simulated metrics**
 (simulated seconds, bytes moved, request counts — bit-identical across
-runs at the same seed) and the **wall-clock metrics** (median of N timed
-repeats with spread).  The two kinds are gated differently by
-:mod:`repro.bench.compare`: simulated metrics at zero tolerance, wall
-clock within a configurable band.
+runs at the same seed), which :mod:`repro.bench.compare` gates at zero
+tolerance.  Host time is not recorded here; ``perfbench/`` measures it.
 
 The JSON layout is versioned by :data:`SCHEMA_VERSION`; :func:`load`
-rejects files written by a different schema with
+rejects files written by an unsupported schema with
 :class:`~repro.errors.SchemaMismatchError`, so a stale committed baseline
 fails loudly instead of producing a nonsense diff.  Floats round-trip via
 ``repr`` shortest-roundtrip encoding (the ``json`` module default), so a
@@ -30,7 +28,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "SimMetrics",
-    "WallMetrics",
     "ScenarioResult",
     "BenchResult",
     "load",
@@ -38,13 +35,13 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the JSON layout below.
-#: Version 2 added ``events`` / ``sim_s`` / ``ssr`` to ``WallMetrics``;
-#: version-1 files are still readable (the new fields default to zero).
-SCHEMA_VERSION = 2
+#: Version 3 dropped the per-scenario ``wall`` block.
+SCHEMA_VERSION = 3
 
-#: Versions :func:`load` accepts.  Older-but-supported files upgrade in
-#: memory; anything else fails loudly with :class:`SchemaMismatchError`.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2)
+#: Versions :func:`load` accepts.  Versions 1 and 2 differ from 3 only by
+#: their ``wall`` block, which loading ignores; anything else fails loudly
+#: with :class:`SchemaMismatchError`.
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -78,81 +75,12 @@ class SimMetrics:
 
 
 @dataclass(frozen=True)
-class WallMetrics:
-    """Host-clock statistics over N timed repeats of one scenario.
-
-    Besides the raw wall-clock spread, v2 records the scenario's kernel
-    throughput: ``events`` (deterministic count of events the simulator
-    scheduled), ``sim_s`` (simulated seconds covered — same value as the
-    zero-tolerance ``sim.elapsed_s``), and the derived ``ssr`` headline
-    (simulated seconds per wall second, ``sim_s / median_s``).  These
-    live here, not in :class:`SimMetrics`, because ``ssr`` depends on the
-    host clock and ``events`` is expected to drift under kernel rewrites
-    — neither belongs behind the zero-tolerance gate.
-    """
-
-    median_s: float
-    mean_s: float
-    std_s: float
-    min_s: float
-    max_s: float
-    repeats: int
-    #: Events scheduled by the simulator(s) of one execution (v2).
-    events: int = 0
-    #: Simulated seconds covered by one execution (v2).
-    sim_s: float = 0.0
-    #: Simulated seconds per wall second, ``sim_s / median_s`` (v2).
-    ssr: float = 0.0
-
-    @classmethod
-    def from_samples(
-        cls, samples: List[float], *, events: int = 0, sim_s: float = 0.0
-    ) -> "WallMetrics":
-        if not samples:
-            raise BenchError("wall metrics need at least one timed sample")
-        ordered = sorted(samples)
-        n = len(ordered)
-        mid = n // 2
-        median = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
-        mean = sum(ordered) / n
-        var = sum((s - mean) ** 2 for s in ordered) / n
-        return cls(
-            median_s=median,
-            mean_s=mean,
-            std_s=var**0.5,
-            min_s=ordered[0],
-            max_s=ordered[-1],
-            repeats=n,
-            events=int(events),
-            sim_s=float(sim_s),
-            ssr=(float(sim_s) / median if median > 0 else 0.0),
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
-    """One suite scenario's simulated + wall-clock outcome."""
+    """One suite scenario's simulated outcome."""
 
     name: str
-    family: str  # "artificial" | "flash" | "tiled" | "collective" | "micro"
+    family: str  # "artificial" | "flash" | "tiled" | "collective" | "robust" | "micro"
     sim: SimMetrics
-    wall: WallMetrics
-
-
-def _wall_from_json(data: Dict[str, Any]) -> WallMetrics:
-    """Backward-compatible :class:`WallMetrics` reader: version-1 files
-    lack ``events`` / ``sim_s`` / ``ssr``, which default to zero."""
-    return WallMetrics(
-        median_s=data["median_s"],
-        mean_s=data["mean_s"],
-        std_s=data["std_s"],
-        min_s=data["min_s"],
-        max_s=data["max_s"],
-        repeats=data["repeats"],
-        events=int(data.get("events", 0)),
-        sim_s=float(data.get("sim_s", 0.0)),
-        ssr=float(data.get("ssr", 0.0)),
-    )
 
 
 @dataclass
@@ -169,9 +97,9 @@ class BenchResult:
     #: ``repro`` source fingerprint at run time (provenance only —
     #: a baseline is *expected* to come from older code).
     code_fingerprint: str = ""
+    #: Executions per scenario, each checked against the first bit for bit.
     repeats: int = 1
     jobs: int = 1
-    cache_enabled: bool = False
 
     def scenario(self, name: str) -> ScenarioResult:
         for sc in self.scenarios:
@@ -200,7 +128,6 @@ class BenchResult:
                     name=sc["name"],
                     family=sc["family"],
                     sim=SimMetrics(**sc["sim"]),
-                    wall=_wall_from_json(sc["wall"]),
                 )
                 for sc in data["scenarios"]
             ]
@@ -213,7 +140,6 @@ class BenchResult:
                 code_fingerprint=data.get("code_fingerprint", ""),
                 repeats=int(data.get("repeats", 1)),
                 jobs=int(data.get("jobs", 1)),
-                cache_enabled=bool(data.get("cache_enabled", False)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise BenchError(f"malformed bench result file: {exc}") from None

@@ -6,14 +6,14 @@ the two-phase collective extension) plus one microbenchmark per
 simulator substrate (event kernel, Ethernet fabric, disk model).  Each
 scenario builds a small, fixed list of sweep specs at the requested
 scale and runs them through :func:`repro.sweep.run_sweep` — the same
-engine, cache, and observability plumbing the figure drivers use.
+engine and observability plumbing the figure drivers use.
 
-:func:`run_suite` times ``repeats`` full executions of every scenario
-(median-of-N wall clock), aggregates the simulated metrics from the
-first repeat, and cross-checks that every later repeat reproduced them
-bit for bit — a determinism violation raises
-:class:`~repro.errors.BenchError` rather than silently recording an
-unstable baseline.
+:func:`run_suite` executes every scenario ``repeats`` times,
+aggregates the simulated metrics from the first repeat, and checks that
+every later repeat reproduced them bit for bit — a determinism violation
+raises :class:`~repro.errors.BenchError` rather than silently recording
+an unstable baseline.  No host time is recorded: ``perfbench/`` is the
+repository's host-time measure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..errors import BenchError
 from ..experiments.presets import SCALES, Scale
 from ..sweep import ChaosSpec, MpiioSpec, PointSpec, run_sweep
 from .micro import DiskRunsSpec, KernelChurnSpec, NetStreamSpec
-from .schema import BenchResult, ScenarioResult, SimMetrics, WallMetrics
+from .schema import BenchResult, ScenarioResult, SimMetrics
 
 __all__ = [
     "Scenario",
@@ -37,7 +37,7 @@ __all__ = [
     "scenario_names",
     "build_specs",
     "run_suite",
-    "profile_suite",
+    "capture_busiest",
 ]
 
 
@@ -286,18 +286,14 @@ def run_suite(
     scenarios: Optional[Sequence[str]] = None,
     repeats: int = 3,
     jobs: int = 1,
-    cache=None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> BenchResult:
     """Run the suite; return a schema-versioned :class:`BenchResult`.
 
     Every scenario executes ``repeats`` times through
-    :func:`~repro.sweep.run_sweep` and each full execution is timed with
-    the host clock; the simulated metrics come from the first repeat and
-    are verified bit-identical across all of them.  ``cache`` (a
-    :class:`~repro.sweep.ResultCache`) is passed straight to the engine —
-    with caching on, wall-clock numbers measure cache service, so the
-    harness leaves it off unless explicitly requested.
+    :func:`~repro.sweep.run_sweep`, never served from a result cache; the
+    simulated metrics come from the first repeat and every later repeat
+    must reproduce them bit for bit.
     """
     if repeats < 1:
         raise BenchError("repeats must be >= 1")
@@ -305,33 +301,19 @@ def run_suite(
     results: List[ScenarioResult] = []
     for scenario in _select(scenarios):
         specs = scenario.specs(scale)
-        walls: List[float] = []
         sim: Optional[SimMetrics] = None
-        events = 0
         for repeat in range(repeats):
-            t0 = time.perf_counter()
-            points, _stats = run_sweep(
-                specs, jobs=jobs, cache=cache, label=f"bench/{scenario.name}"
-            )
-            walls.append(time.perf_counter() - t0)
+            points, _stats = run_sweep(specs, jobs=jobs, label=f"bench/{scenario.name}")
             agg = SimMetrics.from_points(points)
             if sim is None:
                 sim = agg
-                events = sum(getattr(p, "sim_events", 0) for p in points)
             elif agg != sim:
                 raise BenchError(
                     f"scenario {scenario.name!r} is not deterministic: repeat "
                     f"{repeat + 1} produced {agg} after {sim}"
                 )
-            say(f"[bench] {scenario.name}: repeat {repeat + 1}/{repeats} in {walls[-1]:.2f}s")
-        results.append(
-            ScenarioResult(
-                name=scenario.name,
-                family=scenario.family,
-                sim=sim,
-                wall=WallMetrics.from_samples(walls, events=events, sim_s=sim.elapsed_s),
-            )
-        )
+            say(f"[bench] {scenario.name}: repeat {repeat + 1}/{repeats}")
+        results.append(ScenarioResult(name=scenario.name, family=scenario.family, sim=sim))
 
     from ..sweep.fingerprint import code_fingerprint
 
@@ -347,62 +329,32 @@ def run_suite(
         code_fingerprint=code_fingerprint(),
         repeats=repeats,
         jobs=jobs,
-        cache_enabled=cache is not None,
     )
 
 
-def profile_suite(
-    scale: Scale,
-    *,
-    scenarios: Optional[Sequence[str]] = None,
-    expected: Optional[BenchResult] = None,
-):
-    """Run the selected scenarios once, serially, under the kernel profiler.
+#: Specs that hand ``obs`` on to the cluster they build.  Micro specs build
+#: bare substrates and chaos runs take no session, so neither can be traced.
+_TRACEABLE_SPECS = (PointSpec, MpiioSpec)
 
-    Returns the frozen :class:`~repro.obs.prof.KernelProfile` covering
-    every simulator the run constructed.  When ``expected`` (a timed
-    :class:`BenchResult` from the same scale) is given, each scenario's
-    simulated metrics are cross-checked against the recorded ones — the
-    profiler is passive, so any divergence is a determinism bug and
-    raises :class:`~repro.errors.BenchError`.
+
+def _traceable(scenario: Scenario, scale: Scale) -> bool:
+    return all(isinstance(spec, _TRACEABLE_SPECS) for spec in scenario.specs(scale))
+
+
+def capture_busiest(result: BenchResult, obs) -> Optional[str]:
+    """Re-run the busiest traceable scenario of ``result`` under ``obs``.
+
+    The pick is the most ``sim.server_messages`` (the first in suite order
+    on a tie), so it never depends on the host clock.  Returns the
+    scenario name, or ``None`` when no scenario of ``result`` can be
+    traced.  Deterministic simulation makes the recapture bit-identical to
+    the gate pass.
     """
-    from ..obs.prof import KernelProfiler, profiled
-
-    profiler = KernelProfiler()
-    per_scenario: Dict[str, SimMetrics] = {}
-    with profiled(profiler):
-        for scenario in _select(scenarios):
-            points, _stats = run_sweep(
-                scenario.specs(scale), jobs=1, label=f"profile/{scenario.name}"
-            )
-            per_scenario[scenario.name] = SimMetrics.from_points(points)
-    if expected is not None:
-        for name, sim in per_scenario.items():
-            try:
-                recorded = expected.scenario(name).sim
-            except KeyError:
-                continue
-            if sim != recorded:
-                raise BenchError(
-                    f"profiled run of {name!r} diverged from the timed run "
-                    f"({sim} != {recorded}) — the profiler must stay passive"
-                )
-    return profiler.profile()
-
-
-def capture_slowest(result: BenchResult, scale_name: str, obs) -> Optional[str]:
-    """Re-run the slowest traceable scenario of ``result`` under ``obs``.
-
-    Micro scenarios build bare substrates with nothing to attach monitors
-    to, so the pick is the largest wall-clock median among the cluster
-    scenarios.  Returns the scenario name, or ``None`` when the result
-    holds only micro scenarios.  Deterministic simulation makes the
-    recapture bit-identical to the timed runs.
-    """
-    traceable = [sc for sc in result.scenarios if sc.family != "micro"]
+    scale = SCALES[result.scale]
+    messages = {sc.name: sc.sim.server_messages for sc in result.scenarios}
+    traceable = [sc for sc in SUITE if sc.name in messages and _traceable(sc, scale)]
     if not traceable:
         return None
-    slowest = max(traceable, key=lambda sc: sc.wall.median_s)
-    specs = build_specs(slowest.name, SCALES[scale_name])
-    run_sweep(specs, jobs=1, obs=obs, label=f"bench/{slowest.name}")
-    return slowest.name
+    busiest = max(traceable, key=lambda sc: messages[sc.name])
+    run_sweep(busiest.specs(scale), jobs=1, obs=obs, label=f"bench/{busiest.name}")
+    return busiest.name

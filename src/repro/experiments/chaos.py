@@ -606,6 +606,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from ..sweep import ChaosSpec, ResultCache, default_cache_dir, run_sweep
+    from .cli import check_writable
 
     args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.jobs < 1:
@@ -619,6 +620,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         IodCrash(iod=0, at=0.0, restart_after=args.restart_after)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not check_writable(args.csv):
         return 2
     if args.scenario == "all":
         # failover-read is pointless without a replica to fail over to, so

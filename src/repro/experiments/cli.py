@@ -45,8 +45,9 @@ subcommand summarizes a previously saved trace file.  See
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from .artificial import figure9, figure10, figure11, figure12
 from .collective import figure18
@@ -55,7 +56,7 @@ from .presets import SCALES
 from .report import FigureResult, points_to_csv
 from .tiledvis import figure17
 
-__all__ = ["main", "FIGURES", "SUBCOMMANDS"]
+__all__ = ["main", "FIGURES", "SUBCOMMANDS", "check_writable"]
 
 #: 9-17 are the paper's results figures; 18 is this repository's extension
 #: experiment (two-phase collective I/O), DES-only.
@@ -78,6 +79,36 @@ SUBCOMMANDS: Dict[str, str] = {
     "chaos": "run benchmarks under injected faults (docs/faults.md)",
     "bench": "deterministic regression suite: run|compare|list (docs/benchmarking.md)",
 }
+
+
+def _unwritable(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written, or ``None`` when it can."""
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"no such directory {parent!r}"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return "permission denied"
+    return None
+
+
+def check_writable(*paths: Optional[str]) -> bool:
+    """Print an error for each output path that cannot be written.
+
+    Returns whether every given path (``None`` entries are skipped) can
+    be written.  CLIs call this before the first simulation, so a bad path
+    costs no run.  It only inspects the file system: an existing file is
+    neither created nor truncated, which matters when the path is the
+    committed baseline and the run then fails.
+    """
+    ok = True
+    for path in paths:
+        reason = _unwritable(path) if path else None
+        if reason:
+            print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+            ok = False
+    return ok
 
 
 def _subcommand_epilog() -> str:
@@ -243,16 +274,8 @@ def main(argv: List[str] | None = None) -> int:
     if args.cb_buffer is not None and args.cb_buffer < 1:
         print("error: --cb-buffer must be a positive byte count", file=sys.stderr)
         return 2
-    if args.trace_out:
-        # Every argument is valid; fail before the (potentially long)
-        # sweep, not after it.  Opening for writing truncates the file,
-        # so this probe must come after all validation.
-        try:
-            with open(args.trace_out, "w"):
-                pass
-        except OSError as exc:
-            print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
-            return 2
+    if not check_writable(args.csv, args.trace_out):
+        return 2
     obs = None
     if args.trace_out or args.report:
         from ..obs import ObsSession

@@ -51,8 +51,8 @@ class DataPoint:
     #: ran with ``trace=True``; None otherwise.
     trace_summary: Optional[Dict[str, Dict[str, float]]] = None
     #: Events the DES kernel scheduled for this point — a deterministic
-    #: churn measure (0 in model mode, which runs no kernel).  Feeds the
-    #: events/SSR accounting in ``repro.bench`` and ``repro.obs.prof``.
+    #: churn measure (0 in model mode, which runs no kernel).  perfbench
+    #: reports the same kernel count per pass as ``simulate.events``.
     sim_events: int = 0
 
     @property

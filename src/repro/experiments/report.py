@@ -1,7 +1,7 @@
 """Rendering experiment results: markdown tables and CSV.
 
-Every figure driver returns a :class:`FigureResult`; the benchmark harness
-prints its markdown so each pytest-benchmark run regenerates the paper's
+Every figure driver returns a :class:`FigureResult`; the claim tests in
+``benchmarks/`` print its markdown so each run regenerates the paper's
 tables, and the CLI can write CSV for external plotting.
 """
 

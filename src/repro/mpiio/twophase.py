@@ -16,8 +16,7 @@ MPI-IO", see PAPERS.md):
    (:func:`partition_file_domains`).
 3. **Data redistribution** — contributions (writes) or replies (reads)
    move between compute nodes over the network, again as real fabric
-   messages, so they show up in Perfetto lanes, resource monitors, and
-   the profiler's per-handler tables.
+   messages, so they show up in Perfetto lanes and resource monitors.
 4. **File access** — each aggregator performs one large, (nearly)
    contiguous list-I/O access per *round*.  A round covers at most
    ``cb_buffer`` bytes of each aggregator's domain (ROMIO's collective

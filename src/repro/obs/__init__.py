@@ -12,17 +12,15 @@ resource monitors into three user-facing artifacts:
   ranked by busy fraction and critical-path share, with a one-line
   verdict ("disk-bound", "nic-bound", ...).
 
-A **kernel profiler** (:mod:`repro.obs.prof`) answers where the *host*
-time goes: events dispatched and wall time per handler kind, heap
-pressure, and the simulated-seconds-per-wall-second (SSR) headline, plus
-cProfile capture with collapsed-stack (flamegraph) export.
+:mod:`repro.obs.prof` answers where the *host* time goes, per function:
+cProfile capture with collapsed-stack (flamegraph) and pstats export.
 
 Entry point for traces is :class:`~repro.obs.session.ObsSession`; the
 experiments CLI exposes it as ``--trace-out`` / ``--report``, and the
 ``obs`` subcommand summarizes saved traces.  ``pvfs-sim bench run
---profile`` drives the profiler.
+--profile`` drives cProfile.
 
-Everything here is passive: attaching a session or the profiler never
+Everything here is passive: attaching a session or cProfile never
 advances simulated time, so observed and unobserved runs produce
 bit-identical results.
 """
@@ -30,7 +28,7 @@ bit-identical results.
 from .bottleneck import BottleneckReport, QueueStat, ResourceStat, attribute
 from .monitor import ClusterMonitor, ResourceMonitor, merge_intervals
 from .perfetto import TRACE_VERSION, build_trace, write_trace
-from .prof import KernelProfile, KernelProfiler, capture_cprofile, profiled
+from .prof import capture_cprofile
 from .session import ObsSession, RunCapture
 
 __all__ = [
@@ -46,8 +44,5 @@ __all__ = [
     "BottleneckReport",
     "ResourceStat",
     "QueueStat",
-    "KernelProfiler",
-    "KernelProfile",
-    "profiled",
     "capture_cprofile",
 ]

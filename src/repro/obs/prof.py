@@ -1,259 +1,32 @@
-"""``repro.obs.prof`` — kernel event-loop accounting and host profiling.
+"""``repro.obs.prof`` — host profiling of a simulator run with cProfile.
 
-Answers "where does every wall-second go?" for the discrete-event
-simulator:
+Answers "which host functions does a run spend its wall-seconds in?":
 
-* :class:`KernelProfiler` hooks the kernel's dispatch loop (see
-  ``Simulator.profiler`` in :mod:`repro.simulate.kernel`) and accounts
-  every event it pops: events dispatched, host wall time per handler
-  kind, event-heap growth, and simulated seconds covered — yielding the
-  **SSR** headline (simulated seconds per wall second) on the frozen
-  :class:`KernelProfile`;
-* :func:`capture_cprofile` wraps a callable in :mod:`cProfile`, and
-  :func:`collapsed_stacks` / :func:`write_collapsed` render the result
+* :func:`capture_cprofile` wraps a callable in :mod:`cProfile`;
+* :func:`collapsed_stacks` / :func:`write_collapsed` render the capture
   as collapsed caller;callee stacks — the input format of
   ``flamegraph.pl`` and speedscope;
-* :func:`profiled` is the context manager that arms the profiler for
-  every :class:`~repro.simulate.Simulator` constructed inside it.
+* :func:`write_pstats` dumps the raw capture and
+  :func:`top_functions_markdown` tabulates the hottest functions.
 
-Everything is strictly passive: the profiler only *reads* the kernel
-(host clocks never feed back into simulated time), so a profiled run is
-bit-identical to an unprofiled one — the same guarantee tracing made in
-PR 1, asserted by ``tests/test_obs_prof.py``.
+``pvfs-sim bench run --profile PREFIX`` drives these over the gate pass.
+cProfile only observes the host interpreter (host clocks never feed back
+into simulated time), so a profiled run is bit-identical to a plain one —
+``bench compare`` checks that pass against the committed baseline.
+The per-layer split of host time lives in ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
-import json
-import re
-from contextlib import contextmanager
-from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 __all__ = [
-    "KernelProfiler",
-    "KernelProfile",
-    "profiled",
-    "event_kind",
     "capture_cprofile",
     "collapsed_stacks",
     "write_collapsed",
     "write_pstats",
     "top_functions_markdown",
-    "save_profile_json",
 ]
-
-_DIGITS = re.compile(r"\d+")
-
-
-def event_kind(event) -> str:
-    """Grouping key for one dispatched event.
-
-    Processes group by their (digit-normalized) name — every
-    ``workload.client<i>`` lands in one ``process:workload.client*``
-    row — and bare events group by class (``timeout``, ``event``,
-    ``request``, ``allof``, ...).
-    """
-    name = getattr(event, "name", None)
-    if name is not None and hasattr(event, "_gen"):
-        return "process:" + _DIGITS.sub("*", name)
-    return type(event).__name__.lower()
-
-
-@dataclass(frozen=True)
-class KernelProfile:
-    """Frozen result of one profiling window."""
-
-    #: Events dispatched (heap pops) across every simulator in the window.
-    events: int
-    #: Simulated seconds covered (summed over simulators).
-    sim_s: float
-    #: Host wall seconds of the whole window (not just handler time).
-    wall_s: float
-    #: ``(kind, count, handler wall seconds)``, hottest first.
-    handlers: Tuple[Tuple[str, int, float], ...]
-    #: Event-heap pressure: *live* pushes (events the dispatcher actually
-    #: ran — lazily-cancelled entries are excluded, keeping
-    #: ``heap_pushes == events`` for a drained heap) and the high-water
-    #: mark (which still counts cancelled entries: they occupy heap slots
-    #: until popped).
-    heap_pushes: int
-    heap_max: int
-    #: Entries pushed then lazily cancelled (skipped on pop, never run).
-    heap_cancelled: int
-    #: Simulators constructed during the window.
-    simulators: int
-
-    @property
-    def ssr(self) -> float:
-        """Simulated seconds per wall second — the headline metric."""
-        return self.sim_s / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def events_per_s(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def handler_wall_s(self) -> float:
-        """Wall seconds inside handlers (the rest is setup/teardown)."""
-        return sum(w for _, _, w in self.handlers)
-
-    def headline(self) -> str:
-        return (
-            f"SSR {self.ssr:.3f} simulated s / wall s "
-            f"({self.sim_s:.6f} sim s over {self.wall_s:.3f} wall s; "
-            f"{self.events} events, {self.events_per_s:,.0f} events/s, "
-            f"{self.simulators} simulator(s))"
-        )
-
-    def to_markdown(self, top: Optional[int] = None) -> str:
-        rows = self.handlers if top is None else self.handlers[:top]
-        lines = [
-            "| handler | events | wall (ms) | wall share | us/event |",
-            "|---|---|---|---|---|",
-        ]
-        total = self.handler_wall_s or 1.0
-        for kind, count, wall in rows:
-            per_event = wall / count * 1e6 if count else 0.0
-            lines.append(
-                f"| {kind} | {count} | {wall * 1e3:.3f} "
-                f"| {wall / total:.1%} | {per_event:.2f} |"
-            )
-        lines.append(
-            f"\nheap: {self.heap_pushes} live pushes "
-            f"(+{self.heap_cancelled} cancelled), high-water mark "
-            f"{self.heap_max}; handlers account for "
-            f"{self.handler_wall_s:.3f} of {self.wall_s:.3f} wall s"
-        )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "events": self.events,
-            "sim_s": self.sim_s,
-            "wall_s": self.wall_s,
-            "ssr": self.ssr,
-            "events_per_s": self.events_per_s,
-            "handlers": [
-                {"kind": kind, "count": count, "wall_s": wall}
-                for kind, count, wall in self.handlers
-            ],
-            "heap_pushes": self.heap_pushes,
-            "heap_max": self.heap_max,
-            "heap_cancelled": self.heap_cancelled,
-            "simulators": self.simulators,
-        }
-
-
-class KernelProfiler:
-    """Accumulates kernel dispatch accounting across simulators.
-
-    Attach via :func:`profiled` (arms every simulator built in scope) or
-    by assigning ``sim.profiler`` directly.  The kernel calls three
-    hooks — :meth:`on_sim`, :meth:`on_push`, :meth:`on_event` — all of
-    which only read the simulator.
-    """
-
-    def __init__(self) -> None:
-        self._count: Dict[str, int] = {}
-        self._wall: Dict[str, float] = {}
-        self._sim_end: Dict[int, float] = {}
-        self._sims = 0
-        self.heap_pushes = 0
-        self.heap_max = 0
-        self.heap_cancelled = 0
-        self._wall0: Optional[float] = None
-        self._wall_total = 0.0
-
-    # -- window ----------------------------------------------------------
-    def start(self) -> None:
-        self._wall0 = perf_counter()
-
-    def stop(self) -> None:
-        if self._wall0 is not None:
-            self._wall_total += perf_counter() - self._wall0
-            self._wall0 = None
-
-    # -- kernel hooks ------------------------------------------------------
-    def on_sim(self, sim) -> None:
-        self._sims += 1
-        sim._prof_key = self._sims
-
-    def on_push(self, sim, heap_len: int) -> None:
-        self.heap_pushes += 1
-        if heap_len > self.heap_max:
-            self.heap_max = heap_len
-
-    def on_cancel(self, sim) -> None:
-        """A pushed entry was lazily cancelled — move it out of the live
-        push lane so ``heap_pushes`` keeps matching dispatched events."""
-        self.heap_pushes -= 1
-        self.heap_cancelled += 1
-
-    def on_event(self, sim, event, wall_s: float) -> None:
-        kind = event_kind(event)
-        self._count[kind] = self._count.get(kind, 0) + 1
-        self._wall[kind] = self._wall.get(kind, 0.0) + wall_s
-        self._sim_end[getattr(sim, "_prof_key", 0)] = sim.now
-
-    # -- results -----------------------------------------------------------
-    @property
-    def events(self) -> int:
-        return sum(self._count.values())
-
-    def profile(self) -> KernelProfile:
-        """Freeze the window into a :class:`KernelProfile`."""
-        wall = self._wall_total
-        if self._wall0 is not None:  # still running: include the open window
-            wall += perf_counter() - self._wall0
-        handlers = tuple(
-            sorted(
-                ((k, self._count[k], self._wall[k]) for k in self._count),
-                key=lambda row: (-row[2], row[0]),
-            )
-        )
-        return KernelProfile(
-            events=self.events,
-            sim_s=float(sum(self._sim_end.values())),
-            wall_s=wall,
-            handlers=handlers,
-            heap_pushes=self.heap_pushes,
-            heap_max=self.heap_max,
-            heap_cancelled=self.heap_cancelled,
-            simulators=self._sims,
-        )
-
-    def __repr__(self) -> str:
-        return f"<KernelProfiler events={self.events} sims={self._sims}>"
-
-
-@contextmanager
-def profiled(profiler: Optional[KernelProfiler] = None):
-    """Arm ``profiler`` for every Simulator constructed inside the block.
-
-    ::
-
-        with profiled() as prof:
-            des_point(pattern, "list", "read", cfg)
-        print(prof.profile().headline())
-    """
-    from ..simulate import kernel
-
-    prof = profiler or KernelProfiler()
-    previous = kernel._ACTIVE_PROFILER
-    kernel._ACTIVE_PROFILER = prof
-    prof.start()
-    try:
-        yield prof
-    finally:
-        prof.stop()
-        kernel._ACTIVE_PROFILER = previous
-
-
-# ---------------------------------------------------------------------------
-# Host-level profiling: cProfile capture, flamegraph + pstats export.
-# ---------------------------------------------------------------------------
 
 
 def capture_cprofile(fn, *args, **kwargs):
@@ -342,13 +115,3 @@ def top_functions_markdown(profile, n: int = 15) -> str:
             f"| {_frame_name(func)} | {nc} | {tt * 1e3:.3f} | {ct * 1e3:.3f} |"
         )
     return "\n".join(lines) + "\n"
-
-
-def save_profile_json(profile_result: KernelProfile, path: str, **provenance: Any) -> None:
-    """Write a :class:`KernelProfile` (plus provenance) as JSON."""
-    doc = {"tool": "pvfs-sim-profile", "schema_version": 1}
-    doc.update(provenance)
-    doc["profile"] = profile_result.to_json()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

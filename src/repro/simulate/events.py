@@ -99,8 +99,6 @@ class Event:
         sim = self.sim
         _heappush(sim._heap, (sim.now + delay, sim._seq, self))
         sim._seq += 1
-        if sim.profiler is not None:
-            sim.profiler.on_push(sim, len(sim._heap))
 
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel does not escalate the
@@ -121,10 +119,7 @@ class Event:
         if self._cancelled or self._processed or not self._triggered:
             return False
         self._cancelled = True
-        sim = self.sim
-        sim._cancelled_events += 1
-        if sim.profiler is not None:
-            sim.profiler.on_cancel(sim)
+        self.sim._cancelled_events += 1
         return True
 
     def _run_callbacks(self) -> None:
@@ -160,8 +155,6 @@ class Timeout(Event):
         self.delay = delay
         _heappush(sim._heap, (sim.now + delay, sim._seq, self))
         sim._seq += 1
-        if sim.profiler is not None:
-            sim.profiler.on_push(sim, len(sim._heap))
 
 
 class _Condition(Event):

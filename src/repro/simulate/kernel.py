@@ -32,7 +32,6 @@ Example::
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -40,12 +39,6 @@ from .events import AllOf, AnyOf, Event, Timeout
 from .fastpath import fastpath_enabled
 
 __all__ = ["Simulator", "Process"]
-
-#: Module-level profiler armed by :func:`repro.obs.prof.profiled`; every
-#: Simulator constructed while it is set adopts it.  The profiler only
-#: *reads* the kernel (event kinds, heap length, host clocks), so profiled
-#: runs stay bit-identical to unprofiled ones.
-_ACTIVE_PROFILER = None
 
 
 class Process(Event):
@@ -207,11 +200,6 @@ class Simulator:
         #: ``PVFS_SIM_NO_FASTPATH`` / ``--no-fastpath`` to restore the
         #: exact legacy event chains (see :mod:`repro.simulate.fastpath`).
         self.fastpath = fastpath_enabled()
-        #: Optional :class:`~repro.obs.prof.KernelProfiler` (read-only
-        #: observer of the dispatch loop; ``None`` = zero overhead).
-        self.profiler = _ACTIVE_PROFILER
-        if self.profiler is not None:
-            self.profiler.on_sim(self)
 
     # -- primitives -----------------------------------------------------
     def event(self) -> Event:
@@ -239,8 +227,6 @@ class Simulator:
             raise SimulationError("cannot schedule into the past")
         heapq.heappush(self._heap, (self.now + delay, self._seq, event))
         self._seq += 1
-        if self.profiler is not None:
-            self.profiler.on_push(self, len(self._heap))
 
     @property
     def events_scheduled(self) -> int:
@@ -275,12 +261,7 @@ class Simulator:
         if t < self.now:  # pragma: no cover - defensive
             raise SimulationError("event heap time went backwards")
         self.now = t
-        if self.profiler is None:
-            event._run_callbacks()
-        else:
-            _w0 = perf_counter()
-            event._run_callbacks()
-            self.profiler.on_event(self, event, perf_counter() - _w0)
+        event._run_callbacks()
         if not event._ok and not event._defused:
             exc = event._value
             raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
@@ -302,7 +283,6 @@ class Simulator:
             # keeps the single-event surface for external callers).
             heap = self._heap
             pop = heapq.heappop
-            profiler = self.profiler
             while heap:
                 entry = heap[0]
                 event = entry[2]
@@ -315,16 +295,11 @@ class Simulator:
                     return until
                 pop(heap)
                 self.now = t
-                if profiler is None:
-                    event._processed = True
-                    callbacks = event.callbacks
-                    event.callbacks = []
-                    for cb in callbacks:
-                        cb(event)
-                else:
-                    _w0 = perf_counter()
-                    event._run_callbacks()
-                    profiler.on_event(self, event, perf_counter() - _w0)
+                event._processed = True
+                callbacks = event.callbacks
+                event.callbacks = []
+                for cb in callbacks:
+                    cb(event)
                 if not event._ok and not event._defused:
                     exc = event._value
                     raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))

@@ -1,15 +1,15 @@
-"""Tolerance policy and regression detection for ``repro.bench.compare``."""
+"""Zero-tolerance regression detection for ``repro.bench.compare``."""
 
 import dataclasses
 
 import pytest
 
 from repro.bench.compare import compare_results
-from repro.bench.schema import BenchResult, ScenarioResult, SimMetrics, WallMetrics
+from repro.bench.schema import BenchResult, ScenarioResult, SimMetrics
 from repro.errors import BenchError
 
 
-def _scenario(name="s1", *, elapsed=1.5, wall=0.2) -> ScenarioResult:
+def _scenario(name="s1", *, elapsed=1.5) -> ScenarioResult:
     return ScenarioResult(
         name=name,
         family="artificial",
@@ -21,7 +21,6 @@ def _scenario(name="s1", *, elapsed=1.5, wall=0.2) -> ScenarioResult:
             server_messages=9,
             n_points=2,
         ),
-        wall=WallMetrics.from_samples([wall, wall * 1.1, wall * 0.9]),
     )
 
 
@@ -55,36 +54,6 @@ def test_sim_improvement_also_fails():
     assert not report.ok
 
 
-def test_wall_jitter_within_tolerance_passes():
-    base = _result(_scenario(wall=0.2))
-    cand = _result(_scenario(wall=0.28))  # +40% < default 50% band
-    report = compare_results(base, cand)
-    assert report.ok
-
-
-def test_wall_beyond_tolerance_fails():
-    base = _result(_scenario(wall=0.2))
-    cand = _result(_scenario(wall=0.5))
-    report = compare_results(base, cand, wall_tolerance=0.5)
-    assert not report.ok
-    assert any(r.metric == "wall.median_s" for r in report.regressions)
-
-
-def test_wall_speedup_never_fails():
-    base = _result(_scenario(wall=0.5))
-    report = compare_results(base, _result(_scenario(wall=0.05)), wall_tolerance=0.0)
-    assert report.ok
-
-
-def test_wall_tolerance_none_reports_without_gating():
-    base = _result(_scenario(wall=0.1))
-    cand = _result(_scenario(wall=10.0))  # 100x slower
-    report = compare_results(base, cand, wall_tolerance=None)
-    assert report.ok
-    rows = [r for r in report.rows if r.metric == "wall.median_s"]
-    assert rows and all(r.status == "info" for r in rows)
-
-
 def test_missing_scenario_is_regression():
     base = _result(_scenario("s1"), _scenario("s2"))
     report = compare_results(base, _result(_scenario("s1")))
@@ -104,12 +73,6 @@ def test_scale_mismatch_raises():
     cand = _result(_scenario(), scale="scaled")
     with pytest.raises(BenchError):
         compare_results(base, cand)
-
-
-def test_negative_tolerance_rejected():
-    base = _result(_scenario())
-    with pytest.raises(BenchError):
-        compare_results(base, base, wall_tolerance=-0.1)
 
 
 def test_every_sim_metric_is_gated():

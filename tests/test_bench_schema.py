@@ -1,19 +1,22 @@
 """Schema round-trip and version gating for ``repro.bench.schema``."""
 
 import json
+import pathlib
 
 import pytest
 
+from repro.bench import scenario_names
 from repro.bench.schema import (
     SCHEMA_VERSION,
     BenchResult,
     ScenarioResult,
     SimMetrics,
-    WallMetrics,
     load,
     save,
 )
 from repro.errors import BenchError, SchemaMismatchError
+
+BASELINE = pathlib.Path(__file__).parents[1] / "benchmarks" / "baseline_smoke.json"
 
 
 def _result(**overrides) -> BenchResult:
@@ -25,16 +28,14 @@ def _result(**overrides) -> BenchResult:
         server_messages=12,
         n_points=3,
     )
-    wall = WallMetrics.from_samples([0.30000000000000004, 0.1, 0.2])
     kwargs = dict(
         scale="smoke",
-        scenarios=[ScenarioResult(name="s1", family="artificial", sim=sim, wall=wall)],
+        scenarios=[ScenarioResult(name="s1", family="artificial", sim=sim)],
         created="2026-08-06T00:00:00Z",
         host={"python": "3.11.7"},
         code_fingerprint="abc123",
         repeats=3,
         jobs=2,
-        cache_enabled=False,
     )
     kwargs.update(overrides)
     return BenchResult(**kwargs)
@@ -50,48 +51,26 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert reloaded == original
 
 
-def test_wall_metrics_statistics():
-    wall = WallMetrics.from_samples([0.4, 0.1, 0.2, 0.3])
-    assert wall.median_s == pytest.approx(0.25)
-    assert wall.min_s == 0.1
-    assert wall.max_s == 0.4
-    assert wall.repeats == 4
-    odd = WallMetrics.from_samples([3.0, 1.0, 2.0])
-    assert odd.median_s == 2.0
-
-
-def test_wall_metrics_ssr_derivation():
-    wall = WallMetrics.from_samples([0.5], events=1000, sim_s=2.0)
-    assert wall.events == 1000
-    assert wall.sim_s == 2.0
-    assert wall.ssr == pytest.approx(4.0)
-    # Degenerate median: SSR reported as zero rather than dividing by it.
-    zero = WallMetrics.from_samples([0.0], sim_s=1.0)
-    assert zero.ssr == 0.0
-
-
 def test_version1_files_still_load(tmp_path):
-    """A committed v1 baseline (no events/sim_s/ssr) upgrades in memory."""
+    """A v1 file differs only by its ``wall`` block, which loading ignores."""
     path = str(tmp_path / "BENCH_v1.json")
     save(_result(), path)
     with open(path) as fh:
         data = json.load(fh)
     data["schema_version"] = 1
     for sc in data["scenarios"]:
-        for key in ("events", "sim_s", "ssr"):
-            del sc["wall"][key]
+        sc["wall"] = {"median_s": 0.2, "mean_s": 0.2, "std_s": 0.0, "repeats": 3}
     with open(path, "w") as fh:
         json.dump(data, fh)
     upgraded = load(path)
     assert upgraded.schema_version == SCHEMA_VERSION
-    wall = upgraded.scenario("s1").wall
-    assert (wall.events, wall.sim_s, wall.ssr) == (0, 0.0, 0.0)
-    assert wall.median_s == _result().scenario("s1").wall.median_s
+    assert upgraded.scenarios == _result().scenarios
 
 
-def test_wall_metrics_reject_empty():
-    with pytest.raises(BenchError):
-        WallMetrics.from_samples([])
+def test_committed_v2_baseline_loads():
+    baseline = load(str(BASELINE))
+    assert json.loads(BASELINE.read_text())["schema_version"] == 2
+    assert [sc.name for sc in baseline.scenarios] == scenario_names()
 
 
 def test_schema_version_mismatch_rejected(tmp_path):

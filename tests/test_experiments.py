@@ -24,6 +24,7 @@ from repro.experiments import (
 )
 from repro.experiments.cli import FIGURES, SUBCOMMANDS, main
 from repro.patterns import one_dim_cyclic, tiled_visualization
+from repro.simulate import Simulator
 
 
 class TestHarness:
@@ -243,6 +244,35 @@ class TestCLI:
         assert main(argv + bad) == 2
         assert "error:" in capsys.readouterr().err
         assert trace.read_bytes() == b"previous trace"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "run", "--scenario", "micro_kernel_churn", "--out", "{bad}"],
+            ["bench", "run", "--scenario", "micro_kernel_churn", "--trace-out", "{bad}"],
+            ["bench", "run", "--scenario", "micro_kernel_churn", "--profile", "{bad}"],
+            ["bench", "compare", "{baseline}", "{baseline}", "--table", "{bad}"],
+            ["--figure", "18", "--scale", "smoke", "--mode", "des", "--no-cache", "--csv", "{bad}"],
+            ["chaos", "--scenario", "crash", "--no-cache", "--csv", "{bad}"],
+        ],
+        ids=["bench-out", "bench-trace-out", "bench-profile", "compare-table", "csv", "chaos-csv"],
+    )
+    def test_unwritable_output_fails_before_any_simulation(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        bad = str(tmp_path / "missing" / "out")
+        baseline = Path(__file__).parents[1] / "benchmarks" / "baseline_smoke.json"
+        argv = [arg.format(bad=bad, baseline=baseline) for arg in argv]
+        if argv[:2] == ["bench", "run"] and "--out" not in argv:
+            argv += ["--out", str(tmp_path / "B.json")]
+
+        def no_simulation(self):
+            raise AssertionError("a simulation started before the output check")
+
+        monkeypatch.setattr(Simulator, "__init__", no_simulation)
+        assert main(argv) == 2
+        assert f"error: cannot write {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "B.json").exists()
 
 
 class TestDispatchAndHelp:
