@@ -4,7 +4,8 @@ Each ``test_figNN_*`` module regenerates one figure of the paper:
 
 * the figure's data table (simulated seconds per method/sweep point) is
   printed AND written to ``benchmarks/results/figNN_<scale>.md``;
-* the paper's qualitative claims are asserted via the driver's checks.
+* the paper's qualitative claims are asserted via the ``checks`` that
+  each ``repro.experiments`` figure function returns.
 
 The ``test_ablation_*`` and ``test_beyond_*`` modules assert the
 ablations and extensions the same way.  Everything here is plain pytest
