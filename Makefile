@@ -47,15 +47,15 @@ lint:
 
 # regenerate every figure from the paper's evaluation
 figures:
-	$(PYTHON) -m repro.experiments.cli --all --scale scaled --mode des
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --all --scale scaled --mode des
 
 figures-paper:
 	mkdir -p results
-	$(PYTHON) -m repro.experiments.cli --all --scale paper --mode model \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --all --scale paper --mode model \
 		--csv results/paper_scale_model.csv | tee results/paper_scale_model.md
 
 examples:
-	for e in examples/*.py; do echo "== $$e"; $(PYTHON) $$e || exit 1; done
+	for e in examples/*.py; do echo "== $$e"; PYTHONPATH=src $(PYTHON) $$e || exit 1; done
 
 clean:
 	rm -rf .pytest_cache build *.egg-info benchmarks/results/*.md

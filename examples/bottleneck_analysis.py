@@ -1,18 +1,19 @@
 #!/usr/bin/env python
-"""Where does the time go?  Tracing and utilization for one benchmark point.
+"""Where does the time go?  Tracing and bottleneck attribution for one point.
 
-Runs the 1-D cyclic read benchmark once per method with request tracing
-enabled, then prints (a) per-category latency percentiles from the tracer
-and (b) the cluster utilization report — showing that multiple I/O is
-limited by request processing on the I/O daemons, data sieving by raw
-network bandwidth, and list I/O by neither (it finishes before saturating
-anything).
+Runs the 1-D cyclic read benchmark once per method under an
+:class:`~repro.obs.ObsSession`, then prints (a) per-category latency
+percentiles from the tracer and (b) the bottleneck report built from the
+same spans — showing that multiple I/O is limited by request processing
+on the I/O daemons, data sieving by raw network bandwidth, and list I/O
+by neither (it finishes before saturating anything).
 
 Run:  python examples/bottleneck_analysis.py
 """
 
 from repro.config import ClusterConfig
 from repro.core import DataSievingIO, ListIO, MultipleIO
+from repro.obs import ObsSession
 from repro.patterns import one_dim_cyclic
 from repro.pvfs import Cluster
 from repro.units import MiB, fmt_time
@@ -20,9 +21,9 @@ from repro.units import MiB, fmt_time
 
 def run_traced(method):
     pattern = one_dim_cyclic(8 * MiB, 4, 1024)
-    cluster = Cluster.build(
-        ClusterConfig.chiba_city(n_clients=4), move_bytes=False, trace=True
-    )
+    cluster = Cluster.build(ClusterConfig.chiba_city(n_clients=4), move_bytes=False)
+    obs = ObsSession()
+    obs.attach(cluster)
 
     def wl(client):
         a = pattern.rank(client.index)
@@ -31,17 +32,17 @@ def run_traced(method):
         yield from f.close()
 
     result = cluster.run_workload(wl)
-    return cluster, result
+    return cluster, result, obs.capture(cluster, label=f"cyclic read, {method.name}")
 
 
 def main() -> None:
     for method in (MultipleIO(), DataSievingIO(), ListIO()):
-        cluster, result = run_traced(method)
+        cluster, result, run = run_traced(method)
         print(f"\n{'=' * 72}")
         print(f"method: {method.name}   simulated time: {fmt_time(result.elapsed)}")
         print(f"{'=' * 72}\n")
         print(cluster.tracer.format_summary())
-        print(cluster.utilization_report())
+        print(run.report().to_markdown())
 
     print(
         "Reading the reports: multiple I/O shows thousands of short\n"

@@ -13,7 +13,7 @@ metrics are bit-identical across runs.
 
 ``obs`` is accepted for protocol compatibility but ignored: these specs
 build bare substrates, not a full :class:`~repro.pvfs.Cluster`, so there
-is nothing for an :class:`~repro.obs.ObsSession` to attach monitors to.
+is nothing for an :class:`~repro.obs.ObsSession` to attach to.
 """
 
 from __future__ import annotations

@@ -621,7 +621,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not check_writable(args.csv):
+    cache_dir = None if args.no_cache else args.cache_dir or default_cache_dir()
+    if not check_writable(args.csv, cache_dir=cache_dir):
         return 2
     if args.scenario == "all":
         # failover-read is pointless without a replica to fail over to, so
@@ -637,9 +638,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "fail over to and will fail with RetryExhausted",
             file=sys.stderr,
         )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
+    cache = ResultCache(cache_dir) if cache_dir else None
     specs = [
         ChaosSpec(
             scenario=scenario,

@@ -93,18 +93,33 @@ def _unwritable(path: str) -> Optional[str]:
     return None
 
 
-def check_writable(*paths: Optional[str]) -> bool:
+def _unwritable_dir(path: str) -> Optional[str]:
+    """Why directory ``path`` cannot be created or written, or ``None``."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        return f"{probe} is not a directory"
+    if not os.access(probe, os.W_OK | os.X_OK):
+        return "permission denied"
+    return None
+
+
+def check_writable(*paths: Optional[str], cache_dir: Optional[str] = None) -> bool:
     """Print an error for each output path that cannot be written.
 
     Returns whether every given path (``None`` entries are skipped) can
-    be written.  CLIs call this before the first simulation, so a bad path
-    costs no run.  It only inspects the file system: an existing file is
-    neither created nor truncated, which matters when the path is the
-    committed baseline and the run then fails.
+    be written, and ``cache_dir`` created or written.  CLIs call this
+    before the first simulation, so a bad path costs no run.  It only
+    inspects the file system: an existing file is neither created nor
+    truncated, which matters when the path is the committed baseline and
+    the run then fails, and a missing cache directory is not created.
     """
+    checks = [(path, _unwritable(path)) for path in paths if path]
+    if cache_dir:
+        checks.append((cache_dir, _unwritable_dir(cache_dir)))
     ok = True
-    for path in paths:
-        reason = _unwritable(path) if path else None
+    for path, reason in checks:
         if reason:
             print(f"error: cannot write {path}: {reason}", file=sys.stderr)
             ok = False
@@ -274,18 +289,23 @@ def main(argv: List[str] | None = None) -> int:
     if args.cb_buffer is not None and args.cb_buffer < 1:
         print("error: --cb-buffer must be a positive byte count", file=sys.stderr)
         return 2
-    if not check_writable(args.csv, args.trace_out):
+    if args.cb_buffer is not None and not (args.all or args.figure == "18"):
+        print(
+            "error: --cb-buffer only applies to figure 18; add --figure 18 or --all",
+            file=sys.stderr,
+        )
+        return 2
+    from ..sweep import ResultCache, default_cache_dir
+
+    cache_dir = None if args.no_cache else args.cache_dir or default_cache_dir()
+    if not check_writable(args.csv, args.trace_out, cache_dir=cache_dir):
         return 2
     obs = None
     if args.trace_out or args.report:
         from ..obs import ObsSession
 
         obs = ObsSession()
-    cache = None
-    if not args.no_cache:
-        from ..sweep import ResultCache, default_cache_dir
-
-        cache = ResultCache(args.cache_dir or default_cache_dir())
+    cache = ResultCache(cache_dir) if cache_dir else None
     figures = sorted(FIGURES, key=int) if args.all else [args.figure]
     all_points = []
     failed = False

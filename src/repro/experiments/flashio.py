@@ -30,6 +30,11 @@ __all__ = ["figure15", "build_specs"]
 _METHODS = ("multiple", "datasieve", "list")
 
 
+def _times(ratio: float) -> str:
+    """``0.47x`` below ten (two significant digits), ``48x`` above."""
+    return f"{ratio:.0f}x" if ratio >= 10 else f"{ratio:.2g}x"
+
+
 def build_specs(
     scale: Scale,
     mode: str,
@@ -119,7 +124,7 @@ def figure15(
             Check(
                 f"fig15: data sieving far faster than list I/O at {n_small} clients",
                 ratio >= 10.0,
-                detail=f"list/sieve ratio {ratio:.0f}x",
+                detail=f"list/sieve ratio {_times(ratio)}",
             )
         )
         grow = sieve[max(clients)] / sieve[n_small]
@@ -136,7 +141,7 @@ def figure15(
             Check(
                 "fig15: list I/O over an order of magnitude faster than multiple I/O",
                 ratio >= 10.0,
-                detail=f"multiple/list ratio {ratio:.0f}x",
+                detail=f"multiple/list ratio {_times(ratio)}",
             )
         )
         for name, s in (("multiple", multiple), ("list", listio)):

@@ -101,10 +101,9 @@ def des_point(
 
     ``trace=True`` enables span collection and stores the tracer summary
     on the returned point (``trace_summary``).  ``obs`` (an
-    :class:`~repro.obs.ObsSession`) additionally wires resource monitors
-    onto the cluster and captures the run for Perfetto export / bottleneck
-    attribution.  Both are passive: the simulated times are bit-identical
-    with and without them.
+    :class:`~repro.obs.ObsSession`) additionally captures the run's spans
+    for Perfetto export / bottleneck attribution.  Both are passive: the
+    simulated times are bit-identical with and without them.
     """
     cfg = cfg or ClusterConfig.chiba_city(n_clients=pattern.n_ranks)
     if cfg.n_clients != pattern.n_ranks:

@@ -16,7 +16,7 @@ MPI-IO", see PAPERS.md):
    (:func:`partition_file_domains`).
 3. **Data redistribution** — contributions (writes) or replies (reads)
    move between compute nodes over the network, again as real fabric
-   messages, so they show up in Perfetto lanes and resource monitors.
+   messages, so they show up in Perfetto lanes and bottleneck reports.
 4. **File access** — each aggregator performs one large, (nearly)
    contiguous list-I/O access per *round*.  A round covers at most
    ``cb_buffer`` bytes of each aggregator's domain (ROMIO's collective

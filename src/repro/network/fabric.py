@@ -69,7 +69,9 @@ class Network:
         self.counters = counters if counters is not None else Counters()
         #: Optional :class:`~repro.simulate.Tracer`; when enabled every
         #: transfer records ``net.wait`` (time blocked on NIC links) and
-        #: ``net.xfer`` (time occupying the wire) spans.
+        #: ``net.xfer`` (time occupying the wire) spans, and a transfer
+        #: interrupted while holding a link records ``net.abort``.  These
+        #: spans are the only record of when each link was busy.
         self.tracer = tracer
         self._nodes: Dict[str, Node] = {}
         #: Analytic transfer fast path (inherits the kernel-wide switch so
@@ -242,34 +244,49 @@ class Network:
             heap = sim._heap
             if not heap or heap[0][0] > sim.now:
                 t_tok = src.tx.try_acquire()
-        if t_tok is not None:
-            r_tok = dst.rx.try_acquire()
-            if r_tok is not None:
-                cdata["net.fastpath_messages"] += 1.0
-                t_hold = sim.now
-                try:
-                    yield sim.timeout(duration)
-                finally:
-                    # Release order matches the legacy nested context
-                    # managers: RX (inner) first, then TX.
-                    dst.rx.release(r_tok)
-                    src.tx.release(t_tok)
+        # When the TX and RX links were claimed (None = not held).
+        t_tx = t_hold = None
+        try:
+            if t_tok is not None:
+                t_tx = sim.now
+                r_tok = dst.rx.try_acquire()
+                if r_tok is not None:
+                    cdata["net.fastpath_messages"] += 1.0
+                    t_hold = t_tx
+                    try:
+                        yield sim.timeout(duration)
+                    finally:
+                        # Release order matches the legacy nested context
+                        # managers: RX (inner) first, then TX.
+                        dst.rx.release(r_tok)
+                        src.tx.release(t_tok)
+                else:
+                    # RX busy: queue for it the ordinary way, TX already held.
+                    try:
+                        with dst.rx.request() as r:
+                            yield r
+                            t_hold = sim.now
+                            yield sim.timeout(duration)
+                    finally:
+                        src.tx.release(t_tok)
             else:
-                # RX busy: queue for it the ordinary way, TX already held.
-                try:
+                with src.tx.request() as t:
+                    yield t
+                    t_tx = sim.now
                     with dst.rx.request() as r:
                         yield r
                         t_hold = sim.now
                         yield sim.timeout(duration)
-                finally:
-                    src.tx.release(t_tok)
-        else:
-            with src.tx.request() as t:
-                yield t
-                with dst.rx.request() as r:
-                    yield r
-                    t_hold = sim.now
-                    yield sim.timeout(duration)
+        except BaseException:
+            # Interrupted (client timeout, daemon crash) while holding a
+            # link: the links were busy from their claims until now.
+            if tracing and t_tx is not None:
+                held = {} if t_hold is None else {"rx_at": t_hold}
+                tracer.record(
+                    "net.abort", f"{src.name}->{dst.name}", t_tx, sim.now,
+                    src=src.name, dst=dst.name, **held,
+                )
+            raise
         src.bytes_sent += payload
         src.messages_sent += 1
         dst.bytes_received += payload
@@ -286,6 +303,10 @@ class Network:
                     src=src.name,
                     dst=dst.name,
                 )
+            meta = self.ethernet.describe(payload)
+            if t_tx < t_hold:
+                # The sender held TX while it waited for the receiver's RX.
+                meta["tx_at"] = t_tx
             tracer.record(
                 "net.xfer",
                 f"{src.name}->{dst.name}",
@@ -293,7 +314,7 @@ class Network:
                 sim.now,
                 src=src.name,
                 dst=dst.name,
-                **self.ethernet.describe(payload),
+                **meta,
             )
         return wire
 

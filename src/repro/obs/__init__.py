@@ -1,13 +1,14 @@
 """``repro.obs`` — the observability layer.
 
-Turns the simulator's :class:`~repro.simulate.Tracer` spans and the
-resource monitors into three user-facing artifacts:
+Turns the simulator's :class:`~repro.simulate.Tracer` spans — the only
+record of when a resource was busy — into three user-facing artifacts:
 
 * a **Perfetto trace** (:mod:`repro.obs.perfetto`) — open the JSON in
   ``ui.perfetto.dev`` to see every client request, daemon service span,
   disk access, wire transfer, and inbox backlog on a per-node timeline;
-* **resource utilization** (:mod:`repro.obs.monitor`) — busy/idle
-  intervals per NIC / disk / daemon / client, queryable over any window;
+* **resource lanes** (:mod:`repro.obs.monitor`) — busy intervals per
+  NIC / disk / daemon / client and inbox depth, rebuilt from the spans
+  and queryable over any window;
 * a **bottleneck report** (:mod:`repro.obs.bottleneck`) — resources
   ranked by busy fraction and critical-path share, with a one-line
   verdict ("disk-bound", "nic-bound", ...).
@@ -26,7 +27,7 @@ bit-identical results.
 """
 
 from .bottleneck import BottleneckReport, QueueStat, ResourceStat, attribute
-from .monitor import ClusterMonitor, ResourceMonitor, merge_intervals
+from .monitor import ResourceMonitor, build_lanes, lane_layout, merge_intervals
 from .perfetto import TRACE_VERSION, build_trace, write_trace
 from .prof import capture_cprofile
 from .session import ObsSession, RunCapture
@@ -34,8 +35,9 @@ from .session import ObsSession, RunCapture
 __all__ = [
     "ObsSession",
     "RunCapture",
-    "ClusterMonitor",
     "ResourceMonitor",
+    "build_lanes",
+    "lane_layout",
     "merge_intervals",
     "build_trace",
     "write_trace",

@@ -128,21 +128,21 @@ class BottleneckReport:
 
 
 def _critical_path_shares(
-    monitors: List[ResourceMonitor], t0: float, t1: float
+    lanes: List[ResourceMonitor], t0: float, t1: float
 ) -> Tuple[Dict[str, float], float]:
     """Shared-attribution sweep: (per-resource attributed seconds, idle s)."""
     window = t1 - t0
     if window <= 0:
-        return {m.name: 0.0 for m in monitors}, 0.0
+        return {m.name: 0.0 for m in lanes}, 0.0
     # Sweep events: +1/-1 per resource at interval edges, clipped to window.
-    events: List[Tuple[float, int, int]] = []  # (time, delta, monitor idx)
-    for idx, mon in enumerate(monitors):
-        for s, e in mon.merged():
+    events: List[Tuple[float, int, int]] = []  # (time, delta, lane idx)
+    for idx, lane in enumerate(lanes):
+        for s, e in lane.merged():
             lo, hi = max(s, t0), min(e, t1)
             if hi > lo:
                 events.append((lo, +1, idx))
                 events.append((hi, -1, idx))
-    attributed = {m.name: 0.0 for m in monitors}
+    attributed = {m.name: 0.0 for m in lanes}
     if not events:
         return attributed, window
     events.sort(key=lambda ev: (ev[0], -ev[1]))
@@ -157,7 +157,7 @@ def _critical_path_shares(
             if active:
                 share = dt / len(active)
                 for idx in active:
-                    attributed[monitors[idx].name] += share
+                    attributed[lanes[idx].name] += share
             else:
                 idle += dt
             cursor = t
@@ -175,41 +175,41 @@ def _critical_path_shares(
 
 
 def attribute(
-    monitors: Dict[str, ResourceMonitor],
+    lanes: Dict[str, ResourceMonitor],
     t0: float,
     t1: float,
     label: str = "",
 ) -> BottleneckReport:
-    """Build a :class:`BottleneckReport` from a run's monitors."""
+    """Build a :class:`BottleneckReport` from a run's resource lanes."""
     window = max(t1 - t0, 0.0)
-    hardware = [m for m in monitors.values() if m.kind in _HARDWARE_KINDS]
+    hardware = [m for m in lanes.values() if m.kind in _HARDWARE_KINDS]
     shares, idle_s = _critical_path_shares(hardware, t0, t1)
     stats: List[ResourceStat] = []
-    for mon in monitors.values():
-        if mon.kind == "queue":
+    for lane in lanes.values():
+        if lane.kind == "queue":
             continue
-        busy = mon.busy_within(t0, t1)
+        busy = lane.busy_within(t0, t1)
         stats.append(
             ResourceStat(
-                name=mon.name,
-                kind=mon.kind,
+                name=lane.name,
+                kind=lane.kind,
                 busy_s=busy,
                 utilization=busy / window if window > 0 else 0.0,
                 critical_path_share=(
-                    shares.get(mon.name, 0.0) / window if window > 0 else 0.0
+                    shares.get(lane.name, 0.0) / window if window > 0 else 0.0
                 ),
             )
         )
     stats.sort(key=lambda r: (r.critical_path_share, r.utilization), reverse=True)
     queues = [
         QueueStat(
-            name=mon.name,
-            mean_depth=mon.queue_mean(t0, t1),
-            p95_depth=mon.queue_percentile(t0, t1, 0.95),
-            max_depth=mon.queue_depth.max_value(),
+            name=lane.name,
+            mean_depth=lane.queue_mean(t0, t1),
+            p95_depth=lane.queue_percentile(t0, t1, 0.95),
+            max_depth=lane.queue_depth.max_value(),
         )
-        for mon in monitors.values()
-        if mon.kind == "queue"
+        for lane in lanes.values()
+        if lane.kind == "queue"
     ]
     queues.sort(key=lambda q: q.p95_depth, reverse=True)
     idle_share = idle_s / window if window > 0 else 1.0

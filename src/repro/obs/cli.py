@@ -7,8 +7,9 @@
     python -m repro.obs.cli /tmp/trace.json # same, standalone
 
 Reads the trace-event JSON written by ``--trace-out`` without the
-original run: per-category and per-lane statistics are recomputed from
-the events, and the bottleneck report comes from the embedded copy.
+original run: per-category statistics are recomputed from the events,
+and the resource table and verdict come from the embedded bottleneck
+report.
 """
 
 from __future__ import annotations
@@ -36,16 +37,7 @@ def summarize(doc: dict) -> str:
     other = doc.get("otherData", {})
     spans = [e for e in events if e.get("ph") == "X"]
     counters = [e for e in events if e.get("ph") == "C"]
-    # Lane naming from metadata events.
-    proc_names: Dict[int, str] = {}
-    thread_names: Dict[tuple, str] = {}
-    for e in events:
-        if e.get("ph") != "M":
-            continue
-        if e.get("name") == "process_name":
-            proc_names[e["pid"]] = e["args"]["name"]
-        elif e.get("name") == "thread_name":
-            thread_names[(e["pid"], e["tid"])] = e["args"]["name"]
+    processes = sum(1 for e in events if e.get("ph") == "M" and e.get("name") == "process_name")
 
     lines: List[str] = []
     label = other.get("label", "(unlabelled)")
@@ -56,7 +48,7 @@ def summarize(doc: dict) -> str:
         lines.append(f"window: {window:.6f} simulated seconds")
     lines.append(
         f"events: {len(spans)} spans, {len(counters)} counter samples, "
-        f"{len(proc_names)} processes"
+        f"{processes} processes"
     )
     dropped = other.get("dropped_spans") or {}
     if dropped:
@@ -78,21 +70,17 @@ def summarize(doc: dict) -> str:
         )
     lines.append("")
 
-    # Per-lane busy time (sum of span durations on that pid/tid).
-    busy: Dict[tuple, float] = defaultdict(float)
-    for e in spans:
-        busy[(e["pid"], e.get("tid", 0))] += e.get("dur", 0.0)
-    ranked = sorted(busy.items(), key=lambda kv: kv[1], reverse=True)
-    lines.append("| lane | busy (ms) |")
-    lines.append("|---|---|")
-    for (pid, tid), total in ranked[:10]:
-        node = proc_names.get(pid, f"pid{pid}")
-        lane = thread_names.get((pid, tid), f"tid{tid}")
-        lines.append(f"| {node}/{lane} | {total / 1e3:.3f} |")
-    lines.append("")
-
     report = other.get("bottleneck")
     if report:
+        # The report's resources, ranked by critical-path share.
+        lines.append("| resource | kind | busy (ms) | util | critical-path share |")
+        lines.append("|---|---|---|---|---|")
+        for r in report.get("resources", [])[:10]:
+            lines.append(
+                f"| {r['name']} | {r['kind']} | {r['busy_s'] * 1e3:.3f} "
+                f"| {r['utilization']:.1%} | {r['critical_path_share']:.1%} |"
+            )
+        lines.append("")
         lines.append(f"**verdict: {report.get('verdict', '(none)')}**")
         lines.append("")
     return "\n".join(lines)

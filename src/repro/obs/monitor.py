@@ -1,27 +1,23 @@
-"""Resource monitors: busy/idle timelines and queue-depth sampling.
+"""Resource lanes: busy intervals and queue depth, rebuilt from spans.
 
-A :class:`ResourceMonitor` is the passive observer the simulation
-primitives call through their optional ``monitor`` hooks
-(:class:`~repro.simulate.Resource`, :class:`~repro.simulate.Store`,
-:class:`~repro.storage.Disk`, :class:`~repro.pvfs.iod.IOD`,
-:class:`~repro.pvfs.client.PVFSClient`).  It records *when* a resource was
-busy — as explicit intervals, not just an accumulated total — so
-utilization can be computed over any sub-window of a run, and samples
+The tracer's spans are the simulation's only record of when a resource
+was busy.  :func:`build_lanes` turns a captured run's spans into one
+:class:`ResourceMonitor` lane per resource of the cluster: each NIC's TX
+and RX link (``net.xfer`` / ``net.abort``), each I/O daemon's service
+loop (``iod.service``), disk (``disk.busy``) and inbox depth
+(``iod.queue_wait``), and each client's logical requests
+(``client.request``).  A lane keeps explicit busy intervals, not just a
+total, so utilization can be computed over any sub-window of a run, and
 queue depth as a :class:`~repro.simulate.Timeline`.
-
-:class:`ClusterMonitor` wires one monitor onto every interesting resource
-of a built cluster: each NIC TX/RX link, each I/O daemon's service loop,
-each disk, each daemon inbox, and each client.  Monitors never advance
-simulated time; attaching them cannot change results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..simulate import Timeline
+from ..simulate import Span, Timeline
 
-__all__ = ["ResourceMonitor", "ClusterMonitor", "merge_intervals"]
+__all__ = ["ResourceMonitor", "build_lanes", "lane_layout", "merge_intervals"]
 
 
 def merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -41,7 +37,7 @@ def merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, f
 
 
 class ResourceMonitor:
-    """Busy/idle intervals + queue-depth samples for one resource.
+    """Busy intervals + queue-depth samples for one resource lane.
 
     ``kind`` classifies the resource for bottleneck attribution:
     ``"cpu"`` (daemon service loop), ``"disk"``, ``"nic"`` (a TX or RX
@@ -54,33 +50,6 @@ class ResourceMonitor:
         self.kind = kind
         self.intervals: List[Tuple[float, float]] = []
         self.queue_depth = Timeline(f"{name}.queue")
-        self._open: Optional[float] = None
-        self._depth = 0
-
-    # -- hooks (called by the instrumented primitives) -----------------
-    def on_busy(self, t: float) -> None:
-        if self._depth == 0:
-            self._open = t
-        self._depth += 1
-
-    def on_idle(self, t: float) -> None:
-        if self._depth == 0:
-            return  # spurious idle (never busy) — ignore
-        self._depth -= 1
-        if self._depth == 0 and self._open is not None:
-            self.intervals.append((self._open, t))
-            self._open = None
-
-    def on_queue(self, t: float, depth: float) -> None:
-        self.queue_depth.record(t, depth)
-
-    # -- analysis ------------------------------------------------------
-    def close(self, t: float) -> None:
-        """Close any dangling busy interval at capture time ``t``."""
-        if self._open is not None and self._depth > 0:
-            self.intervals.append((self._open, t))
-            self._open = None
-            self._depth = 0
 
     def merged(self) -> List[Tuple[float, float]]:
         return merge_intervals(self.intervals)
@@ -140,54 +109,69 @@ class ResourceMonitor:
         )
 
 
-class ClusterMonitor:
-    """Attach a :class:`ResourceMonitor` to every resource of a cluster.
+def lane_layout(cluster) -> List[Tuple[str, str]]:
+    """(name, kind) of every lane of ``cluster``, in the order the
+    bottleneck report breaks ties in: each node's NIC TX then RX, each
+    daemon's cpu, disk and inbox, then each client.
 
-    Lanes created (names double as Perfetto thread labels and bottleneck
-    report rows):
-
-    * ``<node>.nic.tx`` / ``<node>.nic.rx`` — every node's NIC links,
-    * ``iod<i>.cpu`` — each I/O daemon's request-service loop,
-    * ``iod<i>.disk`` — each daemon's disk,
-    * ``iod<i>.inbox`` — each daemon's request queue (depth only),
-    * ``client<i>.app`` — each client's logical-request windows.
+    Lane names double as Perfetto labels and bottleneck report rows:
+    ``<node>.nic.tx`` / ``<node>.nic.rx``, ``iod<i>.cpu``,
+    ``iod<i>.disk``, ``iod<i>.inbox`` and ``client<i>.app``.
     """
+    layout: List[Tuple[str, str]] = []
+    for node in cluster.net.nodes():
+        layout += [(f"{node.name}.nic.tx", "nic"), (f"{node.name}.nic.rx", "nic")]
+    for iod in cluster.iods:
+        i = iod.index
+        layout += [(f"iod{i}.cpu", "cpu"), (f"iod{i}.disk", "disk"), (f"iod{i}.inbox", "queue")]
+    for client in cluster.clients:
+        layout.append((f"client{client.index}.app", "client"))
+    return layout
 
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-        self.t0 = cluster.sim.now
-        self.monitors: Dict[str, ResourceMonitor] = {}
-        for node in cluster.net.nodes():
-            node.tx.monitor = self._new(f"{node.name}.nic.tx", "nic")
-            node.rx.monitor = self._new(f"{node.name}.nic.rx", "nic")
-        for iod in cluster.iods:
-            iod.monitor = self._new(f"iod{iod.index}.cpu", "cpu")
-            iod.disk.monitor = self._new(f"iod{iod.index}.disk", "disk")
-            iod.inbox.monitor = self._new(f"iod{iod.index}.inbox", "queue")
-        for client in cluster.clients:
-            client.monitor = self._new(f"client{client.index}.app", "client")
 
-    def _new(self, name: str, kind: str) -> ResourceMonitor:
-        mon = ResourceMonitor(name, kind)
-        self.monitors[name] = mon
-        return mon
+#: Span category -> (meta key naming the lane's owner, lane suffix).
+_OWNED_LANES = {
+    "iod.service": ("iod", "cpu"),
+    "disk.busy": ("iod", "disk"),
+    "client.request": ("client", "app"),
+}
 
-    def close(self, t: float) -> None:
-        """Close dangling busy intervals at capture time ``t``."""
-        for mon in self.monitors.values():
-            mon.close(t)
 
-    def detach(self) -> None:
-        """Unhook every monitor (the cluster reverts to zero-cost)."""
-        for node in self.cluster.net.nodes():
-            node.tx.monitor = None
-            node.rx.monitor = None
-        for iod in self.cluster.iods:
-            iod.monitor = None
-            iod.disk.monitor = None
-            iod.inbox.monitor = None
-        for client in self.cluster.clients:
-            client.monitor = None
+def build_lanes(
+    layout: List[Tuple[str, str]], spans: List[Span]
+) -> Dict[str, ResourceMonitor]:
+    """One lane per ``layout`` entry, filled from a run's ``spans``.
 
-    def __repr__(self) -> str:
-        return f"<ClusterMonitor resources={len(self.monitors)}>"
+    A link is busy from its claim to its release: ``net.xfer`` spans the
+    time on the wire, and its ``tx_at`` (present when earlier) is when the
+    sender claimed TX to wait for the receiver's RX; ``net.abort`` spans
+    a transfer interrupted while holding TX, with ``rx_at`` when it also
+    held RX.  Inbox depth steps up when a request is queued and down when
+    it leaves; a request handed straight to an idle daemon never counts.
+    """
+    lanes = {name: ResourceMonitor(name, kind) for name, kind in layout}
+    steps: Dict[str, List[Tuple[float, int]]] = {}
+    for span in spans:
+        cat, start, end = span.category, span.start, span.end
+        if cat == "net.xfer" or cat == "net.abort":
+            meta = dict(span.meta)
+            if cat == "net.xfer":
+                tx_at, rx_at = meta.get("tx_at", start), start
+            else:
+                tx_at, rx_at = start, meta.get("rx_at")
+            lanes[f"{meta['src']}.nic.tx"].intervals.append((tx_at, end))
+            if rx_at is not None:
+                lanes[f"{meta['dst']}.nic.rx"].intervals.append((rx_at, end))
+        elif cat in _OWNED_LANES:
+            key, suffix = _OWNED_LANES[cat]
+            lanes[f"{key}{dict(span.meta)[key]}.{suffix}"].intervals.append((start, end))
+        elif cat == "iod.queue_wait" and end > start:
+            steps.setdefault(f"{span.label}.inbox", []).extend([(start, 1), (end, -1)])
+    for name, deltas in steps.items():
+        # A request leaving at t frees its slot before one arriving at t.
+        deltas.sort()
+        depth = 0
+        for t, delta in deltas:
+            depth += delta
+            lanes[name].queue_depth.record(t, depth)
+    return lanes

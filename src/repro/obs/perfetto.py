@@ -200,13 +200,13 @@ def build_trace(capture) -> Dict[str, Any]:
                     "args": meta,
                 }
             )
-    # Queue-depth counter tracks from the monitors.
-    for mon in capture.monitors.values():
-        if mon.kind != "queue" or not mon.queue_depth.times:
+    # Queue-depth counter tracks from the inbox lanes.
+    for lane in capture.lanes.values():
+        if lane.kind != "queue" or not lane.queue_depth.times:
             continue
-        node = mon.name.split(".", 1)[0]  # "iod3.inbox" -> "iod3"
+        node = lane.name.split(".", 1)[0]  # "iod3.inbox" -> "iod3"
         pid = lanes.pid(node)
-        for t, depth in zip(mon.queue_depth.times, mon.queue_depth.values):
+        for t, depth in zip(lane.queue_depth.times, lane.queue_depth.values):
             events.append(
                 {
                     "name": "inbox depth",

@@ -5,7 +5,7 @@ with::
 
     obs = ObsSession()
     cluster = Cluster.build(cfg, trace=True)
-    obs.attach(cluster)                 # wires monitors onto every resource
+    obs.attach(cluster)                 # turns the cluster's tracer on
     result = cluster.run_workload(wl)
     obs.capture(cluster, label="fig09/list x=64")
 
@@ -16,16 +16,21 @@ A session accumulates one :class:`RunCapture` per observed workload; when
 a figure sweep produces many, :meth:`best_run` picks the longest one (the
 point that dominates the figure's wall-clock) for export and reporting,
 and :meth:`runs_overview_markdown` one-lines the verdict of every run.
+
+The tracer is the only observer the simulation calls: a capture keeps the
+run's spans, and every resource lane the report and the trace read is
+rebuilt from them (:func:`~repro.obs.monitor.build_lanes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from ..simulate import Span
 from .bottleneck import BottleneckReport, attribute
-from .monitor import ClusterMonitor, ResourceMonitor
+from .monitor import ResourceMonitor, build_lanes, lane_layout
 from .perfetto import FAULT_CATEGORIES, build_trace, write_trace
 
 __all__ = ["RunCapture", "ObsSession"]
@@ -39,7 +44,8 @@ class RunCapture:
     t0: float
     t1: float
     spans: List[Span]
-    monitors: Dict[str, ResourceMonitor]
+    #: (name, kind) of the cluster's resource lanes (see lane_layout).
+    layout: List[Tuple[str, str]]
     summary: Dict[str, Dict[str, float]]
     dropped_by_category: Dict[str, int] = field(default_factory=dict)
 
@@ -47,8 +53,13 @@ class RunCapture:
     def elapsed(self) -> float:
         return self.t1 - self.t0
 
+    @cached_property
+    def lanes(self) -> Dict[str, ResourceMonitor]:
+        """Every resource lane, rebuilt from the spans on first use."""
+        return build_lanes(self.layout, self.spans)
+
     def report(self) -> BottleneckReport:
-        report = attribute(self.monitors, self.t0, self.t1, label=self.label)
+        report = attribute(self.lanes, self.t0, self.t1, label=self.label)
         report.faults = {
             cat: stats
             for cat, stats in self.summary.items()
@@ -59,7 +70,7 @@ class RunCapture:
     def __repr__(self) -> str:
         return (
             f"<RunCapture {self.label!r} {self.elapsed:.6f}s "
-            f"spans={len(self.spans)} resources={len(self.monitors)}>"
+            f"spans={len(self.spans)} resources={len(self.layout)}>"
         )
 
 
@@ -68,39 +79,36 @@ class ObsSession:
 
     def __init__(self) -> None:
         self.runs: List[RunCapture] = []
-        self._active: Dict[int, ClusterMonitor] = {}
+        #: id(cluster) -> simulated time it was attached at.
+        self._active: Dict[int, float] = {}
         #: SweepStats records appended by the sweep engine
         #: (:func:`repro.sweep.run_sweep`): per-worker point counts and
         #: cache hit/miss accounting, one per sweep observed.
         self.sweeps: List = []
 
     # -- lifecycle -----------------------------------------------------
-    def attach(self, cluster) -> ClusterMonitor:
-        """Enable tracing on ``cluster`` and wire monitors onto all of its
-        resources.  Call before running the workload."""
-        cluster.tracer.enabled = True
-        monitor = ClusterMonitor(cluster)
-        self._active[id(cluster)] = monitor
-        return monitor
+    def attach(self, cluster) -> None:
+        """Enable tracing on ``cluster``, with no cap on retained spans
+        (the report needs every one).  Call before running the workload."""
+        tracer = cluster.tracer
+        tracer.enabled = True
+        tracer.capacity = None
+        self._active[id(cluster)] = cluster.sim.now
 
     def capture(self, cluster, label: str = "") -> RunCapture:
-        """Snapshot the attached cluster's observability state as a run."""
-        monitor = self._active.pop(id(cluster), None)
-        if monitor is None:
-            monitor = ClusterMonitor(cluster)  # late attach: window only
+        """Snapshot the attached cluster's spans as a run (the window
+        starts at :meth:`attach`; without it, the window is empty)."""
         t1 = cluster.sim.now
-        monitor.close(t1)
         tracer = cluster.tracer
         run = RunCapture(
             label=label or f"run{len(self.runs)}",
-            t0=monitor.t0,
+            t0=self._active.pop(id(cluster), t1),
             t1=t1,
             spans=list(tracer.spans),
-            monitors=monitor.monitors,
+            layout=lane_layout(cluster),
             summary=tracer.summary(),
             dropped_by_category=dict(tracer.dropped_by_category),
         )
-        monitor.detach()
         self.runs.append(run)
         return run
 
@@ -114,12 +122,6 @@ class ObsSession:
         if not self.runs:
             return None
         return max(self.runs, key=lambda r: r.elapsed)
-
-    def run_labelled(self, label: str) -> Optional[RunCapture]:
-        for run in self.runs:
-            if run.label == label:
-                return run
-        return None
 
     # -- outputs -------------------------------------------------------
     def export_trace(self, path: str, run: Optional[RunCapture] = None) -> dict:

@@ -221,9 +221,6 @@ class PVFSFile:
         if kind == "write":
             # Per-exchange turnaround stall (see CostModel.client_write_turnaround).
             yield sim.timeout(costs.client_write_turnaround)
-        if client.monitor is not None:
-            client.monitor.on_busy(t_start)
-            client.monitor.on_idle(sim.now)
         tracer = client.cluster.tracer
         if tracer is not None and tracer.enabled:
             tracer.record(
@@ -516,9 +513,6 @@ class PVFSClient:
             if self.retry.active and self.retry.jitter > 0.0
             else None
         )
-        #: Optional observability hook with ``on_busy(t)`` / ``on_idle(t)``
-        #: marking the window of each logical request; None = untraced.
-        self.monitor = None
         #: Background replica-write processes launched by primary-ack slices
         #: (never failing — a dead member is fenced + marked dirty instead).
         #: ``close``/``fsync`` drain the list before acknowledging.

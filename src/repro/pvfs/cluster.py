@@ -218,44 +218,6 @@ class Cluster:
             counters=self.counters,
         )
 
-    # ----------------------------------------------------------------
-    def utilization_report(self) -> str:
-        """Markdown summary of daemon and link utilization so far.
-
-        Percentages are fractions of the elapsed simulated time the
-        resource was busy — useful for spotting the bottleneck a benchmark
-        actually exercised (server CPU+disk vs network links).
-        """
-        now = self.sim.now
-        lines = [
-            "### cluster utilization",
-            "",
-            f"simulated time: {now:.3f} s",
-            "",
-            "| daemon | requests | regions | busy | tx link | rx link |",
-            "|---|---|---|---|---|---|",
-        ]
-        for iod in self.iods:
-            busy = iod.busy_time / now if now > 0 else 0.0
-            lines.append(
-                f"| iod{iod.index} | {iod.requests_served} | {iod.regions_served} "
-                f"| {busy:.1%} | {iod.node.tx.utilization(now):.1%} "
-                f"| {iod.node.rx.utilization(now):.1%} |"
-            )
-        lines.append(
-            f"| manager | {self.manager.ops_served} | - | - | - | - |"
-        )
-        lines.append("")
-        lines.append("| client | tx link | rx link | requests |")
-        lines.append("|---|---|---|---|")
-        for c in self.clients:
-            reqs = int(self.counters.get(f"client.{c.index}.logical_requests", 0))
-            lines.append(
-                f"| client{c.index} | {c.node.tx.utilization(now):.1%} "
-                f"| {c.node.rx.utilization(now):.1%} | {reqs} |"
-            )
-        return "\n".join(lines) + "\n"
-
     def __repr__(self) -> str:
         return (
             f"<Cluster clients={self.config.n_clients} iods={self.config.n_iods} "

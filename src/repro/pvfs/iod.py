@@ -83,10 +83,6 @@ class IOD:
         self.scope = self.counters.scoped(f"iod.{index}")
         self.requests_served = 0
         self.regions_served = 0
-        self.busy_time = 0.0
-        #: Optional observability hook with ``on_busy(t)`` / ``on_idle(t)``
-        #: marking request-service intervals (see :mod:`repro.obs.monitor`).
-        self.monitor = None
         #: Service-time multiplier for fault/straggler injection: 1.0 is a
         #: healthy daemon; 4.0 models a degraded node (failing disk,
         #: swapping, cpu contention).  May be changed between workloads, or
@@ -173,6 +169,7 @@ class IOD:
         if current is not None:
             self._refuse(current)
         for req in self.inbox.drain():
+            self._record_wait(req)
             self._refuse(req)
         inflight, self._inflight_responses = self._inflight_responses, []
         for proc, req in inflight:
@@ -223,7 +220,6 @@ class IOD:
         # queued as a getter and swallow the first delivered request.
         old = self.inbox
         self.inbox = Store(self.sim, name=old.name)
-        self.inbox.monitor = old.monitor
         self.inbox.total_put = old.total_put
         self.scope.add("restarts")
         self._proc = self.sim.process(self._run(), name=f"iod{self.index}")
@@ -255,6 +251,7 @@ class IOD:
         costs = self.costs
         scope = self.scope
         started = sim.now
+        self._record_wait(req)
         n = req.n_described
         scale = self._scale()
         # Request parsing + trailing-data decode.
@@ -302,18 +299,10 @@ class IOD:
             self._spawn_response(req, True)
         self.requests_served += 1
         self.regions_served += n
-        self.busy_time += sim.now - started
         if self.restarted_at is not None and self.first_service_after_restart is None:
             self.first_service_after_restart = sim.now
-        if self.monitor is not None:
-            self.monitor.on_busy(started)
-            self.monitor.on_idle(sim.now)
         scope.add("regions", n)
         if self.tracer is not None and self.tracer.enabled:
-            if req.enqueued_at is not None:
-                self.tracer.record(
-                    "iod.queue_wait", f"iod{self.index}", req.enqueued_at, started
-                )
             self.tracer.record(
                 "iod.service",
                 req.kind,
@@ -444,12 +433,17 @@ class IOD:
                 iod=self.index, nbytes=copied,
             )
 
+    def _record_wait(self, req: IORequest) -> None:
+        """``iod.queue_wait`` span of a request leaving the inbox now, for
+        service or dropped by a crash."""
+        if req.enqueued_at is not None and self.tracer is not None and self.tracer.enabled:
+            self.tracer.record(
+                "iod.queue_wait", f"iod{self.index}", req.enqueued_at, self.sim.now
+            )
+
     def _note_disk(self, start: float, end: float, kind: str, nbytes: int) -> None:
-        """Account one disk access window (utilization + optional span)."""
-        if end <= start:
-            return
-        self.disk.note_busy(start, end)
-        if self.tracer is not None and self.tracer.enabled:
+        """``disk.busy`` span of one disk access window."""
+        if end > start and self.tracer is not None and self.tracer.enabled:
             self.tracer.record(
                 "disk.busy", kind, start, end, iod=self.index, nbytes=nbytes
             )

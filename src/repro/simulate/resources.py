@@ -68,15 +68,7 @@ class Resource:
         self.name = name
         self._queue: Deque[Request] = deque()
         self._users: List[Request] = []
-        # -- instrumentation ------------------------------------------------
         self.total_requests = 0
-        self._busy_since: Optional[float] = None
-        self.busy_time = 0.0
-        #: Optional observability hook (see :mod:`repro.obs.monitor`): an
-        #: object with ``on_busy(t)``, ``on_idle(t)``, and
-        #: ``on_queue(t, depth)``.  None (the default) costs one attribute
-        #: check per transition, so untraced runs are unaffected.
-        self.monitor = None
 
     @property
     def in_use(self) -> int:
@@ -90,8 +82,6 @@ class Resource:
         req = Request(self)
         self.total_requests += 1
         self._queue.append(req)
-        if self.monitor is not None:
-            self.monitor.on_queue(self.sim.now, len(self._queue))
         self._grant()
         return req
 
@@ -100,37 +90,20 @@ class Resource:
 
         Returns an opaque token to pass to :meth:`release`, or ``None`` when
         the resource is busy or anyone is queued (strict FCFS: a fast claim
-        must never overtake a waiter).  Accounting — ``total_requests``,
-        busy-time windows, and monitor callbacks — follows the exact
-        sequence of an immediately-granted :meth:`request`, so observed
-        runs see the same samples either way.  This is the NIC fast path's
+        must never overtake a waiter).  ``total_requests`` counts it like an
+        immediately-granted :meth:`request`.  This is the NIC fast path's
         primitive: it skips the Request event and its delay-0 grant dispatch.
         """
         if self._queue or len(self._users) >= self.capacity:
             return None
         self.total_requests += 1
-        mon = self.monitor
-        now = self.sim.now
-        if mon is not None:
-            mon.on_queue(now, 1)  # request() samples depth 1 pre-grant
-        if not self._users and self._busy_since is None:
-            self._busy_since = now
-            if mon is not None:
-                mon.on_busy(now)
         tok = _FastClaim()
         self._users.append(tok)
-        if mon is not None:
-            mon.on_queue(now, 0)
         return tok
 
     def release(self, req: Request) -> None:
         if req in self._users:
             self._users.remove(req)
-            if not self._users and self._busy_since is not None:
-                self.busy_time += self.sim.now - self._busy_since
-                self._busy_since = None
-                if self.monitor is not None:
-                    self.monitor.on_idle(self.sim.now)
             self._grant()
         else:
             # Cancelling an ungranted request is allowed (context-manager
@@ -141,28 +114,12 @@ class Resource:
                 pass
 
     def _grant(self) -> None:
-        granted = False
         while self._queue and len(self._users) < self.capacity:
             req = self._queue.popleft()
             if req.triggered:  # cancelled/failed while queued
                 continue
-            if not self._users and self._busy_since is None:
-                self._busy_since = self.sim.now
-                if self.monitor is not None:
-                    self.monitor.on_busy(self.sim.now)
             self._users.append(req)
             req.succeed(req)
-            granted = True
-        if granted and self.monitor is not None:
-            self.monitor.on_queue(self.sim.now, len(self._queue))
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of time at least one unit was in use."""
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += self.sim.now - self._busy_since
-        elapsed = self.sim.now if elapsed is None else elapsed
-        return busy / elapsed if elapsed > 0 else 0.0
 
     def __repr__(self) -> str:
         return (
@@ -204,9 +161,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self.total_put = 0
-        #: Optional observability hook sampling queue depth on every
-        #: put/get (``on_queue(t, depth)``); None = untraced, free.
-        self.monitor = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -220,20 +174,14 @@ class Store:
             if getter.triggered:
                 continue
             getter.succeed(item)
-            if self.monitor is not None:
-                self.monitor.on_queue(self.sim.now, len(self._items))
             return
         self._items.append(item)
-        if self.monitor is not None:
-            self.monitor.on_queue(self.sim.now, len(self._items))
 
     def get(self) -> Event:
         """Event that fires with the next item."""
         ev = Event(self.sim)
         if self._items:
             ev.succeed(self._items.popleft())
-            if self.monitor is not None:
-                self.monitor.on_queue(self.sim.now, len(self._items))
         else:
             self._getters.append(ev)
         return ev
@@ -244,8 +192,6 @@ class Store:
         whether to terminate or keep them."""
         items = list(self._items)
         self._items.clear()
-        if items and self.monitor is not None:
-            self.monitor.on_queue(self.sim.now, 0)
         return items
 
     def __repr__(self) -> str:

@@ -59,9 +59,6 @@ class Counters:
         p = prefix if prefix.endswith(".") else prefix + "."
         return sum(v for k, v in self._data.items() if k.startswith(p) or k == prefix)
 
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._data)
-
     def __repr__(self) -> str:
         return f"Counters({dict(sorted(self._data.items()))!r})"
 

@@ -104,10 +104,13 @@ class Tracer:
         out: Dict[str, Dict[str, float]] = {}
         for cat, durs in grouped.items():
             durs.sort()
+            total = 0.0
+            for d in durs:  # left to right: sum() compensates from Python 3.12 on
+                total += d
             out[cat] = {
                 "count": float(len(durs)),
-                "total": float(sum(durs)),
-                "mean": float(sum(durs) / len(durs)),
+                "total": total,
+                "mean": total / len(durs),
                 "p50": _percentile(durs, 0.50),
                 "p95": _percentile(durs, 0.95),
                 "p99": _percentile(durs, 0.99),

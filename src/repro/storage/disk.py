@@ -44,13 +44,6 @@ class Disk:
         self.media_writes = 0
         self.media_write_bytes = 0
         self.positionings = 0
-        #: Total simulated seconds this disk was in service (accumulated by
-        #: :meth:`note_busy` — the disk is a pure time model, so the daemon
-        #: that owns it reports when the computed service time was spent).
-        self.busy_time = 0.0
-        #: Optional observability hook with ``on_busy(t)`` / ``on_idle(t)``
-        #: (see :mod:`repro.obs.monitor`); None = untraced, free.
-        self.monitor = None
         #: Fault-injection service-time multiplier (see
         #: :class:`repro.faults.DiskStall`): 1.0 = healthy; the I/O daemon
         #: multiplies every disk access by this while a stall window is open.
@@ -66,16 +59,6 @@ class Disk:
         self.cache = BlockCache(self.cache.cfg)
         self.cache.stats = stats  # keep cumulative hit/miss accounting
         self._head = None
-
-    # ------------------------------------------------------------------
-    def note_busy(self, start: float, end: float) -> None:
-        """Report that this disk serviced an access over ``[start, end]``
-        of simulated time.  Feeds utilization accounting and the attached
-        monitor's busy/idle timeline; never affects service times."""
-        self.busy_time += end - start
-        if self.monitor is not None:
-            self.monitor.on_busy(start)
-            self.monitor.on_idle(end)
 
     # ------------------------------------------------------------------
     def _position(self, file_id: Hashable, offset: int) -> float:

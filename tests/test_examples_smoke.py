@@ -35,7 +35,7 @@ def test_example_compiles(name):
     assert "__main__" in source
 
 
-@pytest.mark.parametrize("name", ["quickstart.py", "flash_checkpoint.py"])
+@pytest.mark.parametrize("name", ["quickstart.py", "flash_checkpoint.py", "bottleneck_analysis.py"])
 def test_fast_examples_run(name):
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / name)],

@@ -103,6 +103,17 @@ class TestFigureDrivers:
         assert all(p.kind == "write" for p in res.points)
         assert sieve
 
+    def test_figure15_details_show_the_ratios(self):
+        res = figure15(scale=SMOKE, mode="des")
+        t = {p.series: p.elapsed for p in res.points}
+        for name, ratio in (
+            ("list/sieve", t["list"] / t["datasieve"]),  # below 1 at smoke
+            ("multiple/list", t["multiple"] / t["list"]),
+        ):
+            detail = next(c.detail for c in res.checks if c.detail.startswith(name))
+            shown = float(detail.rsplit(" ", 1)[1].rstrip("x"))
+            assert shown == pytest.approx(ratio, rel=0.05), detail
+
     @pytest.mark.parametrize("mode", ["model", "des"])
     def test_figure17(self, mode):
         res = figure17(scale=SMOKE, mode=mode)
@@ -273,6 +284,44 @@ class TestCLI:
         assert main(argv) == 2
         assert f"error: cannot write {bad}" in capsys.readouterr().err
         assert not (tmp_path / "B.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--figure", "9", "--scale", "smoke", "--mode", "des", "--cache-dir", "{bad}"],
+            ["--figure", "9", "--scale", "smoke", "--mode", "des"],
+            ["chaos", "--scenario", "crash", "--cache-dir", "{bad}"],
+            ["chaos", "--scenario", "crash"],
+        ],
+        ids=["figure", "figure-default", "chaos", "chaos-default"],
+    )
+    def test_unusable_cache_dir_fails_before_any_simulation(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # A file where the cache directory should be: the default
+        # directory (here via $PVFS_SIM_CACHE) is checked the same way.
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        bad = str(blocker / "sub")
+        monkeypatch.setenv("PVFS_SIM_CACHE", bad)
+
+        def no_simulation(self):
+            raise AssertionError("a simulation started before the cache check")
+
+        monkeypatch.setattr(Simulator, "__init__", no_simulation)
+        assert main([arg.format(bad=bad) for arg in argv]) == 2
+        assert f"error: cannot write {bad}: " in capsys.readouterr().err
+
+    def test_cache_dir_check_creates_nothing(self, tmp_path):
+        from repro.experiments.cli import check_writable
+
+        assert check_writable(cache_dir=str(tmp_path / "new" / "cache"))
+        assert not (tmp_path / "new").exists()
+
+    def test_cb_buffer_needs_figure18(self, capsys):
+        rc = main(["--figure", "9", "--scale", "smoke", "--mode", "model", "--cb-buffer", "4096"])
+        assert rc == 2
+        assert "--cb-buffer" in capsys.readouterr().err
 
 
 class TestDispatchAndHelp:

@@ -442,9 +442,9 @@ class TestViewProperties:
 class TestErrors:
     def test_double_entry_detected(self):
         cluster = make_cluster(n_clients=2)
-        from repro.mpiio.file import _CollectiveContext, _Exchange
+        from repro.mpiio.twophase import Exchange
 
-        ex = _Exchange(cluster.sim, 2)
+        ex = Exchange(cluster.sim, 2)
         ex.deposit_meta(0, RegionList.single(0, 4))
         with pytest.raises(Exception):
             ex.deposit_meta(0, RegionList.single(0, 4))

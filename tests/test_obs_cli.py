@@ -86,6 +86,10 @@ class TestObsSubcommand:
         assert "trace summary" in out
         assert "verdict" in out
         assert "| category |" in out
+        # Resource rows come from the embedded report, not from summing
+        # span durations per trace lane (which ranked inbox waits first).
+        assert "| resource | kind | busy (ms) |" in out
+        assert "queue wait" not in out
 
     def test_json_report(self, traced_figure, capsys):
         _, path, _ = traced_figure

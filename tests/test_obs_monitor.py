@@ -1,20 +1,23 @@
-"""Tests for repro.obs: monitors, utilization windows, bottleneck attribution."""
+"""Tests for repro.obs: lanes built from spans, utilization windows,
+bottleneck attribution."""
 
 import numpy as np
 import pytest
 
-from repro.config import ClusterConfig, StripeParams
+from repro.config import ClusterConfig, NetworkConfig, StripeParams
+from repro.network import Network
 from repro.obs import (
     BottleneckReport,
-    ClusterMonitor,
     ObsSession,
     ResourceMonitor,
     attribute,
+    build_lanes,
+    lane_layout,
     merge_intervals,
 )
 from repro.pvfs import Cluster
 from repro.regions import RegionList
-from repro.simulate import Resource, Simulator, Store
+from repro.simulate import Interrupt, Simulator, Span, Tracer
 
 
 def small_cluster(trace=False):
@@ -34,6 +37,10 @@ def workload(client):
     yield from f.close()
 
 
+def span(category, start, end, label="", **meta):
+    return Span(category, label, start, end, tuple(sorted(meta.items())))
+
+
 class TestMergeIntervals:
     def test_empty(self):
         assert merge_intervals([]) == []
@@ -50,49 +57,32 @@ class TestMergeIntervals:
 
 class TestResourceMonitor:
     def test_busy_interval_recording(self):
-        m = ResourceMonitor("r", "cpu")
-        m.on_busy(1.0)
-        m.on_idle(3.0)
-        m.on_busy(5.0)
-        m.on_idle(6.0)
+        spans = [span("iod.service", 1.0, 3.0, iod=0), span("iod.service", 5.0, 6.0, iod=0)]
+        m = build_lanes([("iod0.cpu", "cpu")], spans)["iod0.cpu"]
         assert m.intervals == [(1.0, 3.0), (5.0, 6.0)]
         assert m.busy_within(0.0, 10.0) == pytest.approx(3.0)
         assert m.utilization(0.0, 10.0) == pytest.approx(0.3)
 
     def test_sub_window_utilization(self):
         m = ResourceMonitor("r", "disk")
-        m.on_busy(0.0)
-        m.on_idle(4.0)
+        m.intervals.append((0.0, 4.0))
         # Window clips the interval.
         assert m.busy_within(2.0, 6.0) == pytest.approx(2.0)
         assert m.utilization(2.0, 6.0) == pytest.approx(0.5)
         assert m.utilization(5.0, 6.0) == 0.0
 
     def test_nested_busy_depth(self):
-        m = ResourceMonitor("r", "client")
-        m.on_busy(0.0)
-        m.on_busy(1.0)  # nested
-        m.on_idle(2.0)
-        m.on_idle(5.0)
-        assert m.intervals == [(0.0, 5.0)]
-
-    def test_spurious_idle_ignored(self):
-        m = ResourceMonitor("r", "cpu")
-        m.on_idle(1.0)
-        assert m.intervals == []
-
-    def test_close_dangling(self):
-        m = ResourceMonitor("r", "nic")
-        m.on_busy(2.0)
-        m.close(7.0)
-        assert m.intervals == [(2.0, 7.0)]
-        m.close(9.0)  # no-op: nothing open
-        assert m.intervals == [(2.0, 7.0)]
+        spans = [
+            span("client.request", 0.0, 5.0, client=0),
+            span("client.request", 1.0, 2.0, client=0),  # nested
+        ]
+        m = build_lanes([("client0.app", "client")], spans)["client0.app"]
+        assert m.merged() == [(0.0, 5.0)]
 
     def test_queue_percentile_time_weighted(self):
         m = ResourceMonitor("q", "queue")
-        m.on_queue(0.0, 0)
-        m.on_queue(1.0, 10)  # depth 10 for 9s of a 10s window
+        m.queue_depth.record(0.0, 0)
+        m.queue_depth.record(1.0, 10)  # depth 10 for 9s of a 10s window
         assert m.queue_percentile(0.0, 10.0, 0.95) == 10
         assert m.queue_percentile(0.0, 10.0, 0.05) == 0
         assert m.queue_mean(0.0, 10.0) == pytest.approx(9.0)
@@ -102,56 +92,94 @@ class TestResourceMonitor:
         assert m.queue_percentile(0.0, 1.0, 0.95) == 0.0
 
 
-class TestResourceHooks:
-    def test_resource_reports_busy_and_queue(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1, name="link")
-        mon = ResourceMonitor("link", "nic")
-        res.monitor = mon
+def _net():
+    """Nodes a, b, c on a traced network."""
+    sim = Simulator()
+    tracer = Tracer()
+    net = Network(sim, NetworkConfig(), tracer=tracer)
+    for name in "abc":
+        net.add_node(name)
+    return sim, net, tracer
 
-        def user(hold):
-            with res.request() as req:
-                yield req
-                yield sim.timeout(hold)
 
-        sim.process(user(2.0))
-        sim.process(user(1.0))
+def _link_lanes(tracer):
+    layout = [(f"{n}.nic.{d}", "nic") for n in "abc" for d in ("tx", "rx")]
+    return build_lanes(layout, tracer.spans)
+
+
+class TestLaneBuilding:
+    def test_transfers_fill_link_lanes(self):
+        # b's transfer queues behind a's for c's RX link, holding b's TX
+        # while it waits: b's TX lane starts at its claim, not on the wire.
+        sim, net, tracer = _net()
+        a, b, c = (net.node(n) for n in "abc")
+        sim.process(net.transfer(a, c, 100_000))
+        sim.process(net.transfer(b, c, 100_000))
         sim.run()
-        # One continuous busy window 0..3 (second user queued behind first).
-        assert mon.merged() == [(0.0, 3.0)]
-        assert mon.queue_depth.max_value() >= 1
+        first, second = tracer.spans_for("net.xfer")
+        assert dict(second.meta)["tx_at"] == 0.0
+        assert "tx_at" not in dict(first.meta)
+        lanes = _link_lanes(tracer)
+        assert lanes["a.nic.tx"].merged() == [(0.0, first.end)]
+        assert lanes["b.nic.tx"].merged() == [(0.0, second.end)]
+        assert lanes["c.nic.rx"].merged() == [(0.0, second.end)]
+        assert lanes["a.nic.rx"].intervals == []
 
-    def test_store_samples_depth(self):
-        sim = Simulator()
-        store = Store(sim, name="inbox")
-        mon = ResourceMonitor("inbox", "queue")
-        store.monitor = mon
-        store.put("a")
-        store.put("b")
-        store.get()
-        assert list(mon.queue_depth.values) == [1, 2, 1]
+    def test_aborted_transfers_keep_links_busy(self):
+        # Interrupt both transfers mid-way: a's on the wire (holding TX and
+        # RX), b's while it holds TX and waits for RX.
+        sim, net, tracer = _net()
+        a, b, c = (net.node(n) for n in "abc")
 
+        def send(src):
+            try:
+                yield from net.transfer(src, c, 100_000)
+            except Interrupt:
+                pass
 
-class TestClusterMonitor:
-    def test_attaches_all_resources(self):
-        cluster = small_cluster(trace=True)
-        mon = ClusterMonitor(cluster)
-        names = set(mon.monitors)
-        assert "iod0.cpu" in names
-        assert "iod1.disk" in names
-        assert "iod0.inbox" in names
-        assert "client0.app" in names
-        assert "client1.nic.tx" in names
-        assert "iod0.nic.rx" in names
+        procs = [sim.process(send(a)), sim.process(send(b))]
 
-    def test_detach_restores_zero_cost(self):
-        cluster = small_cluster(trace=True)
-        mon = ClusterMonitor(cluster)
-        mon.detach()
-        assert cluster.iods[0].monitor is None
-        assert cluster.iods[0].disk.monitor is None
-        assert cluster.clients[0].monitor is None
-        assert cluster.net.nodes()[0].tx.monitor is None
+        def killer():
+            yield sim.timeout(0.001)
+            for p in procs:
+                p.interrupt("timeout")
+
+        sim.process(killer())
+        sim.run()
+        assert tracer.spans_for("net.xfer") == []
+        aborts = {s.label: s for s in tracer.spans_for("net.abort")}
+        assert dict(aborts["a->c"].meta)["rx_at"] == 0.0
+        assert "rx_at" not in dict(aborts["b->c"].meta)
+        lanes = _link_lanes(tracer)
+        assert lanes["a.nic.tx"].merged() == [(0.0, 0.001)]
+        assert lanes["b.nic.tx"].merged() == [(0.0, 0.001)]
+        assert lanes["c.nic.rx"].merged() == [(0.0, 0.001)]
+
+    def test_queue_waits_fill_inbox_depth(self):
+        spans = [
+            span("iod.queue_wait", 0.0, 2.0, label="iod0"),
+            span("iod.queue_wait", 1.0, 3.0, label="iod0"),
+            span("iod.queue_wait", 3.0, 3.0, label="iod0"),  # handed straight over
+        ]
+        lane = build_lanes([("iod0.inbox", "queue")], spans)["iod0.inbox"]
+        assert list(lane.queue_depth.times) == [0.0, 1.0, 2.0, 3.0]
+        assert list(lane.queue_depth.values) == [1, 2, 1, 0]
+        assert lane.queue_depth.max_value() == 2
+
+    def test_layout_covers_all_resources(self):
+        cluster = small_cluster()
+        names = [name for name, _ in lane_layout(cluster)]
+        assert {"iod0.cpu", "iod1.disk", "iod0.inbox", "client0.app"} <= set(names)
+        assert {"client1.nic.tx", "iod0.nic.rx"} <= set(names)
+        # NICs first, then daemons, then clients: the report's tie order.
+        assert names.index("client1.nic.rx") < names.index("iod0.cpu")
+        assert names.index("iod1.inbox") < names.index("client0.app")
+
+    def test_attach_keeps_every_span(self):
+        cluster = small_cluster()
+        ObsSession().attach(cluster)
+        assert cluster.tracer.enabled
+        assert cluster.tracer.capacity is None
 
     def test_utilizations_in_range(self):
         obs = ObsSession()
@@ -159,7 +187,7 @@ class TestClusterMonitor:
         obs.attach(cluster)
         cluster.run_workload(workload)
         run = obs.capture(cluster, label="u")
-        for m in run.monitors.values():
+        for m in run.lanes.values():
             if m.kind == "queue":
                 continue
             u = m.utilization(run.t0, run.t1)
@@ -167,7 +195,7 @@ class TestClusterMonitor:
         # Something must have been busy.
         assert any(
             m.utilization(run.t0, run.t1) > 0
-            for m in run.monitors.values()
+            for m in run.lanes.values()
             if m.kind != "queue"
         )
 
@@ -206,11 +234,9 @@ class TestBottleneckAttribution:
     def test_synthetic_disk_bound(self):
         # One resource busy the whole window -> named in the verdict.
         disk = ResourceMonitor("iod0.disk", "disk")
-        disk.on_busy(0.0)
-        disk.on_idle(10.0)
+        disk.intervals.append((0.0, 10.0))
         nic = ResourceMonitor("iod0.nic.tx", "nic")
-        nic.on_busy(0.0)
-        nic.on_idle(1.0)
+        nic.intervals.append((0.0, 1.0))
         report = attribute(
             {"iod0.disk": disk, "iod0.nic.tx": nic}, 0.0, 10.0, label="synth"
         )

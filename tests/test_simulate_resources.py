@@ -82,21 +82,7 @@ class TestResource:
         p3 = sim.process(third(sim))
         sim.run()
         assert p3.value == 5  # quitter did not consume a grant
-
-    def test_utilization_tracking(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-
-        def job(sim):
-            yield sim.timeout(5)
-            with res.request() as req:
-                yield req
-                yield sim.timeout(5)
-
-        sim.process(job(sim))
-        sim.run()
-        assert res.utilization() == pytest.approx(0.5)
-        assert res.total_requests == 1
+        assert res.total_requests == 3  # the cancelled request still counts
 
     def test_bad_capacity(self):
         with pytest.raises(SimulationError):

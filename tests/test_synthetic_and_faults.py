@@ -206,24 +206,31 @@ class TestJitter:
 
 
 class TestUtilizationReport:
-    def test_report_structure(self):
-        cluster = Cluster.build(ClusterConfig(n_clients=2, n_iods=4), move_bytes=False)
+    """Per-resource utilization, as the bottleneck report gives it."""
 
+    @staticmethod
+    def _report(n_iods, wl):
+        from repro.obs import ObsSession
+
+        obs = ObsSession()
+        cluster = Cluster.build(ClusterConfig(n_clients=2, n_iods=n_iods), move_bytes=False)
+        obs.attach(cluster)
+        cluster.run_workload(wl)
+        return obs.capture(cluster).report()
+
+    def test_report_structure(self):
         def wl(client):
             f = yield from client.open("/u", create=True)
             yield from f.write(0, None, length=500_000)
             yield from f.close()
 
-        cluster.run_workload(wl)
-        report = cluster.utilization_report()
-        assert "iod0" in report and "iod3" in report
-        assert "manager" in report
-        assert "client0" in report
-        assert "%" in report
+        report = self._report(4, wl)
+        names = {r.name for r in report.resources}
+        assert {"iod0.cpu", "iod3.disk", "iod3.nic.rx", "client0.app"} <= names
+        assert {q.name for q in report.queues} == {f"iod{i}.inbox" for i in range(4)}
+        assert "%" in report.to_markdown()
 
     def test_busy_servers_show_nonzero_utilization(self):
-        cluster = Cluster.build(ClusterConfig(n_clients=2, n_iods=2), move_bytes=False)
-
         def wl(client):
             f = yield from client.open("/b", create=True)
             for _ in range(5):
@@ -231,7 +238,6 @@ class TestUtilizationReport:
                 yield from f.write(0, None, length=40_000)
             yield from f.close()
 
-        cluster.run_workload(wl)
-        assert all(iod.busy_time > 0 for iod in cluster.iods)
-        report = cluster.utilization_report()
-        assert "0.0% | 0.0% | 0.0%" not in report.split("iod0")[1].splitlines()[0]
+        util = {r.name: r.utilization for r in self._report(2, wl).resources}
+        assert util["iod0.cpu"] > 0 and util["iod1.cpu"] > 0
+        assert util["iod0.nic.rx"] > 0
