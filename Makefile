@@ -35,7 +35,8 @@ profile:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli bench run \
 		--scale smoke --repeats 1 --profile profile
 
-# scaled figure, ablation and extension claim tests (plain pytest)
+# scaled figure, ablation and extension claim tests (plain pytest); they
+# rewrite the tracked tables in benchmarks/results/, which must not change
 bench-pytest:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/
 
@@ -58,5 +59,5 @@ examples:
 	for e in examples/*.py; do echo "== $$e"; PYTHONPATH=src $(PYTHON) $$e || exit 1; done
 
 clean:
-	rm -rf .pytest_cache build *.egg-info benchmarks/results/*.md
+	rm -rf .pytest_cache build *.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

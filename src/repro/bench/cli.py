@@ -25,17 +25,13 @@ import time
 from typing import List, Optional
 
 from ..errors import BenchError
-from ..experiments.cli import check_writable
+from ..experiments.cli import add_sweep_options, check_sweep, check_writable
 from ..experiments.presets import SCALES
 from ..obs import ObsSession, prof
 from . import compare as compare_mod
 from . import schema, suite
 
 __all__ = ["main"]
-
-
-def _des_scales() -> List[str]:
-    return sorted(name for name, s in SCALES.items() if s.des_friendly)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -46,12 +42,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the suite and write a BENCH_*.json")
-    run.add_argument(
-        "--scale",
-        choices=_des_scales(),
-        default="smoke",
-        help="parameter scale (default: smoke; the suite always uses the DES)",
-    )
+    add_sweep_options(run, des_only=True, cache=False)
     run.add_argument(
         "--out",
         metavar="PATH",
@@ -65,13 +56,6 @@ def _parser() -> argparse.ArgumentParser:
         help="executions per scenario, a determinism check: every repeat "
         "must reproduce the first one's simulated metrics bit for bit "
         "(default: 3)",
-    )
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per scenario sweep (default: 1 = serial)",
     )
     run.add_argument(
         "--scenario",
@@ -138,14 +122,11 @@ def _run_suite(args) -> int:
     if args.repeats < 1:
         print("error: --repeats must be >= 1", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     out = args.out or time.strftime("BENCH_%Y%m%d_%H%M%SZ.json", time.gmtime())
     outputs = [out, args.trace_out]
     if args.profile:
         outputs += [args.profile + ".collapsed", args.profile + ".pstats"]
-    if not check_writable(*outputs):
+    if check_sweep(args, *outputs) is None:
         return 2
     gate_pass = functools.partial(
         suite.run_suite,

@@ -6,7 +6,9 @@ the two-phase collective extension) plus one microbenchmark per
 simulator substrate (event kernel, Ethernet fabric, disk model).  Each
 scenario builds a small, fixed list of sweep specs at the requested
 scale and runs them through :func:`repro.sweep.run_sweep` — the same
-engine and observability plumbing the figure drivers use.
+engine and observability plumbing the figure drivers use.  A figure
+scenario's specs come from that figure's own ``build_specs``, at the
+figure's smallest client count.
 
 :func:`run_suite` executes every scenario ``repeats`` times,
 aggregates the simulated metrics from the first repeat, and checks that
@@ -26,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import ClusterConfig
 from ..errors import BenchError
+from ..experiments import artificial, collective, flashio, tiledvis
 from ..experiments.presets import SCALES, Scale
 from ..sweep import ChaosSpec, MpiioSpec, PointSpec, run_sweep
 from .micro import DiskRunsSpec, KernelChurnSpec, NetStreamSpec
@@ -54,74 +57,12 @@ class Scenario:
         return self.build(scale)
 
 
-def _artificial_specs(
-    figure: str, pattern: str, methods: Sequence[str], kind: str
-) -> Callable[[Scale], List]:
-    def build(scale: Scale) -> List:
-        if pattern == "one_dim_cyclic":
-            clients = min(scale.cyclic_clients)
-        else:
-            clients = min(scale.blockblock_clients)
-        cfg = ClusterConfig.chiba_city(n_clients=clients)
-        return [
-            PointSpec(
-                figure=figure,
-                pattern=pattern,
-                pattern_args=(scale.artificial_total, clients, accesses),
-                method=method,
-                kind=kind,
-                mode="des",
-                cfg=cfg,
-                x=accesses,
-            )
-            for accesses in scale.accesses_sweep
-            for method in methods
-        ]
-
-    return build
-
-
-def _flash_specs(scale: Scale) -> List:
-    clients = min(scale.flash_clients)
-    cfg = ClusterConfig.chiba_city(n_clients=clients)
-    return [
-        PointSpec(
-            figure="fig15",
-            pattern="flash_io",
-            pattern_args=(clients, scale.flash),
-            method=method,
-            kind="write",
-            mode="des",
-            cfg=cfg,
-            x=clients,
-        )
-        for method in ("multiple", "list")
-    ]
-
-
-def _tiled_specs(scale: Scale) -> List:
-    cfg = ClusterConfig.chiba_city(n_clients=scale.tiled.tiles_x * scale.tiled.tiles_y)
-    return [
-        PointSpec(
-            figure="fig17",
-            pattern="tiled_visualization",
-            pattern_args=(scale.tiled,),
-            method=method,
-            kind="read",
-            mode="des",
-            cfg=cfg,
-            x=float(cfg.n_clients),
-        )
-        for method in ("multiple", "datasieve", "list")
-    ]
-
-
-def _collective_specs(scale: Scale) -> List:
-    ranks = min(scale.flash_clients)
-    return [
-        MpiioSpec(scale=scale, n_ranks=ranks, collective=collective)
-        for collective in (False, True)
-    ]
+def _artificial(figure: str) -> Callable[[Scale], List]:
+    """Artificial figure ``figure``'s points at its smallest client count."""
+    clients_attr = artificial.FIGURE_RECIPES[figure][4]
+    return lambda scale: artificial.build_specs(
+        figure, scale, "des", clients=(min(getattr(scale, clients_attr)),)
+    )
 
 
 def _twophase_specs(
@@ -165,43 +106,49 @@ SUITE: Tuple[Scenario, ...] = (
         "fig09_cyclic_read",
         "artificial",
         "1-D cyclic reads: multiple vs data sieving vs list I/O",
-        _artificial_specs("fig09", "one_dim_cyclic", ("multiple", "datasieve", "list"), "read"),
+        _artificial("9"),
     ),
     Scenario(
         "fig10_cyclic_write",
         "artificial",
         "1-D cyclic writes: multiple vs list I/O",
-        _artificial_specs("fig10", "one_dim_cyclic", ("multiple", "list"), "write"),
+        _artificial("10"),
     ),
     Scenario(
         "fig11_blockblock_read",
         "artificial",
         "block-block reads: multiple vs data sieving vs list I/O",
-        _artificial_specs("fig11", "block_block", ("multiple", "datasieve", "list"), "read"),
+        _artificial("11"),
     ),
     Scenario(
         "fig12_blockblock_write",
         "artificial",
         "block-block writes: multiple vs list I/O",
-        _artificial_specs("fig12", "block_block", ("multiple", "list"), "write"),
+        _artificial("12"),
     ),
     Scenario(
         "fig15_flash_write",
         "flash",
         "FLASH checkpoint writes: multiple vs list I/O",
-        _flash_specs,
+        lambda scale: flashio.build_specs(
+            scale, "des", clients=(min(scale.flash_clients),), methods=("multiple", "list")
+        ),
     ),
     Scenario(
         "fig17_tiled_read",
         "tiled",
         "tiled visualization reads: multiple vs data sieving vs list I/O",
-        _tiled_specs,
+        lambda scale: tiledvis.build_specs(scale, "des"),
     ),
     Scenario(
         "fig18_collective_write",
         "collective",
         "MPI-IO FLASH writes: independent vs two-phase collective",
-        _collective_specs,
+        lambda scale: [
+            spec
+            for spec in collective.build_specs(scale, clients=(min(scale.flash_clients),))
+            if isinstance(spec, MpiioSpec)
+        ],
     ),
     Scenario(
         "twophase_cyclic_write",

@@ -13,7 +13,6 @@ __all__ = [
     "ReproError",
     "RegionError",
     "SimulationError",
-    "DeadlockError",
     "NetworkError",
     "StorageError",
     "PVFSError",
@@ -46,11 +45,6 @@ class RegionError(ReproError):
 class SimulationError(ReproError):
     """Raised for misuse of the discrete-event kernel (scheduling in the past,
     triggering an already-triggered event, running a finished simulation)."""
-
-
-class DeadlockError(SimulationError):
-    """Raised when :meth:`repro.simulate.Simulator.run` is asked to run to
-    completion but live processes remain with no scheduled events."""
 
 
 class NetworkError(ReproError):

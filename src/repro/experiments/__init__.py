@@ -1,7 +1,6 @@
 """Experiment harness: per-figure drivers, presets, and reporting."""
 
 from .artificial import figure9, figure10, figure11, figure12
-from .compare import Comparison, compare_csv, format_comparison
 from .flashio import figure15
 from .harness import DataPoint, des_point, model_point
 from .presets import PAPER, SCALED, SCALES, SMOKE, Scale
@@ -27,7 +26,4 @@ __all__ = [
     "FigureResult",
     "series_table",
     "points_to_csv",
-    "Comparison",
-    "compare_csv",
-    "format_comparison",
 ]

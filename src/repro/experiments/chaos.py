@@ -55,6 +55,8 @@ from ..patterns import flash_io, one_dim_cyclic, tiled_visualization
 from ..pvfs import Cluster
 from ..regions import build_flat_indices
 from ..simulate import Event
+from ..sweep import ChaosSpec, run_sweep
+from .cli import add_sweep_options, check_sweep
 from .presets import SCALES, SMOKE, Scale
 
 __all__ = [
@@ -219,28 +221,45 @@ def _run_once(pattern, kind: str, cfg: ClusterConfig, trace: bool = False):
     return cluster, result
 
 
-def _totals(counters):
-    """(client_total, iod_total) counter summers for one finished run."""
+def _row(
+    cluster, scenario: str, benchmark: str, pattern, replicas: int, ack: str, **fields
+) -> ChaosRow:
+    """The row of one finished faulty run: what its counters, fault
+    injector and replication state recorded, plus the scenario's own
+    ``fields`` (its timings at least)."""
+    counters = cluster.counters
 
-    def client_total(suffix: str) -> int:
-        return int(
-            sum(
-                v
-                for k, v in counters.items()
-                if k.startswith("client.") and k.endswith(suffix)
-            )
-        )
+    def total(node: str, suffix: str) -> int:
+        return int(counters.total(node, suffix))
 
-    def iod_total(suffix: str) -> int:
-        return int(
-            sum(
-                v
-                for k, v in counters.items()
-                if k.startswith("iod.") and k.endswith(suffix)
-            )
-        )
-
-    return client_total, iod_total
+    injector = cluster.fault_injector
+    recovery = None
+    fault_events = []
+    if injector is not None:
+        times = [t for t in injector.recovery_times().values() if t is not None]
+        recovery = max(times) if times else None
+        fault_events = list(injector.events)
+    return ChaosRow(
+        scenario=scenario,
+        benchmark=benchmark,
+        useful_bytes=pattern.total_bytes,
+        retries=total("client", ".retries"),
+        timeouts=total("client", ".timeouts"),
+        crashes=int(counters.get("faults.crashes", 0)),
+        recovery_s=recovery,
+        events=sorted(fault_events + list(cluster.replication.events), key=lambda e: e[0]),
+        replicas=replicas,
+        ack=ack,
+        failovers=total("client", ".failovers"),
+        retries_exhausted=total("client", ".retries_exhausted"),
+        resyncs=total("iod", ".resyncs"),
+        resync_bytes=total("iod", ".resync_bytes"),
+        moved_bytes=total("client", ".read_bytes") + total("client", ".write_bytes"),
+        logical_requests=total("client", ".logical_requests"),
+        server_messages=total("client", ".server_messages"),
+        sim_events=cluster.sim.events_scheduled,
+        **fields,
+    )
 
 
 def _replicated_cfg(pattern, replicas: int, ack: str) -> ClusterConfig:
@@ -277,40 +296,15 @@ def run_scenario(
         retry=_retry_policy(scenario, base.elapsed),
     )
     cluster, res = _run_once(pattern, kind, cfg.with_(faults=faults), trace=trace)
-    counters = cluster.counters
-    total, iod_total = _totals(counters)
-
-    injector = cluster.fault_injector
-    recovery = None
-    if injector is not None:
-        times = [t for t in injector.recovery_times().values() if t is not None]
-        recovery = max(times) if times else None
-    events = sorted(
-        (list(injector.events) if injector is not None else [])
-        + list(cluster.replication.events),
-        key=lambda e: e[0],
-    )
-    return ChaosRow(
-        scenario=scenario,
-        benchmark=benchmark,
+    return _row(
+        cluster,
+        scenario,
+        benchmark,
+        pattern,
+        replicas,
+        ack,
         baseline_s=base.elapsed,
         faulty_s=res.elapsed,
-        useful_bytes=pattern.total_bytes,
-        retries=total(".retries"),
-        timeouts=total(".timeouts"),
-        crashes=int(counters.get("faults.crashes", 0)),
-        recovery_s=recovery,
-        events=events,
-        replicas=replicas,
-        ack=ack,
-        failovers=total(".failovers"),
-        retries_exhausted=total(".retries_exhausted"),
-        resyncs=iod_total(".resyncs"),
-        resync_bytes=iod_total(".resync_bytes"),
-        moved_bytes=total(".read_bytes") + total(".write_bytes"),
-        logical_requests=total(".logical_requests"),
-        server_messages=total(".server_messages"),
-        sim_events=cluster.sim.events_scheduled,
     )
 
 
@@ -410,14 +404,7 @@ def run_failover_scenario(
     cluster, faulty_pre_s, read_s, errors = _run_failover(
         pattern, faulty_cfg, trace=trace
     )
-    counters = cluster.counters
-    total, iod_total = _totals(counters)
     repl = cluster.replication
-    injector = cluster.fault_injector
-    recovery = None
-    if injector is not None:
-        times = [t for t in injector.recovery_times().values() if t is not None]
-        recovery = max(times) if times else None
     run_end = faulty_pre_s + read_s
     degraded_s = None
     degraded_goodput = None
@@ -436,36 +423,19 @@ def run_failover_scenario(
         if repl.failover_log
         else None
     )
-    events = sorted(
-        (list(injector.events) if injector is not None else [])
-        + list(repl.events),
-        key=lambda e: e[0],
-    )
-    return ChaosRow(
-        scenario="failover-read",
-        benchmark=benchmark,
+    return _row(
+        cluster,
+        "failover-read",
+        benchmark,
+        pattern,
+        replicas,
+        ack,
         baseline_s=base_read_s,
         faulty_s=read_s,
-        useful_bytes=pattern.total_bytes,
-        retries=total(".retries"),
-        timeouts=total(".timeouts"),
-        crashes=int(counters.get("faults.crashes", 0)),
-        recovery_s=recovery,
-        events=events,
-        replicas=replicas,
-        ack=ack,
         data_errors=errors,
-        failovers=total(".failovers"),
-        retries_exhausted=total(".retries_exhausted"),
         failover_s=failover_s,
         degraded_s=degraded_s,
         degraded_goodput_mb_s=degraded_goodput,
-        resyncs=iod_total(".resyncs"),
-        resync_bytes=iod_total(".resync_bytes"),
-        moved_bytes=total(".read_bytes") + total(".write_bytes"),
-        logical_requests=total(".logical_requests"),
-        server_messages=total(".server_messages"),
-        sim_events=cluster.sim.events_scheduled,
     )
 
 
@@ -551,12 +521,7 @@ def _parser() -> argparse.ArgumentParser:
         default="artificial",
         help="workload to stress (default: artificial)",
     )
-    p.add_argument(
-        "--scale",
-        choices=sorted(name for name, s in SCALES.items() if s.des_friendly),
-        default="smoke",
-        help="parameter scale (default: smoke; chaos always uses the DES)",
-    )
+    add_sweep_options(p, des_only=True)
     p.add_argument(
         "--restart-after",
         type=float,
@@ -583,35 +548,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--events", action="store_true", help="print each run's fault event log"
     )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the scenario sweep (default: 1 = serial)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="result cache directory (default: $PVFS_SIM_CACHE or "
-        "~/.cache/pvfs-sim)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every scenario, neither reading nor writing the cache",
-    )
     return p
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from ..sweep import ChaosSpec, ResultCache, default_cache_dir, run_sweep
-    from .cli import check_writable
-
     args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     scale = SCALES[args.scale]
     try:
         # Build what the sweep builds from these flags, so a bad value is
@@ -621,9 +562,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cache_dir = None if args.no_cache else args.cache_dir or default_cache_dir()
-    if not check_writable(args.csv, cache_dir=cache_dir):
+    sweep = check_sweep(args, args.csv)
+    if sweep is None:
         return 2
+    jobs, cache = sweep
     if args.scenario == "all":
         # failover-read is pointless without a replica to fail over to, so
         # "all" only includes it once --replicas asks for redundancy.
@@ -638,7 +580,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "fail over to and will fail with RetryExhausted",
             file=sys.stderr,
         )
-    cache = ResultCache(cache_dir) if cache_dir else None
     specs = [
         ChaosSpec(
             scenario=scenario,
@@ -651,7 +592,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for scenario in scenarios
     ]
     try:
-        rows, stats = run_sweep(specs, jobs=args.jobs, cache=cache, label="chaos")
+        rows, stats = run_sweep(specs, jobs=jobs, cache=cache, label="chaos")
     except FaultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,10 +45,12 @@ subcommand summarizes a previously saved trace file.  See
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..sweep import ResultCache, default_cache_dir
 from .artificial import figure9, figure10, figure11, figure12
 from .collective import figure18
 from .flashio import figure15
@@ -56,7 +58,14 @@ from .presets import SCALES
 from .report import FigureResult, points_to_csv
 from .tiledvis import figure17
 
-__all__ = ["main", "FIGURES", "SUBCOMMANDS", "check_writable"]
+__all__ = [
+    "main",
+    "FIGURES",
+    "SUBCOMMANDS",
+    "check_writable",
+    "add_sweep_options",
+    "check_sweep",
+]
 
 #: 9-17 are the paper's results figures; 18 is this repository's extension
 #: experiment (two-phase collective I/O), DES-only.
@@ -71,13 +80,17 @@ FIGURES: Dict[str, Callable] = {
 }
 
 
-#: Every subcommand main() dispatches before argparse sees the argv.
-#: ``pvfs-sim --help`` prints this table so the top-level help can never
-#: drift out of sync with the dispatcher again (tests pin the two).
-SUBCOMMANDS: Dict[str, str] = {
-    "obs": "summarize a saved trace",
-    "chaos": "run benchmarks under injected faults (docs/faults.md)",
-    "bench": "deterministic regression suite: run|compare|list (docs/benchmarking.md)",
+#: Subcommand name -> (help line, module whose ``main(argv)`` runs it).
+#: main() dispatches by this table before argparse sees the argv, and
+#: ``pvfs-sim --help`` prints it, so the two cannot drift apart (tests pin
+#: them and the README's table).
+SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
+    "obs": ("summarize a saved trace", "..obs.cli"),
+    "chaos": ("run benchmarks under injected faults (docs/faults.md)", ".chaos"),
+    "bench": (
+        "deterministic regression suite: run|compare|list (docs/benchmarking.md)",
+        "..bench.cli",
+    ),
 }
 
 
@@ -126,10 +139,75 @@ def check_writable(*paths: Optional[str], cache_dir: Optional[str] = None) -> bo
     return ok
 
 
+def add_sweep_options(
+    p: argparse.ArgumentParser, *, des_only: bool, cache: bool = True
+) -> None:
+    """Declare the options every sweep front end shares.
+
+    ``--scale`` and ``--jobs`` always, ``--cache-dir`` and ``--no-cache``
+    when ``cache`` is set (``bench run`` never reads the cache).  A
+    ``des_only`` front end (``chaos``, ``bench run``) offers the
+    des-friendly scales and defaults to ``smoke``; the figure CLI offers
+    every scale and defaults to ``scaled``.  :func:`check_sweep` checks
+    what they parse.
+    """
+    default = "smoke" if des_only else "scaled"
+    p.add_argument(
+        "--scale",
+        choices=sorted(n for n, s in SCALES.items() if s.des_friendly or not des_only),
+        default=default,
+        help=f"parameter scale (default: {default}"
+        + ("; always runs the DES)" if des_only else ")"),
+    )
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes per sweep "
+        "(default: 1 = serial; results are bit-identical at any job count)",
+    )
+    if not cache:
+        p.set_defaults(no_cache=True)
+        return
+    p.add_argument(
+        "--cache-dir",
+        metavar="PATH",
+        help="result cache directory (default: $PVFS_SIM_CACHE or "
+        "~/.cache/pvfs-sim); unchanged points are served from the cache",
+    )
+    p.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="recompute every point, neither reading nor writing the cache",
+    )
+
+
+def check_sweep(
+    args: argparse.Namespace, *outputs: Optional[str]
+) -> Optional[Tuple[int, Optional[ResultCache]]]:
+    """Check the options :func:`add_sweep_options` declared, before any
+    simulation starts.
+
+    Validates ``--jobs``, resolves the cache directory (``--no-cache``,
+    then ``--cache-dir``, ``$PVFS_SIM_CACHE`` or the default) and checks
+    that it and every output path can be written.  Returns the run's
+    ``(jobs, cache)``, or ``None`` after printing the ``error:`` lines;
+    the caller then exits 2.
+    """
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return None
+    cache_dir = None if args.no_cache else args.cache_dir or default_cache_dir()
+    if not check_writable(*outputs, cache_dir=cache_dir):
+        return None
+    return args.jobs, ResultCache(cache_dir) if cache_dir else None
+
+
 def _subcommand_epilog() -> str:
     width = max(len(name) for name in SUBCOMMANDS)
     lines = ["subcommands (run 'pvfs-sim CMD --help' for each):"]
-    for name, text in SUBCOMMANDS.items():
+    for name, (text, _module) in SUBCOMMANDS.items():
         lines.append(f"  {name:<{width}}  {text}")
     return "\n".join(lines)
 
@@ -144,12 +222,7 @@ def _parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--figure", choices=sorted(FIGURES, key=int), help="figure number")
     g.add_argument("--all", action="store_true", help="run every figure")
-    p.add_argument(
-        "--scale",
-        choices=sorted(SCALES),
-        default="scaled",
-        help="parameter scale (default: scaled)",
-    )
+    add_sweep_options(p, des_only=False)
     p.add_argument(
         "--mode",
         choices=("model", "des"),
@@ -189,25 +262,6 @@ def _parser() -> argparse.ArgumentParser:
         help="collective buffer size for two-phase I/O, in bytes "
         "(figure 18 only; default: unbounded, one exchange round)",
     )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for each figure sweep "
-        "(default: 1 = serial; results are bit-identical at any job count)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="result cache directory (default: $PVFS_SIM_CACHE or "
-        "~/.cache/pvfs-sim); unchanged points are served from the cache",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every point, neither reading nor writing the cache",
-    )
     return p
 
 
@@ -233,21 +287,9 @@ def _run_one(
 
 def main(argv: List[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "obs":
-        # `pvfs-sim obs TRACE.json` — summarize a saved trace.
-        from ..obs.cli import main as obs_main
-
-        return obs_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        # `pvfs-sim chaos ...` — benchmarks under injected faults.
-        from .chaos import main as chaos_main
-
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # `pvfs-sim bench run|compare|list` — the regression suite.
-        from ..bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        module = importlib.import_module(SUBCOMMANDS[argv[0]][1], __package__)
+        return module.main(argv[1:])
     args = _parser().parse_args(argv)
     scale = SCALES[args.scale]
     mode = args.mode or ("model" if not scale.des_friendly else "des")
@@ -283,9 +325,6 @@ def main(argv: List[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         faults = FaultConfig(plan=FaultPlan(stragglers))
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     if args.cb_buffer is not None and args.cb_buffer < 1:
         print("error: --cb-buffer must be a positive byte count", file=sys.stderr)
         return 2
@@ -295,17 +334,15 @@ def main(argv: List[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    from ..sweep import ResultCache, default_cache_dir
-
-    cache_dir = None if args.no_cache else args.cache_dir or default_cache_dir()
-    if not check_writable(args.csv, args.trace_out, cache_dir=cache_dir):
+    sweep = check_sweep(args, args.csv, args.trace_out)
+    if sweep is None:
         return 2
+    jobs, cache = sweep
     obs = None
     if args.trace_out or args.report:
         from ..obs import ObsSession
 
         obs = ObsSession()
-    cache = ResultCache(cache_dir) if cache_dir else None
     figures = sorted(FIGURES, key=int) if args.all else [args.figure]
     all_points = []
     failed = False
@@ -316,7 +353,7 @@ def main(argv: List[str] | None = None) -> int:
             mode,
             obs=obs,
             faults=faults,
-            jobs=args.jobs,
+            jobs=jobs,
             cache=cache,
             cb_buffer=args.cb_buffer,
         )

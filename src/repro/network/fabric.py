@@ -124,10 +124,6 @@ class Network:
             until, self._down_until.get(node_name, 0.0)
         )
 
-    def link_down_until(self, node_name: str) -> float:
-        """When the node's link comes back (<= now means it is up)."""
-        return self._down_until.get(node_name, 0.0)
-
     def set_frame_loss(self, node_name: str, rate: float, rng) -> None:
         """Drop each frame touching ``node_name`` with probability ``rate``
         (``rng`` supplies the seeded draws) until :meth:`clear_frame_loss`."""

@@ -42,11 +42,6 @@ class RankAccess:
     def n_file_regions(self) -> int:
         return self.file_regions.count
 
-    @property
-    def buffer_bytes(self) -> int:
-        """Client memory buffer size this access needs."""
-        return self.mem_regions.extent[1]
-
 
 @dataclass(frozen=True)
 class Pattern:

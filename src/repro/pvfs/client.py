@@ -209,6 +209,7 @@ class PVFSFile:
             req = IORequest(
                 kind=kind,
                 file_id=self.file_id,
+                request_id=next(client.cluster.request_ids),
                 regions=sl.physical,
                 client_node=client.node,
                 response=Event(sim),
@@ -278,6 +279,7 @@ class PVFSFile:
             req = IORequest(
                 kind="read",
                 file_id=self.file_id,
+                request_id=next(client.cluster.request_ids),
                 regions=sl.physical,
                 client_node=client.node,
                 response=Event(sim),
@@ -346,6 +348,7 @@ class PVFSFile:
             req = IORequest(
                 kind="write",
                 file_id=self.file_id,
+                request_id=next(client.cluster.request_ids),
                 regions=sl.physical,
                 client_node=client.node,
                 response=Event(sim),
@@ -464,6 +467,7 @@ class PVFSFile:
             req = IORequest(
                 kind="fsync",
                 file_id=self.file_id,
+                request_id=next(client.cluster.request_ids),
                 regions=RegionList.empty(),
                 client_node=client.node,
                 response=Event(sim),

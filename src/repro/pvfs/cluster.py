@@ -17,6 +17,7 @@ experiment harness drives::
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -51,23 +52,11 @@ class WorkloadResult:
 
     @property
     def total_logical_requests(self) -> int:
-        return int(
-            sum(
-                v
-                for k, v in self.counters.items()
-                if k.startswith("client.") and k.endswith(".logical_requests")
-            )
-        )
+        return int(self.counters.total("client", ".logical_requests"))
 
     @property
     def total_server_messages(self) -> int:
-        return int(
-            sum(
-                v
-                for k, v in self.counters.items()
-                if k.startswith("client.") and k.endswith(".server_messages")
-            )
-        )
+        return int(self.counters.total("client", ".server_messages"))
 
 
 class Cluster:
@@ -81,6 +70,9 @@ class Cluster:
         self.sim = Simulator()
         self.counters = Counters()
         self.tracer = Tracer(enabled=trace)
+        #: Ids of the I/O requests this cluster's clients and daemons
+        #: build, so they do not depend on what ran earlier in the process.
+        self.request_ids = itertools.count()
         self.net = Network(self.sim, config.network, self.counters, tracer=self.tracer)
         self.namespace = Namespace(config.stripe)
 

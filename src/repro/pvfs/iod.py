@@ -363,6 +363,7 @@ class IOD:
                     req = IORequest(
                         kind="read",
                         file_id=entry.file_id,
+                        request_id=next(self.cluster.request_ids),
                         regions=entry.regions,
                         client_node=self.node,
                         response=Event(sim),

@@ -102,6 +102,8 @@ class IORequest:
     #: :attr:`store_key`).  ``None`` = the primary copy — the only case
     #: that exists without replication, keeping the paper path unchanged.
     replica_of: Optional[int] = None
+    #: Clients and daemons draw this from their cluster's ``request_ids``;
+    #: the process-wide default only numbers requests built by hand.
     request_id: int = field(default_factory=lambda: next(_request_ids))
     #: Simulation time the request entered the iod's inbox (set by the
     #: client; lets the tracer separate queue wait from service time).

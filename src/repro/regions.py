@@ -177,11 +177,6 @@ class RegionList:
             return (0, 0)
         return (int(self.offsets[mask].min()), int(self.ends[mask].max()))
 
-    @property
-    def extent_bytes(self) -> int:
-        s, e = self.extent
-        return e - s
-
     def is_sorted(self) -> bool:
         if self.count <= 1:
             return True

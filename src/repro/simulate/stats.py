@@ -54,10 +54,16 @@ class Counters:
         """A view that prefixes every key with ``prefix + '.'``."""
         return ScopedCounters(self, prefix)
 
-    def total(self, prefix: str) -> float:
-        """Sum of every counter whose key starts with ``prefix``."""
+    def total(self, prefix: str, suffix: str = "") -> float:
+        """Sum of every counter whose key starts with ``prefix`` and ends
+        with ``suffix``: ``total("client", ".retries")`` adds up every
+        client's retries."""
         p = prefix if prefix.endswith(".") else prefix + "."
-        return sum(v for k, v in self._data.items() if k.startswith(p) or k == prefix)
+        return sum(
+            v
+            for k, v in self._data.items()
+            if (k.startswith(p) or k == prefix) and k.endswith(suffix)
+        )
 
     def __repr__(self) -> str:
         return f"Counters({dict(sorted(self._data.items()))!r})"

@@ -48,10 +48,6 @@ class ByteStore:
     def allocated_bytes(self, file_id: Hashable) -> int:
         return len(self._files.get(file_id, {})) * self.chunk_size
 
-    @property
-    def file_ids(self):
-        return list(self._files)
-
     # ------------------------------------------------------------------
     def write(self, file_id: Hashable, regions: RegionList, data: np.ndarray) -> None:
         """Scatter ``data`` (uint8, length == regions.total_bytes) into the

@@ -1,12 +1,18 @@
 """Zero-tolerance regression detection for ``repro.bench.compare``."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
 from repro.bench.compare import compare_results
-from repro.bench.schema import BenchResult, ScenarioResult, SimMetrics
+from repro.bench.schema import BenchResult, ScenarioResult, SimMetrics, load
+from repro.bench.suite import run_suite
 from repro.errors import BenchError
+from repro.experiments.presets import SMOKE
+from repro.simulate import NO_FASTPATH_ENV
+
+BASELINE = pathlib.Path(__file__).parents[1] / "benchmarks" / "baseline_smoke.json"
 
 
 def _scenario(name="s1", *, elapsed=1.5) -> ScenarioResult:
@@ -84,3 +90,16 @@ def test_every_sim_metric_is_gated():
         )
         report = compare_results(base, _result(bumped))
         assert any(r.metric == f"sim.{f.name}" for r in report.regressions), f.name
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath", "no-fastpath"])
+def test_smoke_suite_matches_the_committed_baseline(fastpath, monkeypatch):
+    # The bench gate itself: every scenario's simulated metrics equal the
+    # committed baseline, with the kernel fast paths on and with the
+    # legacy event chains they must reproduce.
+    if fastpath:
+        monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
+    else:
+        monkeypatch.setenv(NO_FASTPATH_ENV, "1")
+    report = compare_results(load(str(BASELINE)), run_suite(SMOKE, repeats=1))
+    assert report.ok, report.to_markdown()

@@ -445,6 +445,18 @@ class TestFailoverScenario:
         with pytest.raises(RetryExhausted):
             run_scenario("failover-read", scale=SMOKE, replicas=1)
 
+    def test_error_names_the_same_request_every_run(self):
+        # Request ids are numbered per cluster, so a repeated run (or the
+        # same run in a sweep worker) names the same request in its error.
+        from repro.experiments.chaos import run_failover_scenario
+
+        messages = []
+        for _ in range(2):
+            with pytest.raises(RetryExhausted) as exc:
+                run_failover_scenario(replicas=1)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
     def test_jobs_bit_identity(self):
         from repro.experiments.presets import SMOKE
         from repro.sweep import ChaosSpec, run_sweep
