@@ -71,7 +71,7 @@ def test_pipelined_correctness():
 
     from repro.core import MultipleIO
     from repro.pvfs import Cluster
-    from repro.regions import RegionList, build_flat_indices
+    from repro.regions import RegionList
     from repro.config import StripeParams
 
     cluster = Cluster.build(

@@ -75,8 +75,7 @@ def test_map_regions_100k():
 
 def test_cache_churn():
     cache = BlockCache(CacheConfig(capacity=1024 * 4096, block_size=4096))
-    blocks = np.arange(4096, dtype=np.int64)
     for start in range(0, 4096, 64):
-        cache.insert("f", blocks[start : start + 64], dirty=True)
-        cache.lookup("f", blocks[start : start + 64])
+        cache.insert_range("f", start, 64, dirty=True)
+        cache.lookup_range("f", start, start + 63)
     assert len(cache) == 1024

@@ -97,6 +97,22 @@ class NetworkConfig:
         """Serialization time (seconds) for ``payload`` bytes, excluding latency."""
         return self.wire_bytes(payload) / self.bandwidth
 
+    def describe(self, payload: int) -> dict:
+        """Frame-level breakdown of one message, for trace annotation.
+
+        Returns payload/wire byte counts, the frame count, and the
+        latency/serialization split in seconds — the numbers an observer
+        needs to tell "many tiny frames" from "few full frames" when
+        reading a captured trace.
+        """
+        return {
+            "payload_bytes": payload,
+            "wire_bytes": self.wire_bytes(payload),
+            "frames": self.frames_for(payload),
+            "latency_s": self.latency,
+            "serialization_s": self.transmit_time(payload),
+        }
+
 
 @dataclass(frozen=True)
 class DiskConfig:
@@ -126,11 +142,11 @@ class DiskConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Server-side buffer cache (models the Linux page cache on I/O nodes)."""
+    """Server-side write-back buffer cache (models the Linux page cache on
+    I/O nodes)."""
 
     capacity: int = 256 * MiB  # bytes of cache per I/O node
     block_size: int = 4 * KiB  # page size
-    write_through: bool = False  # write-back by default, like Linux
     memory_copy_rate: float = 400.0e6  # bytes/second for cache hits
     #: Sequential readahead window fetched on a read miss (Linux readahead).
     readahead: int = 128 * KiB
@@ -180,20 +196,9 @@ class CostModel:
     #: turnaround below, this is what makes small-write request storms
     #: catastrophic in Figures 10/12).
     iod_write_commit_cost: float = msec(3.0)
-    #: Extra server-side penalty for a small synchronous write forced to the
-    #: local fs journal/media (models PVFS iod write-through of dirty pages
-    #: for sub-block writes: read-modify-write of the enclosing page).
-    small_write_penalty: float = msec(1.4)
-    #: Threshold below which a write run is "small" and pays the penalty.
-    small_write_threshold: int = 4 * KiB
     #: In-memory data movement rate for client-side scatter/gather and
     #: data-sieving extraction (bytes/second).
     memcpy_rate: float = 400.0e6
-    #: Relative service-time jitter on the I/O daemons (0 = fully
-    #: deterministic; 0.1 = ±10% uniform).  Seeded from ClusterConfig.seed,
-    #: so runs remain reproducible; the harness uses repeats with distinct
-    #: seeds to report mean ± std like the paper's 3-run averages.
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -204,12 +209,9 @@ class CostModel:
             "client_region_cost",
             "manager_op_cost",
             "iod_write_commit_cost",
-            "small_write_penalty",
         ):
             _require(getattr(self, name) >= 0, f"{name} must be non-negative")
         _require(self.memcpy_rate > 0, "memcpy_rate must be positive")
-        _require(self.small_write_threshold >= 0, "small_write_threshold must be non-negative")
-        _require(0 <= self.jitter < 1, "jitter must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -273,17 +275,14 @@ class ClusterConfig:
     list_io_max_regions: int = DEFAULT_LIST_IO_MAX_REGIONS
     #: Client data-sieving buffer size (paper: 32 MB).
     sieve_buffer_size: int = DEFAULT_SIEVE_BUFFER_SIZE
-    #: Whether the manager daemon shares a node with I/O daemon 0
-    #: (the paper's setup: "One of the I/O nodes doubled as both a manager
-    #: and an I/O server").
-    manager_on_iod0: bool = True
     #: Write-acknowledgement policy under replication (``stripe.replicas``
     #: > 1): ``"primary"`` acks once the first live chain member committed
     #: (remaining copies complete in the background, joined at close/fsync);
     #: ``"quorum"`` waits for a majority of the chain.  Ignored without
     #: replication.
     ack_policy: str = "primary"
-    #: RNG seed for any stochastic component (kept deterministic).
+    #: RNG seed for the fault injector's frame-loss draws and the clients'
+    #: retry backoff jitter (kept deterministic).
     seed: int = 0x5EED
     #: Fault schedule + client retry policy (see :mod:`repro.faults`).  The
     #: default is inert: empty plan, no timeouts, no retries — runs are

@@ -203,9 +203,9 @@ def _oracle_bytes(regions) -> np.ndarray:
     return ((idx * 131 + 17) % 256).astype(np.uint8)
 
 
-def _run_once(pattern, kind: str, cfg: ClusterConfig, trace: bool = False):
+def _run_once(pattern, kind: str, cfg: ClusterConfig):
     """One list-I/O run of the pattern; returns (cluster, WorkloadResult)."""
-    cluster = Cluster.build(cfg, move_bytes=False, trace=trace)
+    cluster = Cluster.build(cfg, move_bytes=False)
     method = METHODS["list"]()
 
     def workload(client):
@@ -276,7 +276,6 @@ def run_scenario(
     restart_after: float = 2.0,
     replicas: int = 1,
     ack: str = "primary",
-    trace: bool = False,
 ) -> ChaosRow:
     """Run one fault scenario against one benchmark; fully deterministic."""
     if scenario == "failover-read":
@@ -286,7 +285,6 @@ def run_scenario(
             restart_after=restart_after,
             replicas=replicas,
             ack=ack,
-            trace=trace,
         )
     pattern, kind = _pattern(benchmark, scale)
     cfg = _replicated_cfg(pattern, replicas, ack)
@@ -295,7 +293,7 @@ def run_scenario(
         plan=_plan(scenario, base.elapsed, restart_after),
         retry=_retry_policy(scenario, base.elapsed),
     )
-    cluster, res = _run_once(pattern, kind, cfg.with_(faults=faults), trace=trace)
+    cluster, res = _run_once(pattern, kind, cfg.with_(faults=faults))
     return _row(
         cluster,
         scenario,
@@ -308,7 +306,7 @@ def run_scenario(
     )
 
 
-def _run_failover(pattern, cfg: ClusterConfig, trace: bool = False):
+def _run_failover(pattern, cfg: ClusterConfig):
     """One replicated read-back run with bytes moving.
 
     Client 0 seeds ``/failover`` with the analytic oracle pattern across
@@ -319,7 +317,7 @@ def _run_failover(pattern, cfg: ClusterConfig, trace: bool = False):
     fire in the gap between phases instead of mid-read).  Returns
     ``(cluster, prewrite_s, read_s, data_errors)``.
     """
-    cluster = Cluster.build(cfg, move_bytes=True, trace=trace)
+    cluster = Cluster.build(cfg, move_bytes=True)
     sim = cluster.sim
     extent = max(
         pattern.rank(i).file_regions.extent[1] for i in range(pattern.n_ranks)
@@ -357,7 +355,6 @@ def run_failover_scenario(
     restart_after: float = 2.0,
     replicas: int = 2,
     ack: str = "primary",
-    trace: bool = False,
 ) -> ChaosRow:
     """The replication headline: kill a daemon mid-read, finish anyway.
 
@@ -401,9 +398,7 @@ def run_failover_scenario(
         (IodCrash(iod=0, at=pre_s + base_read_s / 3, restart_after=restart_after),)
     )
     faulty_cfg = cfg.with_(faults=FaultConfig(plan=plan, retry=policy))
-    cluster, faulty_pre_s, read_s, errors = _run_failover(
-        pattern, faulty_cfg, trace=trace
-    )
+    cluster, faulty_pre_s, read_s, errors = _run_failover(pattern, faulty_cfg)
     repl = cluster.replication
     run_end = faulty_pre_s + read_s
     degraded_s = None

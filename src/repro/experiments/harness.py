@@ -43,8 +43,9 @@ class DataPoint:
     moved_bytes: int = 0
     useful_bytes: int = 0
     phases: Dict[str, float] = field(default_factory=dict)  # e.g. open/read/close
-    #: Standard deviation of ``elapsed`` across repeats (0 for single runs
-    #: and for the deterministic model).
+    #: Always 0.0 and 1: every point is one deterministic run.  Kept as
+    #: fields because stored results (the sweep cache, perfbench's
+    #: committed per-point digests) serialize every field.
     elapsed_std: float = 0.0
     repeats: int = 1
     #: Per-category span statistics (``Tracer.summary()``) when the point
@@ -85,7 +86,6 @@ def des_point(
     method_opts: Optional[dict] = None,
     measure_phases: bool = False,
     path: str = "/bench",
-    repeats: int = 1,
     trace: bool = False,
     obs=None,
 ) -> DataPoint:
@@ -94,10 +94,6 @@ def des_point(
     With ``measure_phases=True`` the point's ``phases`` dict carries the
     open / transfer / close breakdown (max across clients per phase), as
     Figure 17 reports.
-
-    ``repeats > 1`` reruns the point with distinct seeds (meaningful when
-    the cost model has ``jitter > 0``, mirroring the paper's averaging of
-    three runs) and reports the mean with ``elapsed_std``.
 
     ``trace=True`` enables span collection and stores the tracer summary
     on the returned point (``trace_summary``).  ``obs`` (an
@@ -108,31 +104,6 @@ def des_point(
     cfg = cfg or ClusterConfig.chiba_city(n_clients=pattern.n_ranks)
     if cfg.n_clients != pattern.n_ranks:
         cfg = cfg.with_(n_clients=pattern.n_ranks)
-    if repeats > 1:
-        points = [
-            des_point(
-                pattern,
-                method_name,
-                kind,
-                cfg.with_(seed=cfg.seed + r),
-                figure=figure,
-                x=x,
-                method_opts=method_opts,
-                measure_phases=measure_phases,
-                path=path,
-                trace=trace,
-                obs=obs,
-            )
-            for r in range(repeats)
-        ]
-        mean = sum(p.elapsed for p in points) / repeats
-        var = sum((p.elapsed - mean) ** 2 for p in points) / repeats
-        first = points[0]
-        first.elapsed = mean
-        first.elapsed_std = var**0.5
-        first.repeats = repeats
-        first.sim_events = sum(p.sim_events for p in points)
-        return first
     cluster = Cluster.build(cfg, move_bytes=False, trace=trace or obs is not None)
     if obs is not None:
         obs.attach(cluster)

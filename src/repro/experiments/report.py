@@ -47,13 +47,6 @@ class FigureResult:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def series_names(self) -> List[str]:
-        seen: List[str] = []
-        for p in self.points:
-            if p.series not in seen:
-                seen.append(p.series)
-        return seen
-
     def points_for(self, series: str, **filters) -> List[DataPoint]:
         out = []
         for p in self.points:

@@ -32,7 +32,7 @@ class FaultInjector:
         self.tracer = cluster.tracer
         self.scope = cluster.counters.scoped("faults")
         #: Seeded draws for frame-loss windows (distinct stream from the
-        #: daemons' jitter RNGs so adding a fault never perturbs them).
+        #: clients' retry-backoff RNGs so adding a fault never perturbs them).
         self._loss_rng = np.random.default_rng(cluster.config.seed * 9973 + 11)
         #: (sim time, description) log of every fault transition.
         self.events: List[Tuple[float, str]] = []
@@ -121,9 +121,6 @@ class FaultInjector:
             if isinstance(f, IodCrash):
                 out[f.iod] = self.cluster.iods[f.iod].recovery_time()
         return out
-
-    def format_events(self) -> str:
-        return "\n".join(f"[{t:12.6f}] {what}" for t, what in self.events)
 
     def __repr__(self) -> str:
         return f"<FaultInjector faults={len(self.plan)} fired={len(self.events)}>"

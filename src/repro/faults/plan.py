@@ -171,9 +171,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.faults)
 
-    def with_faults(self, *extra: Fault) -> "FaultPlan":
-        return FaultPlan(self.faults + tuple(extra))
-
     def stragglers(self) -> Tuple[Straggler, ...]:
         return tuple(f for f in self.faults if isinstance(f, Straggler))
 
@@ -264,11 +261,6 @@ class FaultConfig:
 
     plan: FaultPlan = field(default_factory=FaultPlan)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    @property
-    def is_inert(self) -> bool:
-        """True when this config cannot change a run at all."""
-        return self.plan.is_empty and not self.retry.active
 
     def with_(self, **kwargs) -> "FaultConfig":
         return replace(self, **kwargs)

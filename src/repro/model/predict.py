@@ -31,9 +31,10 @@ from typing import Dict, List
 import numpy as np
 
 from ..config import ClusterConfig
+from ..core.datatype import VECTOR_DESCRIPTOR_SLOTS
 from ..errors import ModelError
 from ..patterns.base import Pattern
-from ..pvfs.protocol import REQUEST_HEADER_BYTES, RESPONSE_HEADER_BYTES
+from ..pvfs.protocol import BYTES_PER_REGION, REQUEST_HEADER_BYTES, RESPONSE_HEADER_BYTES
 from ..regions import split_with_parents
 from .plan import RankPlan, compile_rank_plan
 
@@ -118,9 +119,9 @@ def _decompose_phase(
     msg_bytes = np.add.reduceat(lengths[order], first).astype(np.float64)
     # -- wire sizing per message --------------------------------------
     if phase.wire_mode == "descriptor":
-        trailing = np.full(n_msgs, 32.0)
+        trailing = np.full(n_msgs, float(BYTES_PER_REGION * VECTOR_DESCRIPTOR_SLOTS))
     else:
-        trailing = np.where(counts > 1, 16.0 * counts, 0.0)
+        trailing = np.where(counts > 1, float(BYTES_PER_REGION) * counts, 0.0)
     if phase.kind == "write":
         req_payload = REQUEST_HEADER_BYTES + trailing + msg_bytes
         resp_payload = np.full(n_msgs, float(RESPONSE_HEADER_BYTES))

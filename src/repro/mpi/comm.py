@@ -51,11 +51,6 @@ class Communicator:
         """Event that fires when all ranks have arrived (use ``yield``)."""
         return self._barrier.wait()
 
-    def barrier_sync(self, rank: int):
-        """Process form: barrier plus the dissemination latency charge."""
-        yield self.barrier()
-        yield self.sim.timeout(self._collective_time())
-
     # ------------------------------------------------------------------
     def bcast(self, rank: int, value: Any = None, root: int = 0):
         """Broadcast ``value`` from ``root``; every rank gets it.

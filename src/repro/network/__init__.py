@@ -1,6 +1,5 @@
 """Switched Fast-Ethernet network model (see :mod:`repro.network.fabric`)."""
 
-from .ethernet import EthernetModel
 from .fabric import Network, Node
 
-__all__ = ["EthernetModel", "Network", "Node"]
+__all__ = ["Network", "Node"]

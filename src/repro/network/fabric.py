@@ -26,7 +26,6 @@ from typing import Dict, Generator, Optional
 from ..config import NetworkConfig
 from ..errors import NetworkError
 from ..simulate import Counters, Resource, Simulator
-from .ethernet import EthernetModel
 
 __all__ = ["Node", "Network"]
 
@@ -65,7 +64,6 @@ class Network:
     ) -> None:
         self.sim = sim
         self.cfg = cfg
-        self.ethernet = EthernetModel(cfg)
         self.counters = counters if counters is not None else Counters()
         #: Optional :class:`~repro.simulate.Tracer`; when enabled every
         #: transfer records ``net.wait`` (time blocked on NIC links) and
@@ -299,7 +297,7 @@ class Network:
                     src=src.name,
                     dst=dst.name,
                 )
-            meta = self.ethernet.describe(payload)
+            meta = self.cfg.describe(payload)
             if t_tx < t_hold:
                 # The sender held TX while it waited for the receiver's RX.
                 meta["tx_at"] = t_tx

@@ -4,8 +4,8 @@ Maps a captured run onto the `Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 consumed by ``ui.perfetto.dev`` and ``chrome://tracing``:
 
-* every cluster *node* becomes a process (``pid``) — each client, each
-  I/O daemon, and a separate manager node when one exists;
+* every cluster *node* becomes a process (``pid``) — each client and
+  each I/O daemon (the manager shares I/O node 0);
 * within a node, activities become threads (``tid``): a client's logical
   requests; a daemon's request service, disk accesses, and queue waits;
   each NIC's TX and RX transfers;
@@ -109,7 +109,7 @@ class _Lanes:
 
 
 def _node_sort_key(node: str) -> int:
-    """Clients first, then I/O daemons, then the manager."""
+    """Clients first, then I/O daemons, then any other node."""
     if node.startswith("client"):
         return 0 + _trailing_int(node)
     if node.startswith("iod"):

@@ -414,27 +414,6 @@ class PVFSFile:
         return True
 
     # ------------------------------------------------------------------
-    # Nonblocking variants (PVFS 1.x exposed pvfs_iread/pvfs_iwrite).
-    # Each returns a Process: yield it (or combine with sim.all_of) to
-    # complete; its value is the read data.
-    # ------------------------------------------------------------------
-    def iread(self, offset: int, length: int):
-        """Nonblocking contiguous read; returns a waitable process."""
-        return self.client.sim.process(self.read(offset, length))
-
-    def iwrite(self, offset: int, data, length: Optional[int] = None):
-        """Nonblocking contiguous write; returns a waitable process."""
-        return self.client.sim.process(self.write(offset, data, length=length))
-
-    def iread_list(self, file_regions: RegionList):
-        """Nonblocking list read; returns a waitable process."""
-        return self.client.sim.process(self.read_list(file_regions))
-
-    def iwrite_list(self, file_regions: RegionList, data):
-        """Nonblocking list write; returns a waitable process."""
-        return self.client.sim.process(self.write_list(file_regions, data))
-
-    # ------------------------------------------------------------------
     def fsync(self):
         """Force every I/O server holding this file to flush its dirty
         pages to media (simulation process).  PVFS 1.x exposed this as

@@ -79,16 +79,12 @@ class Cluster:
         # --- nodes -------------------------------------------------------
         iod_nodes = [self.net.add_node(f"iod{i}") for i in range(config.n_iods)]
         client_nodes = [self.net.add_node(f"client{i}") for i in range(config.n_clients)]
-        if config.manager_on_iod0:
-            # The paper's setup: "One of the I/O nodes doubled as both a
-            # manager and an I/O server."
-            manager_node = iod_nodes[0]
-        else:
-            manager_node = self.net.add_node("manager")
 
         # --- daemons -----------------------------------------------------
+        # The paper's setup: "One of the I/O nodes doubled as both a
+        # manager and an I/O server."
         self.manager = Manager(
-            self.sim, self.net, manager_node, self.namespace, config.costs, self.counters
+            self.sim, self.net, iod_nodes[0], self.namespace, config.costs, self.counters
         )
         self.iods: List[IOD] = []
         for i, node in enumerate(iod_nodes):
@@ -106,7 +102,6 @@ class Cluster:
                     self.counters,
                     move_bytes=move_bytes,
                     tracer=self.tracer,
-                    seed=config.seed,
                 )
             )
 
@@ -147,18 +142,14 @@ class Cluster:
         config: Optional[ClusterConfig] = None,
         move_bytes: bool = True,
         trace: bool = False,
-        **config_overrides,
     ) -> "Cluster":
         """Build a cluster from a config (default: the paper's Chiba City
-        setup), optionally overriding individual config fields.
+        setup).
 
         ``trace=True`` enables per-request span collection — read
         ``cluster.tracer.format_summary()`` after a workload.
         """
-        cfg = config or ClusterConfig.chiba_city()
-        if config_overrides:
-            cfg = cfg.with_(**config_overrides)
-        return cls(cfg, move_bytes=move_bytes, trace=trace)
+        return cls(config or ClusterConfig.chiba_city(), move_bytes=move_bytes, trace=trace)
 
     def client(self, index: int) -> PVFSClient:
         return self.clients[index]

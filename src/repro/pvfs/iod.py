@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..config import CostModel
 from ..errors import FaultError, ServerCrashed, ServerFenced
 from ..network import Network, Node
@@ -66,7 +64,6 @@ class IOD:
         counters: Optional[Counters] = None,
         move_bytes: bool = True,
         tracer=None,
-        seed: int = 0,
     ) -> None:
         self.sim = sim
         self.net = net
@@ -78,7 +75,6 @@ class IOD:
         self.counters = counters if counters is not None else Counters()
         self.move_bytes = move_bytes
         self.tracer = tracer
-        self._rng = np.random.default_rng(seed * 1009 + index) if costs.jitter else None
         self.inbox: Store = Store(sim, name=f"iod{index}.inbox")
         self.scope = self.counters.scoped(f"iod.{index}")
         self.requests_served = 0
@@ -109,13 +105,6 @@ class IOD:
         self.resync_bytes = 0
         self._rejoin_proc: Optional[Process] = None
         self._proc: Process = sim.process(self._run(), name=f"iod{index}")
-
-    def _scale(self) -> float:
-        """Per-request service multiplier: straggler scale x jitter draw."""
-        s = self.service_scale
-        if self._rng is not None:
-            s *= 1.0 + self.costs.jitter * (2.0 * self._rng.random() - 1.0)
-        return s
 
     # ------------------------------------------------------------------
     # Request delivery and crash/recovery
@@ -253,7 +242,7 @@ class IOD:
         started = sim.now
         self._record_wait(req)
         n = req.n_described
-        scale = self._scale()
+        scale = self.service_scale
         # Request parsing + trailing-data decode.
         yield sim.timeout(
             (costs.iod_request_cost + costs.iod_region_cost * n) * scale
@@ -283,12 +272,6 @@ class IOD:
         else:  # write
             disk_t = self.disk.write_time(req.store_key, req.regions)
             disk_t += costs.iod_write_commit_cost
-            if self.disk.cache.cfg.write_through:
-                # Synchronous small overwrites pay a read-modify-write of
-                # the enclosing page (see CostModel.small_write_penalty).
-                runs = req.regions.coalesced()
-                n_small = int((runs.lengths < costs.small_write_threshold).sum())
-                disk_t += n_small * costs.small_write_penalty
             t_disk = sim.now
             yield sim.timeout(disk_t * scale * self.disk.fault_scale)
             self._note_disk(t_disk, sim.now, "write", req.regions.total_bytes)
@@ -387,7 +370,7 @@ class IOD:
                     )
                     write_t = (
                         self.disk.write_time(key, entry.regions)
-                        * self._scale()
+                        * self.service_scale
                         * self.disk.fault_scale
                     )
                     if write_t > 0:

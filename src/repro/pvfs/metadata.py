@@ -8,15 +8,13 @@ manager does not participate in read/write operations").
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..config import StripeParams
 from ..errors import FileExistsError_, NoSuchFileError
 
 __all__ = ["FileMetadata", "Namespace"]
-
-_file_ids = itertools.count(1)
 
 
 @dataclass
@@ -25,7 +23,7 @@ class FileMetadata:
 
     path: str
     stripe: StripeParams
-    file_id: int = field(default_factory=lambda: next(_file_ids))
+    file_id: int
     size: int = 0  # logical EOF (highest byte ever written + 1)
     open_count: int = 0
 
@@ -44,6 +42,9 @@ class Namespace:
 
     def __init__(self, default_stripe: StripeParams) -> None:
         self.default_stripe = default_stripe
+        #: File ids count from 1 per namespace, so they do not depend on
+        #: what ran earlier in the process.
+        self._file_ids = itertools.count(1)
         self._by_path: Dict[str, FileMetadata] = {}
         self._by_id: Dict[int, FileMetadata] = {}
 
@@ -63,7 +64,9 @@ class Namespace:
             if exclusive:
                 raise FileExistsError_(f"file exists: {path}")
             return self._by_path[path]
-        meta = FileMetadata(path=path, stripe=stripe or self.default_stripe)
+        meta = FileMetadata(
+            path=path, stripe=stripe or self.default_stripe, file_id=next(self._file_ids)
+        )
         self._by_path[path] = meta
         self._by_id[meta.file_id] = meta
         return meta

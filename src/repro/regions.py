@@ -24,7 +24,7 @@ end from the running maximum of the region ends (no scatter-max).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -397,40 +397,6 @@ class RegionList:
             return
         for start in range(0, count, max_regions):
             yield self.slice_regions(start, start + max_regions)
-
-    def split_by_bytes(self, byte_counts: Sequence[int]) -> list:
-        """Split this list into consecutive pieces of exactly the given byte
-        counts (summing to ``total_bytes``).  Regions are cut where needed.
-
-        Used to carve a memory region list into per-request chunks matching
-        the file regions each request covers.
-        """
-        counts = _as_int64(byte_counts)
-        if counts.size and (counts < 0).any():
-            raise RegionError("byte counts must be non-negative")
-        if int(counts.sum()) != self.total_bytes:
-            raise RegionError(
-                f"byte counts sum to {int(counts.sum())} but list holds {self.total_bytes}"
-            )
-        out = []
-        r = self.drop_empty()
-        region_i = 0  # current region index
-        inner = 0  # bytes already consumed from region_i
-        for want in counts:
-            offs, lens = [], []
-            remaining = int(want)
-            while remaining > 0:
-                avail = int(r.lengths[region_i]) - inner
-                take = min(avail, remaining)
-                offs.append(int(r.offsets[region_i]) + inner)
-                lens.append(take)
-                inner += take
-                remaining -= take
-                if inner == int(r.lengths[region_i]):
-                    region_i += 1
-                    inner = 0
-            out.append(RegionList(np.array(offs, np.int64), np.array(lens, np.int64)))
-        return out
 
     # ------------------------------------------------------------------
     # Dunder / misc

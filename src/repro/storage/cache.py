@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable, Tuple
 
-import numpy as np
-
 from ..config import CacheConfig
 
 __all__ = ["BlockCache", "CacheStats"]
@@ -68,37 +66,14 @@ class BlockCache:
         return sum(1 for d in self._lru.values() if d)
 
     # ------------------------------------------------------------------
-    def block_span(self, offset: int, length: int) -> np.ndarray:
-        """Block numbers covering ``[offset, offset + length)``."""
-        if length <= 0:
-            return np.empty(0, dtype=np.int64)
-        bs = self.cfg.block_size
-        return np.arange(offset // bs, (offset + length - 1) // bs + 1, dtype=np.int64)
-
-    def lookup(self, file_id: Hashable, blocks: np.ndarray) -> np.ndarray:
-        """Hit mask for the given block numbers.  Hits are touched (LRU
-        refresh); misses are NOT inserted — call :meth:`insert` once the
-        fetch is decided so readahead can widen the window first."""
-        hits = np.zeros(len(blocks), dtype=bool)
-        lru = self._lru
-        for i, b in enumerate(blocks.tolist()):
-            key = (file_id, b)
-            if key in lru:
-                lru.move_to_end(key)
-                hits[i] = True
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
-        return hits
-
     def lookup_range(self, file_id: Hashable, first_block: int, last_block: int) -> list:
         """Hit/miss over the contiguous block range ``[first, last]``.
 
-        Same semantics as :meth:`lookup` on ``arange(first, last + 1)`` —
-        hits are LRU-touched in ascending block order and counted — but
-        returns the *missed* block numbers (ascending) directly, which is
-        the only thing the disk model needs.  Skips the array round-trip:
-        a run's blocks are always consecutive, so the span is two ints.
+        Hits are touched (LRU refresh) in ascending block order and every
+        block is counted as a hit or a miss.  Returns the *missed* block
+        numbers (ascending); misses are NOT inserted — call
+        :meth:`insert_range` once the fetch is decided so readahead can
+        widen the window first.
         """
         lru = self._lru
         missed = []
@@ -118,8 +93,11 @@ class BlockCache:
         """Non-mutating membership probe (no LRU touch, no stats)."""
         return (file_id, block) in self._lru
 
-    def insert(self, file_id: Hashable, blocks: np.ndarray, dirty: bool = False) -> int:
-        """Make the blocks resident (marking them dirty for writes).
+    def insert_range(
+        self, file_id: Hashable, first_block: int, n_blocks: int, dirty: bool = False
+    ) -> int:
+        """Make ``n_blocks`` blocks starting at ``first_block`` resident
+        (marking them dirty for writes).
 
         Returns the number of *dirty* blocks evicted to make room — the
         write-back volume the disk model must charge.  Inserting an already
@@ -127,31 +105,6 @@ class BlockCache:
         """
         if self.capacity_blocks <= 0:
             # A zero-size cache: everything is an immediate dirty writeback.
-            return int(len(blocks)) if dirty else 0
-        lru = self._lru
-        dirty_evicted = 0
-        for b in blocks.tolist():
-            key = (file_id, b)
-            if key in lru:
-                was_dirty = lru.pop(key)
-                lru[key] = was_dirty or dirty
-                continue
-            lru[key] = dirty
-            self.stats.insertions += 1
-            if len(lru) > self.capacity_blocks:
-                _old_key, old_dirty = lru.popitem(last=False)
-                self.stats.evictions += 1
-                if old_dirty:
-                    self.stats.dirty_evictions += 1
-                    dirty_evicted += 1
-        return dirty_evicted
-
-    def insert_range(
-        self, file_id: Hashable, first_block: int, n_blocks: int, dirty: bool = False
-    ) -> int:
-        """:meth:`insert` for a contiguous run of ``n_blocks`` blocks
-        starting at ``first_block`` (identical stats/LRU/eviction order)."""
-        if self.capacity_blocks <= 0:
             return n_blocks if dirty else 0
         lru = self._lru
         stats = self.stats
@@ -173,21 +126,6 @@ class BlockCache:
                     dirty_evicted += 1
         return dirty_evicted
 
-    def clean_range(self, file_id: Hashable, first_block: int, last_block: int) -> None:
-        """:meth:`clean` over the contiguous block range ``[first, last]``."""
-        lru = self._lru
-        for b in range(first_block, last_block + 1):
-            key = (file_id, b)
-            if key in lru:
-                lru[key] = False
-
-    def clean(self, file_id: Hashable, blocks: np.ndarray) -> None:
-        """Mark blocks clean (they were flushed)."""
-        for b in blocks.tolist():
-            key = (file_id, b)
-            if key in self._lru:
-                self._lru[key] = False
-
     def flush_all(self) -> int:
         """Mark everything clean; returns how many blocks were dirty."""
         n = 0
@@ -196,12 +134,6 @@ class BlockCache:
                 n += 1
                 self._lru[key] = False
         return n
-
-    def drop(self, file_id: Hashable) -> None:
-        """Invalidate all blocks of one file (close/delete)."""
-        doomed = [k for k in self._lru if k[0] == file_id]
-        for k in doomed:
-            del self._lru[k]
 
     def __repr__(self) -> str:
         return f"<BlockCache {len(self)}/{self.capacity_blocks} blocks>"

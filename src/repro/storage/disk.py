@@ -13,9 +13,9 @@ Model summary:
   fetch (skipped when the fetch continues where the head left off — a
   sequential scan seeks once) plus media transfer for a readahead-widened
   window, which then becomes resident.
-* **Writes** land in the cache (write-back): memory-copy plus media transfer
-  for any dirty blocks evicted to make room.  With ``write_through=True``
-  every run pays positioning + media transfer immediately.
+* **Writes** land in the cache (write-back, like Linux): memory-copy plus
+  media transfer for any dirty blocks evicted to make room.  Dirty blocks
+  reach media at eviction or at :meth:`Disk.flush_time` (fsync).
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class Disk:
             return 0.0
         cache = self.cache
         bs = cache.cfg.block_size
-        write_through = cache.cfg.write_through
         t = self._memcpy(runs.total_bytes)  # iod buffer -> cache copy
         for off, ln in runs:
             first = off // bs
@@ -132,12 +131,6 @@ class Disk:
                 self.media_writes += 1
                 self.media_write_bytes += dirty_evicted * bs
                 self.positionings += 1
-            if write_through:
-                t += self._position(file_id, off) + self._media(ln)
-                self.media_writes += 1
-                self.media_write_bytes += ln
-                self._head = (file_id, off + ln)
-                cache.clean_range(file_id, first, last)
         return t
 
     def flush_time(self) -> float:

@@ -86,7 +86,6 @@ class PointSpec:
     #: mode (sorted key/value pairs so the spec stays frozen/hashable).
     opts: Tuple[Tuple[str, Any], ...] = ()
     measure_phases: bool = False
-    repeats: int = 1
 
     def build_pattern(self):
         registry = _pattern_registry()
@@ -121,7 +120,6 @@ class PointSpec:
                 x=self.x,
                 method_opts=opts or None,
                 measure_phases=self.measure_phases,
-                repeats=self.repeats,
                 obs=obs,
             )
         if self.series is not None:

@@ -13,6 +13,7 @@ from repro.config import (
     StripeParams,
 )
 from repro.errors import ConfigError
+from repro.pvfs import Cluster
 from repro.units import MiB
 
 
@@ -41,6 +42,21 @@ class TestNetworkConfig:
     def test_transmit_time_monotone_in_payload(self):
         net = NetworkConfig()
         assert net.transmit_time(100) < net.transmit_time(1000) < net.transmit_time(100000)
+
+    def test_transmit_time_large_payload_near_line_rate(self):
+        # 1 MB at 100 Mbit/s should take ~0.084 s plus framing overhead.
+        t = NetworkConfig().transmit_time(1_000_000)
+        assert 0.08 < t < 0.095
+
+    def test_describe_splits_latency_and_serialization(self):
+        net = NetworkConfig()
+        assert net.describe(2000) == {
+            "payload_bytes": 2000,
+            "wire_bytes": net.wire_bytes(2000),
+            "frames": 2,
+            "latency_s": net.latency,
+            "serialization_s": net.transmit_time(2000),
+        }
 
     def test_single_frame_request_matches_paper_design_point(self):
         # Paper 3.3: header + 64 (offset, length) pairs fits one Ethernet packet.
@@ -121,7 +137,9 @@ class TestClusterConfig:
         assert cfg.stripe.stripe_size == 16384
         assert cfg.list_io_max_regions == DEFAULT_LIST_IO_MAX_REGIONS == 64
         assert cfg.sieve_buffer_size == DEFAULT_SIEVE_BUFFER_SIZE == 32 * MiB
-        assert cfg.manager_on_iod0 is True
+        # "One of the I/O nodes doubled as both a manager and an I/O server."
+        cluster = Cluster.build(cfg, move_bytes=False)
+        assert cluster.manager.node is cluster.iods[0].node
 
     def test_with_override(self):
         cfg = ClusterConfig().with_(n_clients=16)

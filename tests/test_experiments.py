@@ -199,10 +199,6 @@ class TestReporting:
         assert "[PASS] ok" in str(Check("ok", True))
         assert "[FAIL] bad (why)" in str(Check("bad", False, "why"))
 
-    def test_series_names_order(self):
-        res = figure9(scale=SMOKE, mode="model")
-        assert res.series_names()[0] == "multiple"
-
 
 class TestCLI:
     def test_figure_registry_covers_all_result_figures(self):

@@ -6,8 +6,9 @@ request/grant event chain into one precomputed timeout; with
 ``PVFS_SIM_NO_FASTPATH=1`` every transfer walks the exact legacy chain.
 These tests drive both modes over generated payloads/MTUs and assert the
 completion times are *exactly* equal (``==``, not approx) and match the
-closed-form :class:`~repro.network.EthernetModel` predictions — and that
-active loss / link-down windows force the slow path outright.
+closed-form :class:`~repro.config.NetworkConfig` predictions (latency plus
+transmit time per message) — and that active loss / link-down windows
+force the slow path outright.
 
 Gated on hypothesis availability per the repo's no-new-deps rule.
 """
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.config import NetworkConfig
-from repro.network import EthernetModel, Network
+from repro.network import Network
 from repro.simulate import NO_FASTPATH_ENV, Simulator
 
 pytest.importorskip("hypothesis")
@@ -52,6 +53,11 @@ def _fresh_net(cfg, fastpath, n_nodes=2):
     return sim, net, nodes
 
 
+def _message_time(cfg, payload):
+    """Idle-network time of one ``payload``-byte message."""
+    return cfg.latency + cfg.transmit_time(payload)
+
+
 payloads = st.integers(min_value=0, max_value=2_000_000)
 mtus = st.integers(min_value=576, max_value=9000)
 
@@ -60,7 +66,7 @@ mtus = st.integers(min_value=576, max_value=9000)
 @settings(max_examples=60, deadline=None)
 def test_single_message_matches_analytic_time(payload, mtu):
     cfg = NetworkConfig(mtu=mtu)
-    expected = EthernetModel(cfg).message_time(payload)
+    expected = _message_time(cfg, payload)
     times = {}
     for mode in (True, False):
         sim, net, (a, b) = _fresh_net(cfg, mode)
@@ -82,7 +88,7 @@ def test_single_message_matches_analytic_time(payload, mtu):
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_matches_analytic_time(request, response, mtu):
     cfg = NetworkConfig(mtu=mtu)
-    expected = EthernetModel(cfg).roundtrip_time(request, response)
+    expected = _message_time(cfg, request) + _message_time(cfg, response)
     times = {}
     for mode in (True, False):
         sim, net, (a, b) = _fresh_net(cfg, mode)
@@ -146,7 +152,7 @@ def test_frame_loss_forces_slow_path(payload, rate, seed):
         # An active loss window bypasses the analytic path entirely.
         assert net.counters["net.fastpath_messages"] == 0.0
     assert times[True] == times[False]
-    assert times[True] >= EthernetModel(cfg).message_time(payload)
+    assert times[True] >= _message_time(cfg, payload)
 
 
 @given(until=st.floats(0.01, 2.0), payload=st.integers(0, 100_000))
@@ -175,7 +181,7 @@ def test_link_down_forces_slow_path_then_reengages(until, payload):
         assert net.counters["net.fastpath_messages"] == (1.0 if mode else 0.0)
         assert net.counters["net.link_stalls"] == 1.0
     assert results[True] == results[False]
-    one = EthernetModel(cfg).message_time(payload)
+    one = _message_time(cfg, payload)
     assert results[True][0][0] == until + cfg.retransmit_timeout + one
 
 

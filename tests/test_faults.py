@@ -127,12 +127,10 @@ class TestPlanValidation:
     def test_plan_helpers(self):
         plan = FaultPlan.empty()
         assert plan.is_empty and len(plan) == 0
-        plan = plan.with_faults(Straggler(0, 2.0), IodCrash(1, at=1.0))
+        plan = FaultPlan((Straggler(0, 2.0), IodCrash(1, at=1.0)))
         assert len(plan) == 2
         assert plan.stragglers() == (Straggler(0, 2.0),)
         assert plan.scheduled() == (IodCrash(1, at=1.0),)
-        assert FaultConfig().is_inert
-        assert not FaultConfig(retry=RetryPolicy(request_timeout=1.0)).is_inert
 
 
 class TestCrashRecovery:
@@ -162,8 +160,9 @@ class TestCrashRecovery:
         assert rec[0] is not None
         # Recovery >= the restart delay, and within the run.
         assert 2.0 <= rec[0] <= result.elapsed
-        assert cluster.fault_injector.events[0][1] == "iod0 crashed"
-        assert "restarted" in cluster.fault_injector.format_events()
+        events = [what for _t, what in cluster.fault_injector.events]
+        assert events[0] == "iod0 crashed"
+        assert any("restarted" in what for what in events)
 
     def test_retry_spans_recorded(self, baseline):
         cluster, _, _ = _roundtrip(_crash_config(baseline.elapsed), trace=True)

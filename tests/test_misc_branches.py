@@ -1,49 +1,11 @@
-"""Tests for less-traveled branches: write-through mode, report gaps,
-chart edge values, network byte conservation."""
+"""Tests for less-traveled branches: report gaps, chart edge values,
+network byte conservation."""
 
 import numpy as np
 
-from repro.config import CacheConfig, ClusterConfig, StripeParams
+from repro.config import ClusterConfig, StripeParams
 from repro.pvfs import Cluster
 from repro.regions import RegionList
-
-
-class TestWriteThroughMode:
-    """The write_through cache mode models synchronous small writes with
-    read-modify-write page penalties (CostModel.small_write_penalty)."""
-
-    def _cluster(self, write_through):
-        return Cluster.build(
-            ClusterConfig(
-                n_clients=1,
-                n_iods=2,
-                stripe=StripeParams(stripe_size=4096),
-                cache=CacheConfig(write_through=write_through),
-            ),
-            move_bytes=False,
-        )
-
-    def _write_small_pieces(self, cluster):
-        regions = RegionList.strided(0, 64, 100, 8192)  # 100 B pieces
-
-        def wl(client):
-            f = yield from client.open("/wt", create=True)
-            yield from f.write_list(regions, None)
-            yield from f.close()
-
-        return cluster.run_workload(wl, clients=[0]).elapsed
-
-    def test_write_through_slower_than_write_back(self):
-        wb = self._write_small_pieces(self._cluster(False))
-        wt = self._write_small_pieces(self._cluster(True))
-        assert wt > wb
-
-    def test_write_through_charges_media(self):
-        cluster = self._cluster(True)
-        self._write_small_pieces(cluster)
-        assert sum(iod.disk.media_write_bytes for iod in cluster.iods) > 0
-        # and nothing remains dirty
-        assert all(iod.disk.cache.dirty_blocks == 0 for iod in cluster.iods)
 
 
 class TestReportGaps:

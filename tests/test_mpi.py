@@ -23,18 +23,6 @@ class TestBarrier:
         sim.run()
         assert times == [7, 7, 7]
 
-    def test_barrier_sync_charges_latency(self):
-        sim = Simulator()
-        comm = Communicator(sim, 4, latency=1e-3)
-
-        def rank(sim):
-            yield from comm.barrier_sync(0)
-            return sim.now
-
-        procs = [sim.process(rank(sim)) for _ in range(4)]
-        sim.run()
-        assert all(p.value == pytest.approx(2e-3) for p in procs)  # log2(4)=2 hops
-
 
 class TestBcast:
     def test_root_value_reaches_all(self):

@@ -4,44 +4,13 @@ import pytest
 
 from repro.config import NetworkConfig
 from repro.errors import NetworkError
-from repro.network import EthernetModel, Network
+from repro.network import Network
 from repro.simulate import Simulator
 
 
 def make_net(sim=None, **kw):
     sim = sim or Simulator()
     return sim, Network(sim, NetworkConfig(**kw))
-
-
-class TestEthernetModel:
-    def setup_method(self):
-        self.eth = EthernetModel(NetworkConfig())
-
-    def test_message_time_includes_latency(self):
-        cfg = self.eth.cfg
-        assert self.eth.message_time(0) == pytest.approx(cfg.latency + cfg.transmit_time(0))
-
-    def test_roundtrip(self):
-        assert self.eth.roundtrip_time(100, 200) == pytest.approx(
-            self.eth.message_time(100) + self.eth.message_time(200)
-        )
-
-    def test_fits_one_frame(self):
-        assert self.eth.fits_one_frame(1460)
-        assert not self.eth.fits_one_frame(1461)
-
-    def test_max_regions_per_frame_matches_paper_cap(self):
-        # 16 bytes per (offset, length) pair, ~64-byte request header:
-        # the paper's cap of 64 regions must fit in one frame.
-        assert self.eth.max_regions_per_frame(header_bytes=64, bytes_per_region=16) >= 64
-
-    def test_max_regions_never_negative(self):
-        assert self.eth.max_regions_per_frame(header_bytes=10_000, bytes_per_region=16) == 0
-
-    def test_transmit_time_large_payload_near_line_rate(self):
-        # 1 MB at 100 Mbit/s should take ~0.084 s plus framing overhead.
-        t = self.eth.transmit_time(1_000_000)
-        assert 0.08 < t < 0.095
 
 
 class TestNodeRegistry:

@@ -260,7 +260,7 @@ class TestCacheProperties:
             CacheConfig(capacity=capacity_blocks * 4096, block_size=4096)
         )
         for block, dirty in ops:
-            cache.insert("f", np.array([block]), dirty=dirty)
+            cache.insert_range("f", block, 1, dirty=dirty)
             assert len(cache) <= capacity_blocks
 
     @given(
@@ -269,7 +269,7 @@ class TestCacheProperties:
     def test_most_recent_block_always_resident(self, blocks):
         cache = BlockCache(CacheConfig(capacity=4 * 4096, block_size=4096))
         for b in blocks:
-            cache.insert("f", np.array([b]))
+            cache.insert_range("f", b, 1)
             assert cache.contains("f", b)
 
 

@@ -274,6 +274,10 @@ class TestListIO:
 
 
 class TestNonblockingAPI:
+    """An operation started with ``sim.process`` is PVFS's nonblocking
+    form (``pvfs_iread``/``pvfs_iwrite``): the process is waitable and its
+    value is the read data."""
+
     def test_iread_iwrite_overlap(self):
         """Two nonblocking writes to different servers overlap in time."""
 
@@ -285,8 +289,8 @@ class TestNonblockingAPI:
 
         def overlapped(client):
             f = yield from client.open("/nb2", create=True)
-            a = f.iwrite(0, np.zeros(100_000, np.uint8))
-            b = f.iwrite(400_000, np.zeros(100_000, np.uint8))
+            a = client.sim.process(f.write(0, np.zeros(100_000, np.uint8)))
+            b = client.sim.process(f.write(400_000, np.zeros(100_000, np.uint8)))
             yield client.sim.all_of([a, b])
             yield from f.close()
 
@@ -300,8 +304,7 @@ class TestNonblockingAPI:
         def wl(client):
             f = yield from client.open("/nb3", create=True)
             yield from f.write(0, np.arange(64, dtype=np.uint8))
-            req = f.iread(0, 64)
-            data = yield req
+            data = yield client.sim.process(f.read(0, 64))
             yield from f.close()
             return data
 
@@ -315,9 +318,9 @@ class TestNonblockingAPI:
 
         def wl(client):
             f = yield from client.open("/nb4", create=True)
-            yield f.iwrite_list(regions, payload)
+            yield client.sim.process(f.write_list(regions, payload))
             blocking = yield from f.read_list(regions)
-            nonblocking = yield f.iread_list(regions)
+            nonblocking = yield client.sim.process(f.read_list(regions))
             yield from f.close()
             return blocking, nonblocking
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.config import StripeParams
+from repro.config import ClusterConfig, StripeParams
 from repro.errors import FileExistsError_, NoSuchFileError
+from repro.pvfs import Cluster
 from repro.pvfs.metadata import FileMetadata, Namespace
 
 
@@ -18,6 +19,17 @@ class TestCreate:
         b = ns.create("/b")
         assert a.file_id != b.file_id
         assert len(ns) == 2
+
+    def test_each_cluster_numbers_its_files_from_one(self):
+        # File ids (and the error text that names them) must not depend on
+        # what ran earlier in the process.
+        def first_id(client):
+            f = yield from client.open("/x", create=True)
+            return f.file_id
+
+        for _ in range(2):
+            cluster = Cluster.build(ClusterConfig(n_clients=1, n_iods=2), move_bytes=False)
+            assert cluster.run_workload(first_id).client_returns == [1]
 
     def test_create_existing_returns_same(self, ns):
         a = ns.create("/a")
@@ -73,7 +85,7 @@ class TestUnlink:
 
 class TestFileMetadata:
     def test_grow_to_monotone(self):
-        meta = FileMetadata(path="/m", stripe=StripeParams())
+        meta = FileMetadata(path="/m", stripe=StripeParams(), file_id=1)
         meta.grow_to(100)
         assert meta.size == 100
         meta.grow_to(50)  # shrinking is ignored
@@ -82,5 +94,5 @@ class TestFileMetadata:
         assert meta.size == 200
 
     def test_open_count_default(self):
-        meta = FileMetadata(path="/m", stripe=StripeParams())
+        meta = FileMetadata(path="/m", stripe=StripeParams(), file_id=1)
         assert meta.open_count == 0

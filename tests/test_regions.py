@@ -269,30 +269,6 @@ class TestByteSlice:
             )
 
 
-class TestSplitByBytes:
-    def test_simple(self):
-        r = RegionList([0, 100], [10, 10])
-        parts = r.split_by_bytes([5, 15])
-        assert list(parts[0]) == [(0, 5)]
-        assert list(parts[1]) == [(5, 5), (100, 10)]
-
-    def test_cut_inside_region(self):
-        r = RegionList([0], [10])
-        parts = r.split_by_bytes([3, 3, 4])
-        assert [p.total_bytes for p in parts] == [3, 3, 4]
-        assert list(parts[2]) == [(6, 4)]
-
-    def test_sum_mismatch(self):
-        with pytest.raises(RegionError):
-            RegionList([0], [10]).split_by_bytes([3, 3])
-
-    def test_zero_count_piece(self):
-        r = RegionList([0], [4])
-        parts = r.split_by_bytes([0, 4])
-        assert parts[0].total_bytes == 0
-        assert parts[1].total_bytes == 4
-
-
 class TestPairPieces:
     def test_identical_lists(self):
         a = RegionList([0, 10], [5, 5])

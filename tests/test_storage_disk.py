@@ -87,13 +87,6 @@ class TestWrites:
         assert d.media_write_bytes == 8 * 4 * KiB
         assert t > 16 * 4 * KiB / d.cache.cfg.memory_copy_rate
 
-    def test_write_through_pays_media_immediately(self):
-        d = make_disk(write_through=True)
-        t = d.write_time("f", RegionList.single(0, 64 * KiB))
-        assert t >= d.cfg.positioning_time + 64 * KiB / d.cfg.transfer_rate
-        assert d.media_write_bytes == 64 * KiB
-        assert d.cache.dirty_blocks == 0
-
     def test_written_blocks_become_read_hits(self):
         d = make_disk()
         d.write_time("f", RegionList.single(0, 8 * KiB))

@@ -147,64 +147,6 @@ class TestFaultInjection:
         assert slowdown_list > 1.2  # the straggler is on the critical path
 
 
-class TestJitter:
-    def _elapsed(self, jitter, seed=0x5EED):
-        from repro.config import CostModel
-
-        pattern = uniform_fragments(2, 64, 256, density=1.0)
-        cfg = ClusterConfig.chiba_city(
-            n_clients=2, costs=CostModel(jitter=jitter), seed=seed
-        )
-        cluster = Cluster.build(cfg, move_bytes=False)
-
-        def wl(client):
-            a = pattern.rank(client.index)
-            f = yield from client.open("/j", create=True)
-            yield from ListIO().read(f, None, a.mem_regions, a.file_regions)
-            yield from f.close()
-
-        return cluster.run_workload(wl).elapsed
-
-    def test_zero_jitter_is_deterministic(self):
-        assert self._elapsed(0.0) == self._elapsed(0.0)
-
-    def test_jitter_varies_with_seed_but_reproducibly(self):
-        a1 = self._elapsed(0.2, seed=1)
-        a2 = self._elapsed(0.2, seed=1)
-        b = self._elapsed(0.2, seed=2)
-        assert a1 == a2
-        assert a1 != b
-
-    def test_jitter_bounded(self):
-        base = self._elapsed(0.0)
-        for seed in range(5):
-            t = self._elapsed(0.1, seed=seed)
-            assert 0.8 * base < t < 1.25 * base
-
-    def test_jitter_validated(self):
-        from repro.config import CostModel
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            CostModel(jitter=1.0)
-        with pytest.raises(ConfigError):
-            CostModel(jitter=-0.1)
-
-    def test_repeats_report_mean_and_std(self):
-        from repro.config import CostModel
-        from repro.experiments import des_point
-
-        pattern = uniform_fragments(2, 64, 256, density=1.0)
-        cfg = ClusterConfig.chiba_city(n_clients=2, costs=CostModel(jitter=0.2))
-        p = des_point(pattern, "list", "read", cfg, repeats=3)
-        assert p.repeats == 3
-        assert p.elapsed_std > 0
-        # deterministic model/config: std collapses
-        cfg0 = ClusterConfig.chiba_city(n_clients=2)
-        p0 = des_point(pattern, "list", "read", cfg0, repeats=3)
-        assert p0.elapsed_std == 0.0
-
-
 class TestUtilizationReport:
     """Per-resource utilization, as the bottleneck report gives it."""
 
