@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import RegionError
-from ..regions import RegionList, build_flat_indices
+from ..regions import RegionList, gather_runs, scatter_runs
 from ..pvfs.client import PVFSFile
 
 __all__ = ["AccessMethod", "validate_transfer"]
@@ -85,8 +85,7 @@ class AccessMethod(ABC):
         """Memory regions -> contiguous stream (None stays None)."""
         if memory is None:
             return None
-        idx = build_flat_indices(mem_regions.offsets, mem_regions.lengths)
-        return memory[idx]
+        return gather_runs(memory, mem_regions.offsets, mem_regions.lengths)
 
     @staticmethod
     def _scatter_memory(
@@ -95,8 +94,7 @@ class AccessMethod(ABC):
         """Contiguous stream -> memory regions (no-op when timing-only)."""
         if memory is None or stream is None:
             return
-        idx = build_flat_indices(mem_regions.offsets, mem_regions.lengths)
-        memory[idx] = stream
+        scatter_runs(memory, mem_regions.offsets, mem_regions.lengths, stream)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"

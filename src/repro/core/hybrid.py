@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import RegionError
 from ..mpi import Communicator
-from ..regions import RegionList, build_flat_indices
+from ..regions import RegionList, gather_runs, scatter_runs
 from ..pvfs.client import PVFSFile
 from .base import AccessMethod, validate_transfer
 
@@ -68,18 +68,19 @@ class HybridIO(AccessMethod):
         if not file_regions.is_sorted():
             raise RegionError("hybrid I/O requires file regions sorted by offset")
         extents = cluster_extents(file_regions, self.gap_threshold)
-        # Positions of every requested byte inside the extents' byte stream.
+        # Where each extent's bytes start inside the extents' byte stream.
         ext_stream_base = np.concatenate(([0], np.cumsum(extents.lengths)[:-1]))
         return extents, ext_stream_base
 
     def _region_positions_in_extents(
         self, file_regions: RegionList, extents: RegionList, base: np.ndarray
-    ) -> np.ndarray:
-        """Flat indices of the requested bytes within the extent stream."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, lengths)`` of the requested regions' runs within the
+        extent stream, in file-region order."""
         r = file_regions.drop_empty()
         which = np.searchsorted(extents.offsets, r.offsets, side="right") - 1
         start_in_stream = base[which] + (r.offsets - extents.offsets[which])
-        return build_flat_indices(start_in_stream, r.lengths)
+        return start_in_stream, r.lengths
 
     # ------------------------------------------------------------------
     def read(self, f: PVFSFile, memory, mem_regions, file_regions):
@@ -93,8 +94,8 @@ class HybridIO(AccessMethod):
         if unpack > 0:
             yield f.client.sim.timeout(unpack)
         if memory is not None and ext_stream is not None:
-            idx = self._region_positions_in_extents(file_regions, extents, base)
-            self._scatter_memory(memory, mem_regions, ext_stream[idx])
+            runs = self._region_positions_in_extents(file_regions, extents, base)
+            self._scatter_memory(memory, mem_regions, gather_runs(ext_stream, *runs))
         f.client.scope.add("hybrid_fetched_bytes", extents.total_bytes)
         f.client.scope.add("hybrid_wasted_bytes", extents.total_bytes - useful)
 
@@ -117,8 +118,8 @@ class HybridIO(AccessMethod):
         if pack > 0:
             yield f.client.sim.timeout(pack)
         if memory is not None and ext_stream is not None:
-            idx = self._region_positions_in_extents(file_regions, extents, base)
-            ext_stream[idx] = self._gather_memory(memory, mem_regions)
+            runs = self._region_positions_in_extents(file_regions, extents, base)
+            scatter_runs(ext_stream, *runs, self._gather_memory(memory, mem_regions))
         yield from f.write_list(extents, ext_stream)
         f.client.scope.add("hybrid_rmw_bytes", extents.total_bytes - file_regions.total_bytes if has_gaps else 0)
 

@@ -28,7 +28,7 @@ from ..errors import RegionError
 from ..mpi import Communicator
 from ..mpiio import twophase as engine
 from ..pvfs.client import PVFSFile
-from ..regions import RegionList, build_flat_indices
+from ..regions import RegionList, gather_runs
 from .base import AccessMethod, validate_transfer
 
 __all__ = ["TwoPhaseIO"]
@@ -159,8 +159,7 @@ def _permute_stream(stream, regions: RegionList, order: np.ndarray):
     if _is_identity(order):
         return stream
     starts = _starts_of(regions)
-    idx = build_flat_indices(starts[order], regions.lengths[order])
-    return np.ascontiguousarray(stream[idx])
+    return gather_runs(stream, starts[order], regions.lengths[order])
 
 
 def _unpermute_stream(stream, sorted_regions: RegionList, order: np.ndarray):
@@ -170,9 +169,7 @@ def _unpermute_stream(stream, sorted_regions: RegionList, order: np.ndarray):
     starts = _starts_of(sorted_regions)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size, dtype=order.dtype)
-    lengths = sorted_regions.lengths[inverse]
-    idx = build_flat_indices(starts[inverse], lengths)
-    return np.ascontiguousarray(stream[idx])
+    return gather_runs(stream, starts[inverse], sorted_regions.lengths[inverse])
 
 
 def _is_identity(order: np.ndarray) -> bool:

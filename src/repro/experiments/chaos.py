@@ -53,7 +53,7 @@ from ..faults import (
 )
 from ..patterns import flash_io, one_dim_cyclic, tiled_visualization
 from ..pvfs import Cluster
-from ..regions import build_flat_indices
+from ..regions import gather_runs
 from ..simulate import Event
 from ..sweep import ChaosSpec, run_sweep
 from .cli import add_sweep_options, check_sweep
@@ -193,14 +193,20 @@ def _retry_policy(scenario: str, baseline: float) -> RetryPolicy:
 
 
 def _oracle_stream(n: int) -> np.ndarray:
-    """The analytic seed pattern: byte ``i`` is ``(i * 131 + 17) % 256``."""
-    return ((np.arange(n, dtype=np.int64) * 131 + 17) % 256).astype(np.uint8)
+    """The analytic seed pattern: byte ``i`` is ``(i * 131 + 17) % 256``.
+
+    Byte ``i + 256`` equals byte ``i`` (``256 * 131`` is a multiple of
+    256), so one 256-byte period is tiled rather than every byte computed.
+    """
+    period = ((np.arange(256, dtype=np.int64) * 131 + 17) % 256).astype(np.uint8)
+    return np.resize(period, n)
 
 
 def _oracle_bytes(regions) -> np.ndarray:
-    """Expected read-back stream for ``regions`` of an oracle-seeded file."""
-    idx = build_flat_indices(regions.offsets, regions.lengths)
-    return ((idx * 131 + 17) % 256).astype(np.uint8)
+    """Expected read-back stream for ``regions`` of an oracle-seeded file:
+    each region's run, read from the pattern at its offset modulo 256."""
+    longest = int(regions.lengths.max()) if regions.count else 0
+    return gather_runs(_oracle_stream(256 + longest), regions.offsets % 256, regions.lengths)
 
 
 def _run_once(pattern, kind: str, cfg: ClusterConfig):

@@ -40,6 +40,9 @@ class DataPoint:
     n_clients: int
     logical_requests: int = 0
     server_messages: int = 0
+    #: DES mode: every network payload byte (``net.payload_bytes``: request
+    #: and response headers and manager messages too).  Model mode: the
+    #: plan's data bytes only.
     moved_bytes: int = 0
     useful_bytes: int = 0
     phases: Dict[str, float] = field(default_factory=dict)  # e.g. open/read/close
@@ -58,6 +61,8 @@ class DataPoint:
 
     @property
     def wasted_bytes(self) -> int:
+        """``moved_bytes - useful_bytes``: headers and manager traffic count
+        in DES mode but not in model mode, so the modes do not compare."""
         return self.moved_bytes - self.useful_bytes
 
     def __repr__(self) -> str:
@@ -151,9 +156,7 @@ def des_point(
             f"x={x:g} clients={pattern.n_ranks}",
         )
     counters = result.counters
-    moved = int(
-        counters.get("net.payload_bytes", 0.0)
-    )  # includes headers; refined below
+    moved = int(counters.get("net.payload_bytes", 0.0))  # headers too: see DataPoint
     useful = pattern.total_bytes
     point = DataPoint(
         figure=figure,

@@ -33,7 +33,7 @@ import numpy as np
 from ..datatypes import BYTE, Datatype
 from ..mpi import Communicator
 from ..pvfs.client import PVFSFile
-from ..regions import build_flat_indices
+from ..regions import gather_runs, scatter_runs
 from .twophase import (
     CollectiveContext,
     MPIIOError,
@@ -116,8 +116,7 @@ class MPIFile:
         if mem_datatype is None:
             return data
         if memory is not None and data is not None:
-            idx = build_flat_indices(mem_regions.offsets, mem_regions.lengths)
-            memory[idx] = data
+            scatter_runs(memory, mem_regions.offsets, mem_regions.lengths, data)
         yield self._client.sim.timeout(nbytes / self._client.costs.memcpy_rate)
         return memory
 
@@ -138,8 +137,7 @@ class MPIFile:
             n = mem_regions.total_bytes
             stream = None
             if data is not None:
-                idx = build_flat_indices(mem_regions.offsets, mem_regions.lengths)
-                stream = np.ascontiguousarray(data[idx])
+                stream = gather_runs(data, mem_regions.offsets, mem_regions.lengths)
             yield self._client.sim.timeout(n / self._client.costs.memcpy_rate)
         else:
             n = int(data.size if data is not None else nbytes)

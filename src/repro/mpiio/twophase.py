@@ -36,7 +36,7 @@ import numpy as np
 
 from ..errors import PVFSError
 from ..mpi import Communicator
-from ..regions import RegionList, build_flat_indices
+from ..regions import RegionList, gather_runs, scatter_runs
 from ..simulate import Event
 
 __all__ = [
@@ -305,8 +305,7 @@ def _assemble(client, contribs):
             if payload is None:
                 continue
             pos = stream_positions(merged, regions)
-            idx = build_flat_indices(pos, regions.lengths)
-            buffer[idx] = payload
+            scatter_runs(buffer, pos, regions.lengths, payload)
     return merged, buffer
 
 
@@ -353,8 +352,7 @@ def collective_write(
             payload = None
             if client.move_bytes and stream is not None:
                 pos = stream_positions(regions, mine)
-                idx = build_flat_indices(pos, mine.lengths)
-                payload = np.ascontiguousarray(stream[idx])
+                payload = gather_runs(stream, pos, mine.lengths)
             send_procs.append(
                 sim.process(_ship_contribution(f, ex, (d, rnd), rank, d, mine, payload))
             )
@@ -420,8 +418,7 @@ def collective_read(
                 payload = None
                 if client.move_bytes and domain_data is not None:
                     pos = stream_positions(domain_union, want)
-                    idx = build_flat_indices(pos, want.lengths)
-                    payload = np.ascontiguousarray(domain_data[idx])
+                    payload = gather_runs(domain_data, pos, want.lengths)
                 ship.append(
                     sim.process(
                         _ship_reply(f, ex, (requester, rnd), rank, requester, want, payload)
@@ -437,8 +434,7 @@ def collective_read(
                 if payload is None:
                     continue
                 pos = stream_positions(regions, got)
-                idx = build_flat_indices(pos, got.lengths)
-                out[idx] = payload
+                scatter_runs(out, pos, got.lengths, payload)
     if regions.count:
         yield sim.timeout(regions.total_bytes / client.costs.memcpy_rate)
     yield comm.barrier()

@@ -38,7 +38,7 @@ from ..errors import (
     ServerFenced,
     TimeoutError,
 )
-from ..regions import RegionList
+from ..regions import RegionList, gather_runs, scatter_runs
 from ..simulate import Event
 from .protocol import IORequest, ManagerRequest
 from .striping import map_regions, replica_chain
@@ -197,7 +197,7 @@ class PVFSFile:
         for sl in smap:
             payload = None
             if kind == "write" and stream is not None:
-                payload = stream[sl.gather_stream_indices()]
+                payload = gather_runs(stream, sl.stream_offsets, sl.physical.lengths)
             if replicated:
                 procs.append(
                     sim.process(
@@ -239,7 +239,7 @@ class PVFSFile:
         if kind == "read" and client.move_bytes:
             out = np.zeros(regions.total_bytes, dtype=np.uint8)
             for sl, piece in zip(smap, results):
-                out[sl.gather_stream_indices()] = piece
+                scatter_runs(out, sl.stream_offsets, sl.physical.lengths, piece)
             return out
         return None
 

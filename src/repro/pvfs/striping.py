@@ -23,7 +23,7 @@ import numpy as np
 
 from ..config import StripeParams
 from ..errors import ConfigError
-from ..regions import RegionList, build_flat_indices
+from ..regions import RegionList
 
 __all__ = [
     "StripeMap",
@@ -83,10 +83,6 @@ class ServerSlice:
     @property
     def nbytes(self) -> int:
         return self.physical.total_bytes
-
-    def gather_stream_indices(self) -> np.ndarray:
-        """Flat indices into the request stream for this server's bytes."""
-        return build_flat_indices(self.stream_offsets, self.physical.lengths)
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,20 @@ builds on:
 * clipping to an extent (data sieving windows),
 * pairing two equal-volume lists into matched copy pieces (memory<->file
   data movement),
-* building flat fancy-index arrays for one-shot numpy gather/scatter.
+* moving real bytes run by run (:func:`gather_runs`, :func:`scatter_runs`).
 
-Everything is O(n log n) or better in the number of regions and never loops
-over regions in Python for the hot paths, per the HPC guide's "vectorize the
-for loops" rule.  Operations whose input is already sorted are linear
-merges rather than general set operations: :func:`pair_pieces` merges the
-two lists' strictly increasing breakpoints (no hash-based union), and
-:meth:`RegionList.coalesced`, once its input is sorted, reads each run's
-end from the running maximum of the region ends (no scatter-max).
+The region algebra is O(n log n) or better in the number of regions and
+vectorized over the region arrays.  Operations whose input is already
+sorted are linear merges rather than general set operations:
+:func:`pair_pieces` merges the two lists' strictly increasing breakpoints
+(no hash-based union), and :meth:`RegionList.coalesced`, once its input is
+sorted, reads each run's end from the running maximum of the region ends.
+
+Byte movement loops over runs in Python instead, one slice copy per run: a
+run costs one interpreter step plus a memcpy, while a per-byte fancy index
+(:func:`build_flat_indices`, kept as the tests' reference) holds eight
+bytes of int64 per data byte and makes several full passes over them.
+Only runs of a few bytes each are cheaper by index.
 """
 
 from __future__ import annotations
@@ -30,7 +35,14 @@ import numpy as np
 
 from .errors import RegionError
 
-__all__ = ["RegionList", "pair_pieces", "build_flat_indices", "split_with_parents"]
+__all__ = [
+    "RegionList",
+    "pair_pieces",
+    "build_flat_indices",
+    "gather_runs",
+    "scatter_runs",
+    "split_with_parents",
+]
 
 
 def _as_int64(a) -> np.ndarray:
@@ -512,17 +524,50 @@ def split_with_parents(
     return pieces, reg_idx, unit
 
 
-def build_flat_indices(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Flat element indices covering every region, in order.
-
-    ``build_flat_indices([5, 20], [3, 2]) == [5, 6, 7, 20, 21]`` — the fancy
-    index array that turns a noncontiguous gather/scatter into one numpy
-    indexing operation.
-    """
+def _run_arrays(offsets, lengths) -> Tuple[np.ndarray, np.ndarray]:
     offsets = _as_int64(offsets)
     lengths = _as_int64(lengths)
     if offsets.shape != lengths.shape:
         raise RegionError("offsets and lengths must have equal shape")
+    return offsets, lengths
+
+
+def gather_runs(src: np.ndarray, offsets, lengths) -> np.ndarray:
+    """A new array holding each run ``src[offsets[i] : offsets[i] +
+    lengths[i]]``, in order.  Lengths must be non-negative.
+
+    The result never shares memory with ``src``, even for a single run, so
+    the caller may hand it on while ``src`` is reused (a replicated write's
+    background copies still read their payload after the write returns).
+    """
+    offsets, lengths = _run_arrays(offsets, lengths)
+    out = np.empty(int(lengths.sum()), dtype=src.dtype)
+    pos = 0
+    for off, ln in zip(offsets.tolist(), lengths.tolist()):
+        out[pos : pos + ln] = src[off : off + ln]
+        pos += ln
+    return out
+
+
+def scatter_runs(dst: np.ndarray, offsets, lengths, src: np.ndarray) -> None:
+    """Write the stream ``src`` into ``dst`` run by run: its first
+    ``lengths[0]`` elements to ``dst[offsets[0]:]``, the next ``lengths[1]``
+    to ``dst[offsets[1]:]``, and so on.  Lengths must be non-negative."""
+    offsets, lengths = _run_arrays(offsets, lengths)
+    pos = 0
+    for off, ln in zip(offsets.tolist(), lengths.tolist()):
+        dst[off : off + ln] = src[pos : pos + ln]
+        pos += ln
+
+
+def build_flat_indices(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat element indices covering every region, in order.
+
+    ``build_flat_indices([5, 20], [3, 2]) == [5, 6, 7, 20, 21]``.  The
+    per-byte reference for :func:`gather_runs` and :func:`scatter_runs`:
+    ``src[idx]`` and ``dst[idx] = stream`` are what they compute.
+    """
+    offsets, lengths = _run_arrays(offsets, lengths)
     mask = lengths > 0
     offsets, lengths = offsets[mask], lengths[mask]
     total = int(lengths.sum())

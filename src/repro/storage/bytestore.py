@@ -20,7 +20,10 @@ from ..regions import RegionList
 
 __all__ = ["ByteStore", "NullByteStore"]
 
-_DEFAULT_CHUNK = 256 * 1024
+# One default stripe unit (``StripeParams.stripe_size``).  An I/O daemon's
+# stripe file grows one stripe unit at a time, so a larger chunk would mostly
+# hold zeros that stay allocated for as long as the cluster lives.
+_DEFAULT_CHUNK = 16 * 1024
 
 
 class ByteStore:

@@ -1,14 +1,16 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, StripeParams
 from repro.regions import (
     RegionList,
     build_flat_indices,
+    gather_runs,
     pair_pieces,
+    scatter_runs,
     split_with_parents,
 )
 from repro.pvfs.striping import map_regions
@@ -40,6 +42,32 @@ def disjoint_sorted_lists(draw, max_regions=25, max_gap=300, max_len=200):
         offs.append(pos)
         pos += ln + g
     return RegionList(offs, lengths)
+
+
+@st.composite
+def run_lists(draw, disjoint=False, max_runs=12):
+    """``(offsets, lengths)`` int64 arrays mixing zero-length, tiny and long
+    runs.  ``disjoint`` runs never share a byte and come in random order."""
+    n = draw(st.integers(0, max_runs))
+    lengths = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.integers(0, 8), st.integers(256, 3000)),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        dtype=np.int64,
+    )
+    if disjoint:
+        gaps = np.array(
+            draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)), dtype=np.int64
+        )
+        offsets = np.cumsum(gaps + lengths) - lengths
+        order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+        return offsets[order], lengths[order]
+    offsets = draw(st.lists(st.integers(0, 4000), min_size=n, max_size=n))
+    return np.array(offsets, dtype=np.int64), lengths
 
 
 def byte_set(r: RegionList):
@@ -160,6 +188,38 @@ class TestPairPiecesProperties:
             pos += k
 
 
+class TestRunCopyProperties:
+    """gather_runs / scatter_runs against the per-byte fancy index."""
+
+    _EMPTY = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+    @given(run_lists())
+    @example(_EMPTY)
+    @example((np.array([17], np.int64), np.array([3000], np.int64)))
+    def test_gather_matches_flat_index(self, runs):
+        offsets, lengths = runs
+        src = (np.arange(7000) % 251).astype(np.uint8)
+        before = src.copy()
+        got = gather_runs(src, offsets, lengths)
+        np.testing.assert_array_equal(got, src[build_flat_indices(offsets, lengths)])
+        assert got.dtype == src.dtype
+        got ^= 0xFF  # the result is a private copy, even of a single run
+        np.testing.assert_array_equal(src, before)
+
+    @given(run_lists(disjoint=True))
+    @example(_EMPTY)
+    @example((np.array([5], np.int64), np.array([0], np.int64)))
+    def test_scatter_matches_fancy_assignment(self, runs):
+        offsets, lengths = runs
+        size = int((offsets + lengths).max()) + 8 if offsets.size else 8
+        stream = (np.arange(int(lengths.sum())) * 7 % 256).astype(np.uint8)
+        got = np.zeros(size, np.uint8)
+        scatter_runs(got, offsets, lengths, stream)
+        want = np.zeros(size, np.uint8)
+        want[build_flat_indices(offsets, lengths)] = stream
+        np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Striping
 # ---------------------------------------------------------------------------
@@ -174,7 +234,7 @@ class TestStripingProperties:
         smap = map_regions(regions, sp, n_iods)
         assert smap.total_bytes == regions.drop_empty().total_bytes
         covered = np.concatenate(
-            [sl.gather_stream_indices() for sl in smap]
+            [build_flat_indices(sl.stream_offsets, sl.physical.lengths) for sl in smap]
         ) if smap.n_servers else np.empty(0, np.int64)
         covered.sort()
         np.testing.assert_array_equal(covered, np.arange(smap.total_bytes))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import StripeParams
-from repro.regions import RegionList
+from repro.regions import RegionList, build_flat_indices
 from repro.pvfs.striping import map_regions, server_for_offset
 
 
@@ -75,7 +75,9 @@ class TestMapRegions:
         sp = StripeParams(stripe_size=64)
         r = RegionList.strided(start=0, count=30, length=50, stride=97)
         smap = map_regions(r, sp, 4)
-        covered = np.concatenate([sl.gather_stream_indices() for sl in smap])
+        covered = np.concatenate(
+            [build_flat_indices(sl.stream_offsets, sl.physical.lengths) for sl in smap]
+        )
         covered.sort()
         np.testing.assert_array_equal(covered, np.arange(r.total_bytes))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RegionError
-from repro.regions import RegionList, build_flat_indices, pair_pieces
+from repro.regions import RegionList, build_flat_indices, gather_runs, pair_pieces, scatter_runs
 
 
 class TestConstruction:
@@ -371,3 +371,12 @@ class TestDunder:
         assert "1 regions" in small
         big = repr(RegionList.contiguous(0, 100, 1))
         assert "..." in big
+
+
+class TestRunCopies:
+    def test_unequal_shapes_are_rejected(self):
+        buf = np.zeros(16, np.uint8)
+        with pytest.raises(RegionError):
+            gather_runs(buf, [0, 4], [2])
+        with pytest.raises(RegionError):
+            scatter_runs(buf, [0], [2, 2], np.zeros(4, np.uint8))

@@ -418,6 +418,33 @@ class TestAckPolicies:
         assert durations and durations[0] < 1.0
         assert cluster.counters.get("faults.fences", 0) == 1
 
+    def test_primary_ack_replica_keeps_its_own_payload(self):
+        # The replica write is still in flight when write() returns, so the
+        # payload it carries must be a copy: the caller may reuse its buffer
+        # at once.
+        cluster = _cluster(replicas=2)
+        cluster.iods[1].service_scale = 50.0  # the replica lands well after the ack
+        original = _bytes(4096)
+        seen = {}
+
+        def wl(client):
+            buf = original.copy()
+            f = yield from client.open("/t", create=True)
+            yield from f.write(0, buf)  # chain (0, 1)
+            buf[:] = 0
+            seen["pending"] = [p for p in client._pending_replica if not p.triggered]
+            seen["file_id"] = f.file_id
+            yield from f.close()
+
+        cluster.run_workload(wl)
+        assert seen["pending"]
+        fid = seen["file_id"]
+        region = RegionList.single(0, 4096)
+        np.testing.assert_array_equal(cluster.iods[0].store.read(fid, region), original)
+        np.testing.assert_array_equal(
+            cluster.iods[1].store.read((fid, 0), region), original
+        )
+
 
 # ---------------------------------------------------------------------------
 # Chaos scenario + determinism

@@ -7,6 +7,7 @@ fingerprint; ``--no-cache`` touches the cache directory not at all.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.sweep import (
     ResultCache,
     canonical,
     code_fingerprint,
+    default_cache_dir,
 )
 from repro.sweep.engine import run_sweep
 from repro.units import MiB
@@ -204,3 +206,11 @@ class TestNoCacheBypass:
         main(args)
         second = capsys.readouterr().out
         assert "3/3 cached" in second
+
+
+class TestSuiteCacheIsolation:
+    def test_default_cache_dir_is_a_session_temporary(self, tmp_path_factory):
+        # CLI tests run without --cache-dir; conftest.py must have pointed
+        # the default at this session's temporary tree, not ~/.cache.
+        cache = Path(default_cache_dir()).resolve()
+        assert cache.is_relative_to(tmp_path_factory.getbasetemp().resolve())
