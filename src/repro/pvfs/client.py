@@ -98,10 +98,9 @@ class PVFSFile:
         out = np.zeros(regions.total_bytes, dtype=np.uint8) if move else None
         pos = 0
         for chunk in regions.chunks_of(self.client.list_io_max_regions):
-            piece = yield from self._io_request("read", chunk, None)
-            if move:
-                out[pos : pos + chunk.total_bytes] = piece
-            pos += chunk.total_bytes
+            n = chunk.total_bytes
+            yield from self._io_request("read", chunk, out[pos : pos + n] if move else None)
+            pos += n
         return out
 
     def write_list(self, file_regions: RegionList, data: Optional[np.ndarray]):
@@ -139,12 +138,11 @@ class PVFSFile:
         count (the Section 5 'vector datatype' extension)."""
         self._check_open()
         regions = file_regions.drop_empty()
+        out = np.zeros(regions.total_bytes, dtype=np.uint8) if self.client.move_bytes else None
         if regions.count == 0:
-            return np.zeros(0, dtype=np.uint8) if self.client.move_bytes else None
-        data = yield from self._io_request(
-            "read", regions, None, wire_regions=descriptor_slots
-        )
-        return data
+            return out
+        yield from self._io_request("read", regions, out, wire_regions=descriptor_slots)
+        return out
 
     def write_described(
         self,
@@ -179,7 +177,10 @@ class PVFSFile:
         stream: Optional[np.ndarray],
         wire_regions: Optional[int] = None,
     ):
-        """One logical request: fan out per server, wait for all responses."""
+        """One logical request: fan out per server, wait for all responses.
+
+        ``stream`` is the write payload, or the buffer a read scatters each
+        server's piece into; ``None`` in timing-only runs."""
         client = self.client
         sim = client.sim
         costs = client.costs
@@ -191,7 +192,7 @@ class PVFSFile:
         )
         smap = map_regions(regions, self.stripe, client.n_iods)
         if smap.n_servers == 0:
-            return np.zeros(0, dtype=np.uint8) if client.move_bytes else None
+            return
         replicated = self.replicas > 1
         procs = []
         for sl in smap:
@@ -236,12 +237,9 @@ class PVFSFile:
             )
         if replicated:
             client.cluster.replication.note_goodput(sim.now, regions.total_bytes)
-        if kind == "read" and client.move_bytes:
-            out = np.zeros(regions.total_bytes, dtype=np.uint8)
+        if kind == "read" and stream is not None:
             for sl, piece in zip(smap, results):
-                scatter_runs(out, sl.stream_offsets, sl.physical.lengths, piece)
-            return out
-        return None
+                scatter_runs(stream, sl.stream_offsets, sl.physical.lengths, piece)
 
     # ------------------------------------------------------------------
     # Replication (replicas > 1): failover reads and fan-out writes.

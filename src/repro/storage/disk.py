@@ -3,8 +3,10 @@
 A :class:`Disk` combines the mechanical model (:class:`~repro.config.DiskConfig`)
 with a :class:`~repro.storage.cache.BlockCache` and answers "how many seconds
 does this batch of byte runs cost".  It is deliberately a *time* model — the
-actual bytes live in the byte store — so the expensive part of a simulation
-step is O(number of runs + number of blocks touched), never O(bytes).
+actual bytes live in the byte store — so a request costs one pass over its
+regions to merge them into runs, then one cache operation per run (per
+64-block page a run spans), never O(bytes) and, on the usual all-hit path,
+not O(blocks).
 
 Model summary:
 
@@ -27,6 +29,45 @@ from ..regions import RegionList
 from .cache import BlockCache
 
 __all__ = ["Disk"]
+
+#: Region lists up to this long are merged into runs by one Python walk;
+#: longer ones by :meth:`RegionList.coalesced`, whose numpy steps cost tens
+#: of microseconds per call but less per region.
+_WALK_MAX = 128
+
+
+def _block_runs(regions: RegionList, block_size: int) -> Tuple[list, int]:
+    """Merge ``regions`` into byte runs, as :meth:`RegionList.coalesced`
+    does (empty regions dropped, overlapping or touching ones joined), and
+    return each run's ``(first, last)`` block, in ascending order, with the
+    runs' total bytes."""
+    if regions.count <= _WALK_MAX:
+        runs = []
+        total = 0
+        start = end = -1
+        for off, ln in zip(regions.offsets.tolist(), regions.lengths.tolist()):
+            if not ln:
+                continue
+            if off > end:
+                if end >= 0:
+                    runs.append((start // block_size, (end - 1) // block_size))
+                    total += end - start
+                start = off
+                end = off + ln
+            elif off >= start:
+                if off + ln > end:
+                    end = off + ln
+            else:
+                break  # starts before the current run: unsorted
+        else:
+            if end >= 0:
+                runs.append((start // block_size, (end - 1) // block_size))
+                total += end - start
+            return runs, total
+    r = regions.coalesced()
+    firsts = (r.offsets // block_size).tolist()
+    lasts = ((r.ends - 1) // block_size).tolist()
+    return list(zip(firsts, lasts)), r.total_bytes
 
 
 class Disk:
@@ -78,20 +119,19 @@ class Disk:
     # ------------------------------------------------------------------
     def read_time(self, file_id: Hashable, regions: RegionList) -> float:
         """Service time for reading the given regions of one stripe file."""
-        runs = regions.coalesced()
-        if runs.total_bytes == 0:
-            return 0.0
         cache = self.cache
         bs = cache.cfg.block_size
+        runs, total = _block_runs(regions, bs)
+        if total == 0:
+            return 0.0
         ra_blocks = max(cache.cfg.readahead // bs, 1)
-        t = self._memcpy(runs.total_bytes)  # cache -> iod buffer copy
-        for off, ln in runs:
-            # A run's blocks are consecutive, so hit/miss runs over a plain
-            # integer range (no per-run array building); the warm-cache
-            # all-hit case costs just the lookup walk.
-            missed = cache.lookup_range(file_id, off // bs, (off + ln - 1) // bs)
+        t = self._memcpy(total)  # cache -> iod buffer copy
+        k = 0
+        while True:
+            # Touch runs up to the first one that misses; all hit: done.
+            k, missed = cache.lookup_runs(file_id, runs, k)
             if not missed:
-                continue
+                return t
             # Group consecutive missed blocks into fetch segments.
             seg_start = prev = missed[0]
             for b in missed[1:] + [None]:
@@ -110,27 +150,23 @@ class Disk:
                 t += self._media(dirty_evicted * bs)
                 self._head = (file_id, fetch_start + fetch_bytes)
                 seg_start = prev = b
-        return t
+            k += 1
 
     def write_time(self, file_id: Hashable, regions: RegionList) -> float:
         """Service time for writing the given regions of one stripe file."""
-        runs = regions.coalesced()
-        if runs.total_bytes == 0:
-            return 0.0
         cache = self.cache
         bs = cache.cfg.block_size
-        t = self._memcpy(runs.total_bytes)  # iod buffer -> cache copy
-        for off, ln in runs:
-            first = off // bs
-            last = (off + ln - 1) // bs
-            dirty_evicted = cache.insert_range(file_id, first, last - first + 1, dirty=True)
-            if dirty_evicted:
-                # Write-back of evicted dirty pages: one positioning for the
-                # batch plus media transfer.
-                t += self.cfg.positioning_time + self._media(dirty_evicted * bs)
-                self.media_writes += 1
-                self.media_write_bytes += dirty_evicted * bs
-                self.positionings += 1
+        runs, total = _block_runs(regions, bs)
+        if total == 0:
+            return 0.0
+        t = self._memcpy(total)  # iod buffer -> cache copy
+        for dirty_evicted in cache.insert_runs(file_id, runs, dirty=True):
+            # Write-back of a run's evicted dirty pages: one positioning
+            # for the batch plus media transfer.
+            t += self.cfg.positioning_time + self._media(dirty_evicted * bs)
+            self.media_writes += 1
+            self.media_write_bytes += dirty_evicted * bs
+            self.positionings += 1
         return t
 
     def flush_time(self) -> float:

@@ -1,5 +1,7 @@
 """End-to-end tests of the simulated PVFS deployment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.config import ClusterConfig, StripeParams
 from repro.errors import ConfigError, NoSuchFileError
 from repro.pvfs import Cluster
 from repro.regions import RegionList
+from repro.units import KiB, MiB
 
 
 def small_cluster(**kw) -> Cluster:
@@ -214,6 +217,35 @@ class TestListIO:
 
         res = cluster.run_workload(wl, clients=[0])
         np.testing.assert_array_equal(res.client_returns[0], stream)
+
+    def test_list_read_copies_bytes_once(self):
+        """A 1 MiB read of 16 regions on one client holds the servers'
+        pieces and one request-sized result, never a second full copy."""
+        cluster = small_cluster(n_clients=1, stripe=StripeParams())
+        regions = RegionList.strided(start=0, count=16, length=64 * KiB, stride=96 * KiB)
+        stream = (np.arange(regions.total_bytes) % 251).astype(np.uint8)
+
+        def write(client):
+            f = yield from client.open("/once", create=True)
+            yield from f.write_list(regions, stream)
+            yield from f.close()
+
+        def read(client):
+            f = yield from client.open("/once")
+            got = yield from f.read_list(regions)
+            yield from f.close()
+            return got
+
+        cluster.run_workload(write)
+        tracemalloc.start()
+        try:
+            res = cluster.run_workload(read)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(res.client_returns[0], stream)
+        assert regions.total_bytes == 1 * MiB
+        assert peak < 2.5 * MiB
 
     def test_request_splitting_at_cap(self):
         cluster = small_cluster(list_io_max_regions=8)

@@ -103,3 +103,29 @@ class TestMaintenance:
         assert c.stats.hit_rate == 0.5
         assert "CacheStats" in repr(c.stats)
         assert "BlockCache" in repr(c)
+
+
+class TestRuns:
+    def test_lookup_runs_stops_at_the_first_miss(self):
+        c = cache_of(8)
+        c.insert_range("f", 0, 2)
+        runs = [(0, 0), (1, 1), (3, 4), (0, 1)]
+        assert c.lookup_runs("f", runs) == (2, [3, 4])
+        assert (c.stats.hits, c.stats.misses) == (2, 2)
+        assert c.lookup_runs("f", runs, 3) == (4, [])
+        assert (c.stats.hits, c.stats.misses) == (4, 2)
+
+    def test_insert_runs_reports_each_run_that_evicted_dirty_blocks(self):
+        c = cache_of(2)
+        assert c.insert_runs("f", [(0, 1)], dirty=True) == []
+        # (2, 2) evicts dirty block 0, (3, 3) evicts dirty 1, (4, 4) clean 2.
+        assert c.insert_runs("f", [(2, 2), (3, 3), (4, 4)]) == [1, 1]
+        assert c.stats.dirty_evictions == 2
+        assert c.stats.evictions == 3
+
+    def test_a_run_ages_in_block_order(self):
+        """Blocks touched by one run share a recency, oldest first."""
+        c = cache_of(4)
+        c.insert_runs("f", [(62, 65)])  # spans two pages of stamps
+        c.insert_range("f", 100, 2)  # evicts 62, then 63
+        assert [c.contains("f", b) for b in (62, 63, 64, 65)] == [False, False, True, True]

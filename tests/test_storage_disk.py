@@ -1,11 +1,16 @@
 """Tests for the disk service-time model."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.config import CacheConfig, DiskConfig
 from repro.regions import RegionList
 from repro.storage import Disk
-from repro.units import KiB, MiB
+from repro.units import GiB, KiB, MiB
+
+from .test_storage_reference import BS, FILES, apply, blocks_of, disk_pair, observed
 
 
 def make_disk(**cache_kw) -> Disk:
@@ -110,3 +115,42 @@ class TestFlush:
 
     def test_repr(self):
         assert "Disk" in repr(make_disk())
+
+
+class TestCacheState:
+    def test_far_offset_allocates_little(self):
+        """The cache state grows with the blocks touched, not with the
+        largest offset: one block at 64 GiB (block 16M) costs one page."""
+        tracemalloc.start()
+        try:
+            d = Disk(DiskConfig(), CacheConfig())
+            far = RegionList.single(64 * GiB, 4 * KiB)
+            d.write_time("f", far)
+            d.read_time("f", far)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.cache.contains("f", 64 * GiB // (4 * KiB))
+        assert d.media_reads == 0  # the written block is a read hit
+        assert peak < 1 * MiB
+
+    def test_ten_thousand_evictions_match_the_reference(self):
+        """A 1,024-block cache under random reads (and some writes, so that
+        dirty blocks are evicted too) over 20,000 blocks of two files."""
+        new, ref = disk_pair(1024, 32)
+        rng = random.Random(2002)
+        touched = set()
+        for _ in range(1500):
+            f = rng.choice(FILES[:2])
+            regions = RegionList.from_pairs(
+                sorted(
+                    (rng.randrange(20_000) * BS + rng.randrange(BS), rng.randrange(1, 3 * BS))
+                    for _ in range(rng.randint(1, 6))
+                )
+            )
+            op = ("write" if rng.random() < 0.2 else "read", f, regions)
+            touched |= {(f, b) for b in blocks_of(regions)}
+            assert apply(new, op) == apply(ref, op)
+        assert new.cache.stats.evictions >= 10_000
+        assert new.cache.stats.dirty_evictions > 0
+        assert observed(new, touched) == observed(ref, touched)
