@@ -50,10 +50,13 @@ lint:
 figures:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --all --scale scaled --mode des
 
+# the CLI's per-sweep host-time lines ("sweep figNN: ... in 43.04s") are
+# left out so the committed tables reproduce byte for byte; CI compares a
+# fresh CSV with results/paper_scale_model.csv
 figures-paper:
 	mkdir -p results
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --all --scale paper --mode model \
-		--csv results/paper_scale_model.csv | tee results/paper_scale_model.md
+		--csv results/paper_scale_model.csv | grep -v '^sweep ' | tee results/paper_scale_model.md
 
 examples:
 	for e in examples/*.py; do echo "== $$e"; PYTHONPATH=src $(PYTHON) $$e || exit 1; done

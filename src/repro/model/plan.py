@@ -41,7 +41,8 @@ class RankPlan:
     method: str
     kind: str  # "read" | "write"
     #: File regions accessed on the wire, in request order (includes sieving
-    #: waste — gaps inside fetched windows).
+    #: waste — gaps inside fetched windows); none is zero-length (checked
+    #: on construction).
     regions: RegionList
     #: Logical request id of every region (non-decreasing, 0-based; checked
     #: on construction, and the model's message grouping relies on it).
@@ -68,6 +69,8 @@ class RankPlan:
             raise ModelError("chunk_of_region must parallel regions")
         if chunks.size and (chunks[0] < 0 or (chunks[1:] < chunks[:-1]).any()):
             raise ModelError("chunk_of_region must be non-negative and non-decreasing")
+        if self.regions.drop_empty() is not self.regions:
+            raise ModelError("a plan's regions must not be zero-length")
 
     @property
     def n_requests(self) -> int:

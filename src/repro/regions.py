@@ -498,9 +498,8 @@ def split_with_parents(
     each piece's originating region index and its ``boundary`` unit
     (``offset // boundary``).
 
-    The analytic model needs parents to attribute stripe-unit pieces back
-    to logical requests (region i of a plan belongs to request
-    ``chunk_of_region[i]``), and units to place them on servers.
+    Data sieving's planner needs both: parents to map each piece back to
+    its region, and units to group the pieces by buffer window.
     """
     if boundary <= 0:
         raise RegionError("boundary must be positive")

@@ -1,5 +1,7 @@
 """Tests for the analytic model: plan compilation and prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,30 @@ class TestPredictions:
             pred.server_bound, pred.network_bound
         ) - 1e-12
         assert "Prediction" in repr(pred)
+
+
+class TestStreaming:
+    def test_one_rank_plan_alive_at_a_time(self):
+        # predict_pattern prices each rank's plan as it is compiled, so its
+        # allocations peak below the arrays of all ranks' plans together.
+        pattern = one_dim_cyclic(64 * MiB, 8, 50_000)
+        cfg = ClusterConfig.chiba_city(n_clients=8)
+        plans = [
+            compile_rank_plan("list", "read", a.mem_regions, a.file_regions, cfg)
+            for a in pattern.accesses
+        ]
+        all_plans = sum(
+            p.regions.offsets.nbytes + p.regions.lengths.nbytes + p.chunk_of_region.nbytes
+            for p in plans
+        )
+        del plans
+        tracemalloc.start()
+        try:
+            predict_pattern(pattern, "list", "read", cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < all_plans, f"peak {peak} B, all plans {all_plans} B"
 
 
 class TestModelMatchesDES:

@@ -31,7 +31,7 @@ from repro.core.twophase import wire_order
 from repro.errors import ModelError, RegionError
 from repro.model import predict as predict_mod
 from repro.model import twophase as twophase_mod
-from repro.model.plan import RankPlan
+from repro.model.plan import RankPlan, compile_rank_plan
 from repro.model.predict import _Loads, _wire, predict_plans
 from repro.mpiio.twophase import (
     DATA_HEADER,
@@ -575,7 +575,7 @@ class TestSieveWindows:
 
 
 # ---------------------------------------------------------------------------
-# phase decomposition: sorted-key grouping == np.unique
+# phase decomposition: per-(region, server) slots == np.unique over pieces
 # ---------------------------------------------------------------------------
 
 
@@ -625,6 +625,35 @@ class TestMessageGrouping:
         got = predict_mod._decompose_phase(phase, 0, cfg, got_loads)
         assert got == ref_decompose_phase(phase, 0, cfg, want_loads)
         _loads_equal(got_loads, want_loads)
+
+
+# ---------------------------------------------------------------------------
+# streaming: plans priced as they arrive == the same plans as a list
+# ---------------------------------------------------------------------------
+
+
+class TestStreamingPlans:
+    @settings(max_examples=60)
+    @given(
+        patterns(),
+        st.sampled_from(["multiple", "datasieve", "list", "hybrid", "vector"]),
+        st.sampled_from(["read", "write"]),
+        cluster_configs(),
+    )
+    def test_generator_matches_list(self, pattern, method, kind, cfg):
+        def plans():
+            for a in pattern.accesses:
+                # data sieving plans windows over sorted regions only
+                fil = a.file_regions.sorted() if method == "datasieve" else a.file_regions
+                yield compile_rank_plan(method, kind, a.mem_regions, fil, cfg, sieve_buffer=512)
+
+        got = predict_plans(plans(), cfg)
+        want = predict_plans(list(plans()), cfg)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+    def test_empty_iterator_rejected(self):
+        with pytest.raises(ModelError, match="at least one rank plan"):
+            predict_plans(iter([]), ClusterConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +731,7 @@ class TestTwoPhase:
 
 
 # ---------------------------------------------------------------------------
-# the invariant the grouping relies on
+# the invariants the decomposition relies on
 # ---------------------------------------------------------------------------
 
 
@@ -725,6 +754,18 @@ class TestChunkOrderInvariant:
                 regions=RegionList([0, 10], [5, 5]),
                 chunk_of_region=np.array([-1, 0]),
                 useful_bytes=10,
+            )
+
+    def test_zero_length_regions_rejected(self):
+        # The slot decomposition would count a zero-length region as one
+        # piece, so a plan refuses it, as it refuses decreasing chunk ids.
+        with pytest.raises(ModelError, match="zero-length"):
+            RankPlan(
+                method="list",
+                kind="read",
+                regions=RegionList([0, 100, 200], [0, 10, 10]),
+                chunk_of_region=np.array([0, 1, 1]),
+                useful_bytes=20,
             )
 
     def test_repeated_chunk_ids_accepted(self):
