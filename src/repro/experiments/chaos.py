@@ -32,6 +32,7 @@ deterministic; see ``docs/faults.md``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
@@ -364,21 +365,35 @@ def run_failover_scenario(
 ) -> ChaosRow:
     """The replication headline: kill a daemon mid-read, finish anyway.
 
-    Three runs: an inert probe times the phases, a fault-free run under
-    the real retry policy gives the baseline, and the measured run
-    crashes daemon 0 a third of the way into the read phase.  With
-    ``replicas > 1`` every read completes from replicas (zero data
-    errors) while the dead daemon is fenced, resyncs, and rejoins; with
-    ``replicas = 1`` the run raises
+    Two runs.  A fault-free baseline on the real retry path, with a
+    deadline no attempt can reach, times the phases; the measured run
+    then crashes daemon 0 a third of the way into the read phase, under a
+    deadline sized from those phase times.  The baseline is the run the
+    sized policy would give: in a fault-free run no attempt outlives its
+    phase, so a deadline of at least twice the phase never fires and the
+    winning attempt cancels it lazily, which neither moves the clock nor
+    counts as an event.  With ``replicas > 1`` every read completes from
+    replicas (zero data errors) while the dead daemon is fenced, resyncs,
+    and rejoins; with ``replicas = 1`` the run raises
     :class:`~repro.errors.RetryExhausted` — the guarded regression.
     """
     pattern, _kind = _pattern(benchmark, scale)
     cfg = _replicated_cfg(pattern, replicas, ack)
-    # Probe run: inert retries, no faults — sizes the retry policy.
-    _, pre0, read0, probe_errors = _run_failover(pattern, cfg)
-    if probe_errors:
+    # The baseline takes the real retry path under a deadline no attempt
+    # reaches; its phase times then size the measured run's deadline.
+    unbounded = RetryPolicy(
+        request_timeout=math.inf,
+        max_retries=3,
+        backoff_base=0.02,
+        backoff_factor=2.0,
+        backoff_cap=0.1,
+        jitter=0.1,
+    )
+    base_cfg = cfg.with_(faults=FaultConfig(retry=unbounded))
+    _, pre_s, base_read_s, base_errors = _run_failover(pattern, base_cfg)
+    if base_errors:
         raise ConfigError(
-            f"fault-free probe read back {probe_errors} wrong byte(s); the "
+            f"fault-free baseline read back {base_errors} wrong byte(s); the "
             "replication layer corrupted data with no fault injected"
         )
     # A dead daemon refuses instantly and a crash fails every in-flight
@@ -386,20 +401,9 @@ def run_failover_scenario(
     # timeout — exhaustion is driven by the backoff schedule (~0.2 s),
     # far inside the restart window.  The timeout itself stays generous
     # so the large seed write never times out spuriously.
-    policy = RetryPolicy(
-        request_timeout=max(0.5, 2 * pre0, 2 * read0),
-        max_retries=3,
-        backoff_base=0.02,
-        backoff_factor=2.0,
-        backoff_cap=0.1,
-        jitter=0.1,
+    policy = replace(
+        unbounded, request_timeout=max(0.5, 2 * pre_s, 2 * base_read_s)
     )
-    base_cfg = cfg.with_(faults=FaultConfig(retry=policy))
-    _, pre_s, base_read_s, base_errors = _run_failover(pattern, base_cfg)
-    if base_errors:
-        raise ConfigError(
-            f"fault-free baseline read back {base_errors} wrong byte(s)"
-        )
     plan = FaultPlan(
         (IodCrash(iod=0, at=pre_s + base_read_s / 3, restart_after=restart_after),)
     )

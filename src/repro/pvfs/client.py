@@ -46,6 +46,12 @@ from .striping import map_regions, replica_chain
 __all__ = ["PVFSClient", "PVFSFile"]
 
 
+def _defuse_failure(ev: Event) -> None:
+    """Mark a failed event handled (a completion callback)."""
+    if not ev._ok:
+        ev._defused = True
+
+
 class PVFSFile:
     """An open file handle bound to one client.
 
@@ -184,18 +190,21 @@ class PVFSFile:
         client = self.client
         sim = client.sim
         costs = client.costs
+        cdata = client.cdata
+        key = client.key
         t_start = sim.now
-        client.scope.add("logical_requests")
-        client.scope.add(f"{kind}_bytes", regions.total_bytes)
+        cdata[key["logical_requests"]] += 1.0
+        cdata[key["read_bytes" if kind == "read" else "write_bytes"]] += regions.total_bytes
         yield sim.timeout(
             costs.client_request_cost + costs.client_region_cost * regions.count
         )
         smap = map_regions(regions, self.stripe, client.n_iods)
-        if smap.n_servers == 0:
+        slices = smap.slices
+        if not slices:
             return
         replicated = self.replicas > 1
         procs = []
-        for sl in smap:
+        for sl in slices:
             payload = None
             if kind == "write" and stream is not None:
                 payload = gather_runs(stream, sl.stream_offsets, sl.physical.lengths)
@@ -217,7 +226,7 @@ class PVFSFile:
                 data=payload,
                 wire_regions=wire_regions,
             )
-            client.scope.add("server_messages")
+            cdata[key["server_messages"]] += 1.0
             procs.append(sim.process(client._send(req, sl.server)))
         results = yield sim.all_of(procs)
         if kind == "write":
@@ -232,13 +241,13 @@ class PVFSFile:
                 sim.now,
                 client=client.index,
                 regions=regions.count,
-                servers=smap.n_servers,
+                servers=len(slices),
                 nbytes=regions.total_bytes,
             )
         if replicated:
             client.cluster.replication.note_goodput(sim.now, regions.total_bytes)
         if kind == "read" and stream is not None:
-            for sl, piece in zip(smap, results):
+            for sl, piece in zip(slices, results):
                 scatter_runs(stream, sl.stream_offsets, sl.physical.lengths, piece)
 
     # ------------------------------------------------------------------
@@ -284,7 +293,7 @@ class PVFSFile:
                 wire_regions=wire_regions,
                 replica_of=sl.server if target != sl.server else None,
             )
-            client.scope.add("server_messages")
+            client.cdata[client.key["server_messages"]] += 1.0
             attempts += 1
             try:
                 result = yield from client._send(req, target)
@@ -354,7 +363,7 @@ class PVFSFile:
                 wire_regions=wire_regions,
                 replica_of=sl.server if member != sl.server else None,
             )
-            client.scope.add("server_messages")
+            client.cdata[client.key["server_messages"]] += 1.0
             procs.append(
                 sim.process(
                     client._member_write(req, member, self.file_id, sl.server, chain),
@@ -449,7 +458,7 @@ class PVFSFile:
                 client_node=client.node,
                 response=Event(sim),
             )
-            client.scope.add("server_messages")
+            client.cdata[client.key["server_messages"]] += 1.0
             procs.append(sim.process(client._send(req, server)))
         client.scope.add("fsyncs")
         yield sim.all_of(procs)
@@ -485,6 +494,13 @@ class PVFSClient:
         self.list_io_max_regions = cluster.config.list_io_max_regions
         self.move_bytes = cluster.move_bytes
         self.scope = cluster.counters.scoped(f"client.{index}")
+        #: Counter keys of the request path, formatted once rather than
+        #: per request.
+        self.cdata = cluster.counters._data
+        self.key = {
+            k: f"client.{index}.{k}"
+            for k in ("logical_requests", "read_bytes", "write_bytes", "server_messages")
+        }
         #: Retry policy from ``ClusterConfig.faults`` (inert by default, in
         #: which case ``_send`` takes a fast path identical to the
         #: robustness-free client and runs stay bit-identical to the seed).
@@ -494,6 +510,7 @@ class PVFSClient:
             if self.retry.active and self.retry.jitter > 0.0
             else None
         )
+        self._attempt_name = f"client{index}.attempt"
         #: Background replica-write processes launched by primary-ack slices
         #: (never failing — a dead member is fenced + marked dirty instead).
         #: ``close``/``fsync`` drain the list before acknowledging.
@@ -608,21 +625,20 @@ class PVFSClient:
                 else replace(req, response=Event(sim), enqueued_at=None)
             )
             proc = sim.process(
-                self._attempt(attempt_req, server),
-                name=f"client{self.index}.attempt",
+                self._attempt(attempt_req, server), name=self._attempt_name
             )
             # An abandoned attempt may fail *after* its deadline fired (same
             # timestamp, later heap sequence) with nothing left waiting on
             # it; self-defuse so the kernel never escalates it.
-            proc.callbacks.append(lambda ev: ev.defuse() if not ev.ok else None)
+            proc.callbacks.append(_defuse_failure)
             t0 = sim.now
             try:
                 yield sim.any_of([proc, sim.timeout(policy.request_timeout)])
-                if proc.triggered and proc.ok:
-                    return proc.value
-                if proc.triggered:
+                if proc._triggered and proc._ok:
+                    return proc._value
+                if proc._triggered:
                     # Failed in the same timestep the deadline fired.
-                    exc = proc.value
+                    exc = proc._value
                     if not isinstance(exc, FaultError):
                         raise exc
                     if isinstance(exc, ServerFenced):

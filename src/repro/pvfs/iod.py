@@ -37,7 +37,7 @@ real network/disk paths, then asks the manager to lift the fence.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..config import CostModel
 from ..errors import FaultError, ServerCrashed, ServerFenced
@@ -77,6 +77,17 @@ class IOD:
         self.tracer = tracer
         self.inbox: Store = Store(sim, name=f"iod{index}.inbox")
         self.scope = self.counters.scoped(f"iod.{index}")
+        # The service loop's counter keys and response process name,
+        # formatted once rather than per request.
+        self._cdata = self.counters._data
+        self._key = {
+            k: f"iod.{index}.{k}"
+            for k in (
+                "fsyncs", "read_requests", "read_bytes", "write_requests",
+                "write_bytes", "regions",
+            )
+        }
+        self._respond_name = f"iod{index}.respond"
         self.requests_served = 0
         self.regions_served = 0
         #: Service-time multiplier for fault/straggler injection: 1.0 is a
@@ -93,7 +104,9 @@ class IOD:
         #: recent restart (recovery-time accounting); None until then.
         self.first_service_after_restart: Optional[float] = None
         self._current: Optional[IORequest] = None
-        self._inflight_responses: List[Tuple[Process, IORequest]] = []
+        #: Response processes still sending, with their requests, in
+        #: spawn order; each removes itself through ``_forget_response``.
+        self._inflight_responses: Dict[Process, IORequest] = {}
         # -- replication/fencing state (inert without replicas > 1) ------
         #: Back-reference to the owning cluster, set by Cluster.__init__;
         #: the resync protocol needs the replication state, the manager,
@@ -129,7 +142,7 @@ class IOD:
         """Fail a request's response with ServerCrashed / ServerFenced
         (pre-defused so an abandoned, already-timed-out request cannot
         crash the kernel)."""
-        if not req.response.triggered:
+        if not req.response._triggered:
             if fenced:
                 exc: FaultError = ServerFenced(
                     f"iod{self.index} is fenced at epoch {self.fence_epoch} "
@@ -160,8 +173,8 @@ class IOD:
         for req in self.inbox.drain():
             self._record_wait(req)
             self._refuse(req)
-        inflight, self._inflight_responses = self._inflight_responses, []
-        for proc, req in inflight:
+        inflight, self._inflight_responses = self._inflight_responses, {}
+        for proc, req in inflight.items():
             if proc.is_alive:
                 proc.interrupt("crash")
             self._refuse(req)
@@ -238,62 +251,71 @@ class IOD:
     def _service(self, req: IORequest):
         sim = self.sim
         costs = self.costs
-        scope = self.scope
+        cdata = self._cdata
+        key = self._key
+        tracer = self.tracer
+        tracing = tracer is not None and tracer.enabled
         started = sim.now
-        self._record_wait(req)
-        n = req.n_described
+        if tracing:
+            self._record_wait(req)
+        regions = req.regions
+        n = regions.count
         scale = self.service_scale
         # Request parsing + trailing-data decode.
         yield sim.timeout(
             (costs.iod_request_cost + costs.iod_region_cost * n) * scale
         )
-        if req.kind == "fsync":
+        kind = req.kind
+        if kind == "fsync":
             # Flush this disk's dirty pages to media before acking.
             flush_t = self.disk.flush_time() * scale * self.disk.fault_scale
             if flush_t > 0:
                 t_disk = sim.now
                 yield sim.timeout(flush_t)
-                self._note_disk(t_disk, sim.now, "flush", 0)
-            scope.add("fsyncs")
+                if tracing:
+                    self._note_disk(t_disk, sim.now, "flush", 0)
+            cdata[key["fsyncs"]] += 1.0
             self._spawn_response(req, True)
-        elif req.kind == "read":
-            disk_t = self.disk.read_time(req.store_key, req.regions) * scale
+        elif kind == "read":
+            disk_t = self.disk.read_time(req.store_key, regions) * scale
             disk_t *= self.disk.fault_scale
             if disk_t > 0:
                 t_disk = sim.now
                 yield sim.timeout(disk_t)
-                self._note_disk(t_disk, sim.now, "read", req.regions.total_bytes)
+                if tracing:
+                    self._note_disk(t_disk, sim.now, "read", regions.total_bytes)
             data = (
-                self.store.read(req.store_key, req.regions) if self.move_bytes else None
+                self.store.read(req.store_key, regions) if self.move_bytes else None
             )
-            scope.add("read_requests")
-            scope.add("read_bytes", req.regions.total_bytes)
+            cdata[key["read_requests"]] += 1.0
+            cdata[key["read_bytes"]] += regions.total_bytes
             self._spawn_response(req, data)
         else:  # write
-            disk_t = self.disk.write_time(req.store_key, req.regions)
+            disk_t = self.disk.write_time(req.store_key, regions)
             disk_t += costs.iod_write_commit_cost
             t_disk = sim.now
             yield sim.timeout(disk_t * scale * self.disk.fault_scale)
-            self._note_disk(t_disk, sim.now, "write", req.regions.total_bytes)
+            if tracing:
+                self._note_disk(t_disk, sim.now, "write", regions.total_bytes)
             if self.move_bytes and req.data is not None:
-                self.store.write(req.store_key, req.regions, req.data)
-            scope.add("write_requests")
-            scope.add("write_bytes", req.regions.total_bytes)
+                self.store.write(req.store_key, regions, req.data)
+            cdata[key["write_requests"]] += 1.0
+            cdata[key["write_bytes"]] += regions.total_bytes
             self._spawn_response(req, True)
         self.requests_served += 1
         self.regions_served += n
         if self.restarted_at is not None and self.first_service_after_restart is None:
             self.first_service_after_restart = sim.now
-        scope.add("regions", n)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.record(
+        cdata[key["regions"]] += n
+        if tracing:
+            tracer.record(
                 "iod.service",
-                req.kind,
+                kind,
                 started,
                 sim.now,
                 iod=self.index,
                 regions=n,
-                nbytes=req.regions.total_bytes,
+                nbytes=regions.total_bytes,
             )
 
     # ------------------------------------------------------------------
@@ -435,26 +457,20 @@ class IOD:
     def _spawn_response(self, req: IORequest, payload) -> None:
         """Hand the response to the async sender, tracked so a crash can
         abort it mid-transmission."""
-        proc = self.sim.process(
-            self._respond(req, payload), name=f"iod{self.index}.respond"
-        )
-        entry = (proc, req)
-        self._inflight_responses.append(entry)
+        proc = self.sim.process(self._respond(req, payload), name=self._respond_name)
+        self._inflight_responses[proc] = req
+        proc.callbacks.append(self._forget_response)
 
-        def _done(_ev) -> None:
-            try:
-                self._inflight_responses.remove(entry)
-            except ValueError:
-                pass  # already cleared by crash()
-
-        proc.callbacks.append(_done)
+    def _forget_response(self, proc: Process) -> None:
+        # Absent when crash() already cleared the in-flight table.
+        self._inflight_responses.pop(proc, None)
 
     def _respond(self, req: IORequest, payload):
         try:
             yield from self.net.transfer(self.node, req.client_node, req.response_bytes)
         except Interrupt:
             return  # crash aborted the transmission; crash() fails the response
-        if not req.response.triggered:
+        if not req.response._triggered:
             req.response.succeed(payload)
 
     def __repr__(self) -> str:

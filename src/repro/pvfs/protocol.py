@@ -73,7 +73,7 @@ def response_wire_bytes(data_bytes: int = 0) -> int:
     return RESPONSE_HEADER_BYTES + data_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class IORequest:
     """One request as received by an I/O daemon.
 
@@ -144,7 +144,7 @@ class IORequest:
 
     @property
     def wire_bytes(self) -> int:
-        slots = self.wire_regions if self.wire_regions is not None else self.n_described
+        slots = self.wire_regions if self.wire_regions is not None else self.regions.count
         return request_wire_bytes(max(slots, 1), self.data_bytes)
 
     @property

@@ -16,7 +16,6 @@ slices and reassemble read responses, all with numpy fancy indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -65,7 +64,6 @@ def replica_chain(primary: int, replicas: int, n_iods: int) -> Tuple[int, ...]:
     return tuple((primary + k) % n_iods for k in range(replicas))
 
 
-@dataclass(frozen=True)
 class ServerSlice:
     """One server's share of a logical request.
 
@@ -76,21 +74,27 @@ class ServerSlice:
     is exactly the data for run ``i``.
     """
 
-    server: int
-    physical: RegionList
-    stream_offsets: np.ndarray
+    __slots__ = ("server", "physical", "stream_offsets")
+
+    def __init__(self, server: int, physical: RegionList, stream_offsets: np.ndarray) -> None:
+        self.server = server
+        self.physical = physical
+        self.stream_offsets = stream_offsets
 
     @property
     def nbytes(self) -> int:
         return self.physical.total_bytes
 
 
-@dataclass(frozen=True)
 class StripeMap:
-    """The full decomposition of one logical request across servers."""
+    """The full decomposition of one logical request across servers, one
+    slice per involved server in ascending server order."""
 
-    slices: Tuple[ServerSlice, ...]
-    total_bytes: int
+    __slots__ = ("slices", "total_bytes")
+
+    def __init__(self, slices: Tuple[ServerSlice, ...], total_bytes: int) -> None:
+        self.slices = slices
+        self.total_bytes = total_bytes
 
     @property
     def n_servers(self) -> int:
@@ -113,53 +117,66 @@ class StripeMap:
 def map_regions(regions: RegionList, stripe: StripeParams, n_iods: int) -> StripeMap:
     """Decompose logical ``regions`` (in request stream order) per server.
 
-    Fully vectorized: split at stripe-unit boundaries, compute each piece's
-    server and physical offset, then group pieces by server preserving
-    stream order within each group.
+    Split at stripe-unit boundaries, compute each piece's server and
+    physical offset, then group pieces by server preserving stream order
+    within each group.  One region over at most ``pcount`` stripe units —
+    nearly every request of the cyclic and block patterns — gives each
+    piece its own server and is mapped with integer arithmetic; anything
+    else goes through the vectorized array pipeline.
     """
     pcount = stripe.resolve_pcount(n_iods)
     ssize = stripe.stripe_size
+    base = stripe.base
     if regions.count == 1:
-        # ~98% of service-path requests are a single region inside one
-        # stripe unit (unit-aligned cyclic and block patterns); map it
-        # with pure integer arithmetic instead of the array pipeline.
-        # Same formulas, same result — just scalar.
         off = int(regions.offsets[0])
         ln = int(regions.lengths[0])
-        if ln > 0 and (off % ssize) + ln <= ssize:
-            unit = off // ssize
-            sl = ServerSlice(
-                server=(stripe.base + unit % pcount) % n_iods,
-                physical=RegionList._trusted(
-                    np.array([(unit // pcount) * ssize + off % ssize], np.int64),
-                    np.array([ln], np.int64),
-                    nonempty=True,
-                ),
-                stream_offsets=_ZERO1,
+        first = off // ssize
+        last = (off + ln - 1) // ssize
+        if ln > 0 and last - first < pcount:
+            # Consecutive units land on distinct servers, so every piece is
+            # its server's only run; order the slices by server, as the
+            # stable group-by below does.
+            pieces = []
+            end = off + ln
+            for unit in range(first, last + 1):
+                start = max(off, unit * ssize)
+                stop = min(end, (unit + 1) * ssize)
+                server = (base + unit % pcount) % n_iods
+                phys = (unit // pcount) * ssize + start % ssize
+                pieces.append((server, phys, stop - start, start - off))
+            pieces.sort()
+            slices = tuple(
+                ServerSlice(
+                    server,
+                    RegionList._trusted(
+                        np.array([phys], np.int64), np.array([piece_len], np.int64), nonempty=True
+                    ),
+                    _ZERO1 if pos == 0 else np.array([pos], np.int64),
+                )
+                for server, phys, piece_len, pos in pieces
             )
-            return StripeMap(slices=(sl,), total_bytes=ln)
+            return StripeMap(slices, ln)
     pieces = regions.drop_empty().split_at_boundaries(ssize)
     if pieces.count == 0:
-        return StripeMap(slices=(), total_bytes=0)
+        return StripeMap((), 0)
     unit = pieces.offsets // ssize
-    server = (stripe.base + unit % pcount) % n_iods
+    server = (base + unit % pcount) % n_iods
     phys_off = (unit // pcount) * ssize + pieces.offsets % ssize
     stream_off = np.concatenate(([0], np.cumsum(pieces.lengths)[:-1]))
-    slices = []
-    # Group by server, preserving stream order inside each group.  A stable
-    # argsort on server achieves both in one vectorized pass.
+    # Group by server, preserving stream order inside each group: one
+    # stable argsort orders the pieces, and each group is a slice of it.
     order = np.argsort(server, kind="stable")
     sorted_server = server[order]
-    group_bounds = np.flatnonzero(np.diff(sorted_server)) + 1
-    for grp in np.split(order, group_bounds):
-        s = int(server[grp[0]])
-        slices.append(
-            ServerSlice(
-                server=s,
-                physical=RegionList._trusted(
-                    phys_off[grp], pieces.lengths[grp], nonempty=True
-                ),
-                stream_offsets=stream_off[grp],
-            )
+    phys_off = phys_off[order]
+    lengths = pieces.lengths[order]
+    stream_off = stream_off[order]
+    edges = [0, *(np.flatnonzero(np.diff(sorted_server)) + 1).tolist(), order.size]
+    slices = tuple(
+        ServerSlice(
+            int(sorted_server[a]),
+            RegionList._trusted(phys_off[a:b], lengths[a:b], nonempty=True),
+            stream_off[a:b],
         )
-    return StripeMap(slices=tuple(slices), total_bytes=pieces.total_bytes)
+        for a, b in zip(edges, edges[1:])
+    )
+    return StripeMap(slices, pieces.total_bytes)

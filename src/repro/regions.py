@@ -63,7 +63,7 @@ class RegionList:
     does not forbid them) but are removed by :meth:`normalized`.
     """
 
-    __slots__ = ("offsets", "lengths", "_tb", "_ne")
+    __slots__ = ("offsets", "lengths", "count", "_tb", "_ne")
 
     def __init__(self, offsets, lengths) -> None:
         off = _as_int64(offsets)
@@ -80,6 +80,8 @@ class RegionList:
         ln.setflags(write=False)
         self.offsets = off
         self.lengths = ln
+        #: Number of regions (zero-length ones included).
+        self.count = off.size
         self._tb = None  # cached total_bytes (immutable => safe)
         self._ne = None  # cached "no zero-length regions" flag
 
@@ -102,6 +104,7 @@ class RegionList:
         lengths.setflags(write=False)
         r.offsets = offsets
         r.lengths = lengths
+        r.count = offsets.size
         r._tb = None
         r._ne = nonempty
         return r
@@ -163,10 +166,6 @@ class RegionList:
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        return int(self.offsets.size)
-
     @property
     def total_bytes(self) -> int:
         tb = self._tb
@@ -391,8 +390,8 @@ class RegionList:
         ln[-1] -= consumed - take
         return RegionList(off, ln)
 
-    def chunks_of(self, max_regions: int) -> Iterator["RegionList"]:
-        """Yield successive sub-lists of at most ``max_regions`` regions.
+    def chunks_of(self, max_regions: int) -> Iterable["RegionList"]:
+        """Successive sub-lists of at most ``max_regions`` regions.
 
         This is exactly the paper's list I/O request splitting: "I/O
         requests that contain more file regions than the trailing data limit
@@ -404,11 +403,11 @@ class RegionList:
         if count <= max_regions:
             # Whole list fits in one request — the overwhelmingly common
             # case on the service path; avoid re-slicing the arrays.
-            if count:
-                yield self
-            return
-        for start in range(0, count, max_regions):
-            yield self.slice_regions(start, start + max_regions)
+            return (self,) if count else ()
+        return (
+            self.slice_regions(start, start + max_regions)
+            for start in range(0, count, max_regions)
+        )
 
     # ------------------------------------------------------------------
     # Dunder / misc
@@ -451,9 +450,11 @@ def pair_pieces(a: RegionList, b: RegionList) -> Tuple[np.ndarray, np.ndarray, n
     lengths)`` of contiguous pieces such that copying piece-by-piece realizes
     the full noncontiguous transfer.
 
-    Linear merge: piece boundaries are the union of both lists' cumulative
-    length breakpoints, which strictly increase to the same total, so the
-    shorter breakpoint list is merged into the longer one.
+    When one side is a single run (a contiguous buffer, as in every
+    artificial-benchmark pattern), the pieces are the other side's regions
+    and the run's offsets advance by the exclusive prefix sum of their
+    lengths.  Otherwise :func:`_merge_pieces` merges the two lists'
+    breakpoints.
     """
     a = a.drop_empty()
     b = b.drop_empty()
@@ -464,6 +465,22 @@ def pair_pieces(a: RegionList, b: RegionList) -> Tuple[np.ndarray, np.ndarray, n
     if a.total_bytes == 0:
         z = np.empty(0, np.int64)
         return z, z.copy(), z.copy()
+    if a.count == 1 or b.count == 1:
+        run, other = (a, b) if a.count == 1 else (b, a)
+        lengths = other.lengths
+        run_off = run.offsets[0] + (np.cumsum(lengths) - lengths)
+        if run is a:
+            return run_off, other.offsets, lengths
+        return other.offsets, run_off, lengths
+    return _merge_pieces(a, b)
+
+
+def _merge_pieces(a: RegionList, b: RegionList) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pair_pieces` for two non-empty, equal-volume lists without
+    zero-length regions, by linear merge: piece boundaries are the union of
+    both lists' cumulative length breakpoints, which strictly increase to
+    the same total, so the shorter breakpoint list is merged into the
+    longer one."""
     cum_a = np.cumsum(a.lengths)
     cum_b = np.cumsum(b.lengths)
     swap = cum_a.size > cum_b.size

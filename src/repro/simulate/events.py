@@ -77,28 +77,27 @@ class Event:
     # -- transitions ----------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger successfully with ``value`` after ``delay`` sim-seconds."""
-        self._trigger(True, value, delay)
+        if self._triggered:
+            raise SimulationError(f"{self!r} has already been triggered")
+        if delay < 0:
+            raise SimulationError("cannot trigger an event in the past")
+        self._triggered = True
+        self._value = value
+        # Inlined Simulator._enqueue (every triggered event passes here).
+        sim = self.sim
+        _heappush(sim._heap, (sim.now + delay, sim._seq, self))
+        sim._seq += 1
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Trigger as failed; waiting processes get ``exc`` thrown into them."""
         if not isinstance(exc, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exc!r}")
-        self._trigger(False, exc, delay)
+        # Trigger as succeed() does, then record the failure; nothing runs
+        # in between.
+        self.succeed(exc, delay)
+        self._ok = False
         return self
-
-    def _trigger(self, ok: bool, value: Any, delay: float) -> None:
-        if self._triggered:
-            raise SimulationError(f"{self!r} has already been triggered")
-        if delay < 0:
-            raise SimulationError("cannot trigger an event in the past")
-        self._triggered = True
-        self._ok = ok
-        self._value = value
-        # Inlined Simulator._enqueue (every triggered event passes here).
-        sim = self.sim
-        _heappush(sim._heap, (sim.now + delay, sim._seq, self))
-        sim._seq += 1
 
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel does not escalate the
@@ -163,30 +162,39 @@ class _Condition(Event):
     __slots__ = ("events", "_n_fired")
 
     def __init__(self, sim, events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self.events = tuple(events)
+        # Slots set directly, as in Timeout: one of these per fan-out.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _UNSET
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
+        self._cancelled = False
+        self.events = events = tuple(events)
         self._n_fired = 0
-        for ev in self.events:
+        for ev in events:
             if ev.sim is not sim:
                 raise SimulationError("cannot combine events from different simulators")
-        if not self.events:
+        if not events:
             self.succeed(self._collect())
             return
-        for ev in self.events:
-            if ev.processed:
-                self._on_fire(ev)
+        on_fire = self._on_fire
+        for ev in events:
+            if ev._processed:
+                on_fire(ev)
             else:
-                ev.callbacks.append(self._on_fire)
+                ev.callbacks.append(on_fire)
 
     def _collect(self) -> list:
-        return [ev.value for ev in self.events if ev.processed and ev.ok]
+        return [ev._value for ev in self.events if ev._processed and ev._ok]
 
     def _on_fire(self, ev: Event) -> None:
         if self._triggered:
             return
         if not ev._ok:
-            ev.defuse()
-            self.fail(ev.value)
+            ev._defused = True
+            self.fail(ev._value)
             self._release_pending()
             return
         self._n_fired += 1

@@ -32,10 +32,12 @@ Example::
 from __future__ import annotations
 
 import heapq
+from functools import partial
+from types import GeneratorType
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import _UNSET, AllOf, AnyOf, Event, Timeout
 from .fastpath import fastpath_enabled
 
 __all__ = ["Simulator", "Process"]
@@ -53,9 +55,19 @@ class Process(Event):
     __slots__ = ("_gen", "_waiting_on", "name")
 
     def __init__(self, sim, gen: Generator, name: Optional[str] = None) -> None:
-        if not hasattr(gen, "send") or not hasattr(gen, "throw"):
+        if type(gen) is not GeneratorType and (
+            not hasattr(gen, "send") or not hasattr(gen, "throw")
+        ):
             raise SimulationError(f"process body must be a generator, got {type(gen).__name__}")
-        super().__init__(sim)
+        # Slots set directly, as in Timeout: one process per message leg.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _UNSET
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
+        self._cancelled = False
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", None) or "process"
@@ -76,7 +88,7 @@ class Process(Event):
 
     @property
     def is_alive(self) -> bool:
-        return not self.triggered
+        return not self._triggered
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -183,7 +195,7 @@ class Simulator:
     The public surface:
 
     * :attr:`now` — current simulation time (seconds).
-    * :meth:`event`, :meth:`timeout`, :meth:`process` — create primitives.
+    * :meth:`event`, :attr:`timeout`, :meth:`process` — create primitives.
     * :meth:`all_of`, :meth:`any_of` — composite waits.
     * :meth:`run` — execute until the heap drains or ``until`` is reached.
     """
@@ -200,13 +212,15 @@ class Simulator:
         #: ``PVFS_SIM_NO_FASTPATH`` / ``--no-fastpath`` to restore the
         #: exact legacy event chains (see :mod:`repro.simulate.fastpath`).
         self.fastpath = fastpath_enabled()
+        #: ``timeout(delay, value=None)``: a :class:`Timeout` firing
+        #: ``delay`` sim-seconds from now.  A ``partial`` rather than a
+        #: method, so it adds no Python frame of its own (a simulated
+        #: message makes several).
+        self.timeout = partial(Timeout, self)
 
     # -- primitives -----------------------------------------------------
     def event(self) -> Event:
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
 
     def process(self, gen: Generator, name: Optional[str] = None) -> Process:
         return Process(self, gen, name=name)

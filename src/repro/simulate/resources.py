@@ -13,7 +13,7 @@ from collections import deque
 from typing import Any, Deque, Generator, List, Optional
 
 from ..errors import SimulationError
-from .events import Event
+from .events import _UNSET, Event
 from .kernel import Simulator
 
 __all__ = ["Resource", "Request", "Store", "Barrier", "Mutex", "hold"]
@@ -32,7 +32,15 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
+        # Slots set directly, as in Timeout: one claim per queued transfer.
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = _UNSET
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
+        self._cancelled = False
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -82,7 +90,8 @@ class Resource:
         req = Request(self)
         self.total_requests += 1
         self._queue.append(req)
-        self._grant()
+        if len(self._users) < self.capacity:
+            self._grant()
         return req
 
     def try_acquire(self) -> Optional["_FastClaim"]:
@@ -102,9 +111,11 @@ class Resource:
         return tok
 
     def release(self, req: Request) -> None:
-        if req in self._users:
-            self._users.remove(req)
-            self._grant()
+        users = self._users
+        if req in users:
+            users.remove(req)
+            if self._queue:
+                self._grant()
         else:
             # Cancelling an ungranted request is allowed (context-manager
             # exit after a failure while still queued).
@@ -116,10 +127,12 @@ class Resource:
     def _grant(self) -> None:
         while self._queue and len(self._users) < self.capacity:
             req = self._queue.popleft()
-            if req.triggered:  # cancelled/failed while queued
+            if req._triggered:  # cancelled/failed while queued
                 continue
             self._users.append(req)
-            req.succeed(req)
+            # No value: a request holding itself would be a reference
+            # cycle that only the cyclic collector frees.
+            req.succeed()
 
     def __repr__(self) -> str:
         return (
@@ -171,7 +184,7 @@ class Store:
         # Hand off directly if a getter is waiting.
         while self._getters:
             getter = self._getters.popleft()
-            if getter.triggered:
+            if getter._triggered:
                 continue
             getter.succeed(item)
             return

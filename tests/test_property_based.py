@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.config import CacheConfig, StripeParams
 from repro.regions import (
     RegionList,
+    _merge_pieces,
     build_flat_indices,
     gather_runs,
     pair_pieces,
@@ -42,6 +43,19 @@ def disjoint_sorted_lists(draw, max_regions=25, max_gap=300, max_len=200):
         offs.append(pos)
         pos += ln + g
     return RegionList(offs, lengths)
+
+
+@st.composite
+def stripe_layouts(draw):
+    """``(StripeParams, n_iods)`` with any stripe size, base and pcount."""
+    n_iods = draw(st.integers(1, 8))
+    pcount = draw(st.one_of(st.none(), st.integers(1, n_iods)))
+    stripe = StripeParams(
+        stripe_size=draw(st.integers(1, 64)),
+        base=draw(st.integers(0, n_iods - 1)),
+        pcount=pcount,
+    )
+    return stripe, n_iods
 
 
 @st.composite
@@ -187,6 +201,21 @@ class TestPairPiecesProperties:
             np.testing.assert_array_equal(ib[pos : pos + k], np.arange(y, y + k))
             pos += k
 
+    @given(region_lists(min_regions=1, max_regions=40), st.integers(0, 10**6))
+    @example(RegionList([7], [5]), 0)
+    def test_single_run_side_matches_the_merge(self, other, run_start):
+        # A single run on either side skips the breakpoint merge; the
+        # pieces, their offsets and their dtype are the merge's exactly.
+        other = other.drop_empty()
+        assume(other.count)
+        run = RegionList.single(run_start, other.total_bytes)
+        for a, b in ((run, other), (other, run)):
+            got = pair_pieces(a, b)
+            want = _merge_pieces(a, b)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
+
 
 class TestRunCopyProperties:
     """gather_runs / scatter_runs against the per-byte fancy index."""
@@ -238,6 +267,63 @@ class TestStripingProperties:
         ) if smap.n_servers else np.empty(0, np.int64)
         covered.sort()
         np.testing.assert_array_equal(covered, np.arange(smap.total_bytes))
+
+    @staticmethod
+    def _reference_map(regions, sp, n_iods):
+        """Split at stripe-unit boundaries, then a stable group-by-server:
+        ``[(server, [(physical offset, length, stream offset), ...])]`` in
+        ascending server order, stream order within each server."""
+        pcount = sp.resolve_pcount(n_iods)
+        ssize = sp.stripe_size
+        groups = {}
+        pos = 0
+        for off, ln in regions.split_at_boundaries(ssize):
+            unit = off // ssize
+            server = (sp.base + unit % pcount) % n_iods
+            phys = (unit // pcount) * ssize + off % ssize
+            groups.setdefault(server, []).append((phys, ln, pos))
+            pos += ln
+        return [(server, groups[server]) for server in sorted(groups)]
+
+    @staticmethod
+    def _as_runs(smap):
+        return [
+            (
+                sl.server,
+                list(
+                    zip(
+                        sl.physical.offsets.tolist(),
+                        sl.physical.lengths.tolist(),
+                        sl.stream_offsets.tolist(),
+                    )
+                ),
+            )
+            for sl in smap
+        ]
+
+    @given(stripe_layouts(), st.data())
+    def test_single_region_matches_reference(self, layout, data):
+        # One region over 1 to pcount + 1 stripe units: up to pcount units
+        # take the scalar case, one more takes the array path.
+        sp, n_iods = layout
+        ssize = sp.stripe_size
+        units = data.draw(st.integers(1, sp.resolve_pcount(n_iods) + 1))
+        first = data.draw(st.integers(0, 40))
+        start = first * ssize + data.draw(st.integers(0, ssize - 1))
+        last_byte = data.draw(
+            st.integers(max(start, (first + units - 1) * ssize), (first + units) * ssize - 1)
+        )
+        region = RegionList.single(start, last_byte - start + 1)
+        smap = map_regions(region, sp, n_iods)
+        assert self._as_runs(smap) == self._reference_map(region, sp, n_iods)
+        assert smap.total_bytes == region.total_bytes
+
+    @given(stripe_layouts(), region_lists(max_regions=20, max_offset=3000, max_len=150))
+    def test_region_list_matches_reference(self, layout, regions):
+        sp, n_iods = layout
+        smap = map_regions(regions, sp, n_iods)
+        assert self._as_runs(smap) == self._reference_map(regions, sp, n_iods)
+        assert smap.total_bytes == regions.drop_empty().total_bytes
 
     @given(
         region_lists(max_regions=15, max_offset=2000, max_len=100),

@@ -484,6 +484,41 @@ class TestFailoverScenario:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
+    def test_one_fault_free_run_sizes_the_policy(self, monkeypatch):
+        # Two clusters: the fault-free baseline, under a deadline no
+        # attempt reaches, and the faulty run.  The baseline's read phase
+        # is, bit for bit, that of a fault-free run under the sized policy.
+        import math
+
+        from repro.experiments import chaos
+        from repro.experiments.presets import SMOKE
+
+        configs = []
+        init = Cluster.__init__
+
+        def counting_init(self, config, *args, **kwargs):
+            configs.append(config)
+            init(self, config, *args, **kwargs)
+
+        monkeypatch.setattr(Cluster, "__init__", counting_init)
+        row = chaos.run_failover_scenario(scale=SMOKE, replicas=2)
+        assert len(configs) == 2
+        baseline, faulty = configs
+        assert baseline.faults.retry.request_timeout == math.inf
+        assert not baseline.faults.plan.scheduled()
+        sized = faulty.faults.retry
+        assert sized == replace(
+            baseline.faults.retry, request_timeout=sized.request_timeout
+        )
+        pattern, _kind = chaos._pattern("artificial", SMOKE)
+        _, pre_s, read_s, errors = chaos._run_failover(
+            pattern, baseline.with_(faults=FaultConfig(retry=sized))
+        )
+        assert errors == 0
+        assert row.baseline_s == read_s
+        assert sized.request_timeout == max(0.5, 2 * pre_s, 2 * read_s)
+        assert faulty.faults.plan.faults[0].at == pre_s + read_s / 3
+
     def test_jobs_bit_identity(self):
         from repro.experiments.presets import SMOKE
         from repro.sweep import ChaosSpec, run_sweep
