@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-out bench bench-compare bench-pytest \
+.PHONY: install test test-out bench bench-compare bench-pytest digests \
 	profile lint figures figures-paper examples clean
 
 install:
@@ -28,6 +28,26 @@ bench-compare:
 		--scale smoke --out BENCH_local.json
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli bench compare \
 		benchmarks/baseline_smoke.json BENCH_local.json
+
+# perfbench's committed per-point digests of the simulated outputs, on all
+# four workloads at every seed in SEEDS (a range such as 0-31, or one
+# seed): a change that claims bit-identical outputs must pass at every
+# committed seed, not only seed 0.  About 10 s per seed and workload.
+SEEDS ?= 0-31
+
+digests:
+	@seeds='$(SEEDS)'; lo=$${seeds%-*}; hi=$${seeds#*-}; fail=0; \
+	for w in des_read des_write chaos_failover model_paper; do \
+		for s in $$(seq $$lo $$hi); do \
+			if $(PYTHON) perfbench/run.py --workload $$w --seed $$s --seconds 1 --trace 0 \
+					| tail -1 | grep -q '"correct": true'; then \
+				echo "ok   $$w seed $$s"; \
+			else \
+				echo "FAIL $$w seed $$s"; fail=1; \
+			fi; \
+		done; \
+	done; \
+	exit $$fail
 
 # host profiling of one gate pass under cProfile: hottest functions plus
 # flamegraph input (profile.collapsed) and raw stats (profile.pstats)

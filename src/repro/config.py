@@ -244,10 +244,15 @@ class StripeParams:
 
     def resolve_pcount(self, n_iods: int) -> int:
         """Number of servers actually used given a cluster with ``n_iods``."""
-        _require(n_iods > 0, "cluster must have at least one I/O server")
+        # Called for every logical request, so the messages are formatted
+        # only when a check fails.
+        if n_iods <= 0:
+            raise ConfigError("cluster must have at least one I/O server")
         pc = self.pcount if self.pcount is not None else n_iods
-        _require(pc <= n_iods, f"pcount {pc} exceeds available I/O servers {n_iods}")
-        _require(self.base < n_iods, f"base {self.base} out of range for {n_iods} servers")
+        if pc > n_iods:
+            raise ConfigError(f"pcount {pc} exceeds available I/O servers {n_iods}")
+        if self.base >= n_iods:
+            raise ConfigError(f"base {self.base} out of range for {n_iods} servers")
         return pc
 
     def resolve_replicas(self, n_iods: int) -> int:

@@ -295,13 +295,14 @@ def run_scenario(
         )
     pattern, kind = _pattern(benchmark, scale)
     cfg = _replicated_cfg(pattern, replicas, ack)
-    _, base = _run_once(pattern, kind, cfg)
+    base_cluster, base = _run_once(pattern, kind, cfg)
+    base_cluster.close()
     faults = FaultConfig(
         plan=_plan(scenario, base.elapsed, restart_after),
         retry=_retry_policy(scenario, base.elapsed),
     )
     cluster, res = _run_once(pattern, kind, cfg.with_(faults=faults))
-    return _row(
+    row = _row(
         cluster,
         scenario,
         benchmark,
@@ -311,6 +312,8 @@ def run_scenario(
         baseline_s=base.elapsed,
         faulty_s=res.elapsed,
     )
+    cluster.close()
+    return row
 
 
 def _run_failover(pattern, cfg: ClusterConfig):
@@ -390,7 +393,8 @@ def run_failover_scenario(
         jitter=0.1,
     )
     base_cfg = cfg.with_(faults=FaultConfig(retry=unbounded))
-    _, pre_s, base_read_s, base_errors = _run_failover(pattern, base_cfg)
+    base_cluster, pre_s, base_read_s, base_errors = _run_failover(pattern, base_cfg)
+    base_cluster.close()
     if base_errors:
         raise ConfigError(
             f"fault-free baseline read back {base_errors} wrong byte(s); the "
@@ -428,7 +432,7 @@ def run_failover_scenario(
         if repl.failover_log
         else None
     )
-    return _row(
+    row = _row(
         cluster,
         "failover-read",
         benchmark,
@@ -442,6 +446,8 @@ def run_failover_scenario(
         degraded_s=degraded_s,
         degraded_goodput_mb_s=degraded_goodput,
     )
+    cluster.close()
+    return row
 
 
 def rows_markdown(rows: List[ChaosRow]) -> str:

@@ -176,6 +176,7 @@ def des_point(
         point.phases = {k: max(v) for k, v in phase_times.items() if v}
     if trace:
         point.trace_summary = cluster.tracer.summary()
+    cluster.close()
     return point
 
 

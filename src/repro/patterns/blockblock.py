@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import PatternError
 from ..regions import RegionList
 from .base import Pattern, RankAccess
@@ -54,16 +56,21 @@ def block_block(
     side = N // q  # block side in bytes == rows per client == run length
     pieces_per_row = max(round(accesses_per_client / side), 1)
     piece = -(-side // pieces_per_row)  # ceil: last piece of a row is short
+    # Every row splits at the same columns, into ceil(side / piece) pieces
+    # (fewer than requested when side / pieces_per_row rounds up: side 10
+    # in 6 pieces is 5 pieces of 2), so all ranks share one lengths array.
+    cuts = np.arange(0, side, piece, dtype=np.int64)
+    row_lengths = np.minimum(cuts + piece, side) - cuts
+    lengths = np.tile(row_lengths, side)
+    lengths.setflags(write=False)
+    row_steps = N * np.arange(side, dtype=np.int64)
+    mem_regions = RegionList.single(0, side * side)
     accesses = []
     for rank in range(n_clients):
         i, j = divmod(rank, q)
-        row0 = i * side
-        col0 = j * side
-        rows = RegionList.strided(
-            start=row0 * N + col0, count=side, length=side, stride=N
-        )
-        file_regions = rows.subdivide(piece)
-        mem_regions = RegionList.single(0, side * side)
+        starts = (i * side * N + j * side) + row_steps
+        offsets = (starts[:, None] + cuts[None, :]).ravel()
+        file_regions = RegionList._trusted(offsets, lengths, nonempty=True)
         accesses.append(
             RankAccess(rank=rank, mem_regions=mem_regions, file_regions=file_regions)
         )

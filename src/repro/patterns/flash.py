@@ -105,9 +105,9 @@ def _rank_memory_regions(cfg: FlashConfig) -> RegionList:
     px, py, pz = cfg.padded_dims
     g = cfg.n_guard
     # offsets of inner elements within one padded block (element index)
-    x = np.arange(cfg.nxb) + g
-    y = np.arange(cfg.nyb) + g
-    z = np.arange(cfg.nzb) + g
+    x = np.arange(cfg.nxb, dtype=np.int64) + g
+    y = np.arange(cfg.nyb, dtype=np.int64) + g
+    z = np.arange(cfg.nzb, dtype=np.int64) + g
     # element linear index: x fastest (C row-major over (z, y, x))
     elem = (
         z[:, None, None] * (py * px) + y[None, :, None] * px + x[None, None, :]
@@ -120,7 +120,8 @@ def _rank_memory_regions(cfg: FlashConfig) -> RegionList:
         var_byte[:, None, None] + block_base[None, :, None] + elem_byte[None, None, :]
     ).ravel()
     lengths = np.full(offsets.size, _DOUBLE, dtype=np.int64)
-    return RegionList(offsets, lengths)
+    # Non-negative aranges times sizes: valid by construction.
+    return RegionList._trusted(offsets, lengths, nonempty=True)
 
 
 def flash_io(
@@ -135,9 +136,10 @@ def flash_io(
     chunk = cfg.chunk_bytes
     accesses = []
     vb = np.arange(cfg.n_vars * cfg.n_blocks, dtype=np.int64)  # v-major (v*B + b)
+    lengths = np.full(vb.size, chunk, dtype=np.int64)  # shared by every proc
     for p in range(n_procs):
         file_off = (vb * n_procs + p) * chunk
-        file_regions = RegionList(file_off, np.full(vb.size, chunk, dtype=np.int64))
+        file_regions = RegionList._trusted(file_off, lengths, nonempty=True)
         accesses.append(
             RankAccess(rank=p, mem_regions=mem, file_regions=file_regions)
         )

@@ -101,29 +101,33 @@ def random_fragments(
     if not (0 <= min_gap <= max_gap):
         raise PatternError("need 0 <= min_gap <= max_gap")
     rng = np.random.default_rng(seed)
-
-    def log_uniform(lo, hi, n):
-        if lo == hi:
-            return np.full(n, lo, dtype=np.int64)
-        return np.exp(
-            rng.uniform(np.log(lo), np.log(hi), n)
-        ).astype(np.int64).clip(lo, hi)
-
+    # One draw loop in the order of the global interleaved schedule (round
+    # robin, one fragment per client per round): per fragment a log-uniform
+    # size, unless every size is ``min_size``, then a gap.  Everything else
+    # is whole-array.
+    n = n_clients * fragments_per_client
+    uniform, integers, stop = rng.uniform, rng.integers, max_gap + 1
+    if min_size == max_size:
+        sizes = np.full(n, min_size, dtype=np.int64)
+        gaps = [integers(min_gap, stop) for _ in range(n)]
+    else:
+        lo, hi = np.log(min_size), np.log(max_size)
+        logs, gaps = [], []
+        for _ in range(n):
+            logs.append(uniform(lo, hi))
+            gaps.append(integers(min_gap, stop))
+        sizes = np.exp(np.array(logs)).astype(np.int64).clip(min_size, max_size)
+    steps = sizes + np.array(gaps, dtype=np.int64)
+    ends = np.cumsum(steps)
+    # Every step is positive, so the ends only fall where int64 wrapped.
+    if not (ends[1:] > ends[:-1]).all():
+        raise OverflowError("fragment offsets exceed the int64 range")
+    # Rank c's fragments are every n_clients-th of the schedule.
+    offsets = np.ascontiguousarray((ends - steps).reshape(-1, n_clients).T)
+    lengths = np.ascontiguousarray(sizes.reshape(-1, n_clients).T)
     accesses = []
-    cursor = 0
-    # Build a global interleaved schedule: round-robin one fragment per
-    # client per round, with random sizes/gaps.
-    offs = [[] for _ in range(n_clients)]
-    lens = [[] for _ in range(n_clients)]
-    for _round in range(fragments_per_client):
-        for c in range(n_clients):
-            size = int(log_uniform(min_size, max_size, 1)[0])
-            gap = int(rng.integers(min_gap, max_gap + 1))
-            offs[c].append(cursor)
-            lens[c].append(size)
-            cursor += size + gap
     for c in range(n_clients):
-        file_regions = RegionList(offs[c], lens[c])
+        file_regions = RegionList._trusted(offsets[c], lengths[c], nonempty=True)
         accesses.append(
             RankAccess(
                 rank=c,
@@ -134,5 +138,5 @@ def random_fragments(
     return Pattern(
         name=f"random[seed={seed}]",
         accesses=tuple(accesses),
-        file_size=cursor,
+        file_size=int(ends[-1]),
     )

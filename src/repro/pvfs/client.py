@@ -276,6 +276,9 @@ class PVFSFile:
         sim = client.sim
         state = client.cluster.replication
         t_detected = None  # first moment this request noticed trouble
+        # The last failure is kept for its message, without its traceback:
+        # that refers to the frames holding it, a cycle only the cyclic
+        # collector would free.
         last_error: Optional[BaseException] = None
         attempts = 0
         for target in chain:
@@ -298,7 +301,7 @@ class PVFSFile:
             try:
                 result = yield from client._send(req, target)
             except FaultError as exc:
-                last_error = exc
+                last_error = exc.with_traceback(None)
                 if t_detected is None:
                     t_detected = sim.now
                 if not state.is_fenced(target):
@@ -615,6 +618,8 @@ class PVFSClient:
         sim = self.sim
         policy = self.retry
         tracer = self.cluster.tracer
+        # Failures are kept for their message, without their traceback (see
+        # PVFSFile._failover_read).
         last_error: Optional[BaseException] = None
         for attempt in range(policy.max_retries + 1):
             # Replays get a fresh response event but keep request_id, kind,
@@ -646,7 +651,7 @@ class PVFSClient:
                         # daemon, so retrying it cannot succeed — surface
                         # immediately and let the caller fail over.
                         raise exc
-                    last_error = exc
+                    last_error = exc.with_traceback(None)
                 else:
                     # Deadline won the race: abandon the in-flight attempt.
                     proc.interrupt("timeout")
@@ -669,7 +674,7 @@ class PVFSClient:
             except FaultError as exc:
                 if isinstance(exc, ServerFenced):
                     raise
-                last_error = exc
+                last_error = exc.with_traceback(None)
             if attempt >= policy.max_retries:
                 break
             delay = policy.backoff(attempt, self._retry_rng)

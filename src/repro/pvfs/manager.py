@@ -66,7 +66,7 @@ class Manager:
         self.replication = None
         self.iods = []
         self.tracer = None
-        sim.process(self._run(), name="manager")
+        self._proc = sim.process(self._run(), name="manager")
 
     # ------------------------------------------------------------------
     def _run(self):

@@ -159,9 +159,12 @@ class RegionList:
             raise RegionError("count must be non-negative")
         if count and length < 0:
             raise RegionError("length must be non-negative")
-        off = start + stride * np.arange(count, dtype=np.int64)
+        off = np.asarray(start + stride * np.arange(count, dtype=np.int64), np.int64)
+        # An arithmetic sequence is smallest at one of its ends.
+        if count and min(off[0], off[-1]) < 0:
+            raise RegionError("region offsets must be non-negative")
         ln = np.full(count, length, dtype=np.int64)
-        return cls(off, ln)
+        return cls._trusted(off, ln, nonempty=bool(length > 0))
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -304,31 +307,6 @@ class RegionList:
         piece_start = np.maximum(r.offsets[reg_idx], unit * boundary)
         piece_end = np.minimum(r.ends[reg_idx], (unit + 1) * boundary)
         return RegionList._trusted(piece_start, piece_end - piece_start, nonempty=True)
-
-    def subdivide(self, piece_size: int) -> "RegionList":
-        """Split every region into adjacent pieces of ``piece_size`` bytes
-        (measured from each region's start; final piece may be short).
-
-        This is how the artificial benchmark "increases the number of
-        accesses ... while preserving the aggregate data size" (paper
-        Section 4.2.1): the same bytes, fragmented into more regions.
-        """
-        if piece_size <= 0:
-            raise RegionError("piece_size must be positive")
-        r = self.drop_empty()
-        if r.count == 0:
-            return r
-        pieces_per = -(-r.lengths // piece_size)
-        if (pieces_per == 1).all():
-            return r
-        n_pieces = int(pieces_per.sum())
-        reg_idx = np.repeat(np.arange(r.count, dtype=np.int64), pieces_per)
-        firsts = np.zeros(n_pieces, dtype=np.int64)
-        firsts[np.cumsum(pieces_per)[:-1]] = pieces_per[:-1]
-        j = np.arange(n_pieces, dtype=np.int64) - np.cumsum(firsts)
-        start = r.offsets[reg_idx] + j * piece_size
-        end = np.minimum(start + piece_size, r.ends[reg_idx])
-        return RegionList._trusted(start, end - start, nonempty=True)
 
     def clip(self, window_start: int, window_end: int) -> "RegionList":
         """Intersect every region with ``[window_start, window_end)``,

@@ -99,6 +99,20 @@ class Process(Event):
         kick.callbacks.append(lambda ev: self._deliver_interrupt(cause))
         kick.succeed()
 
+    def close(self) -> None:
+        """Abandon the process: stop waiting on its event and close its
+        generator (``GeneratorExit`` at the suspended ``yield``), so
+        neither refers to the other any more.  The process never fires.
+        For tearing down a finished simulation; unlike an interrupt it
+        schedules and cancels nothing."""
+        ev, self._waiting_on = self._waiting_on, None
+        if ev is not None:
+            try:
+                ev.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+        self._gen.close()
+
     def _detach_from_waited_event(self) -> None:
         ev = self._waiting_on
         if ev is not None:
@@ -172,7 +186,10 @@ class Process(Event):
         except BaseException as exc:
             if isinstance(exc, GeneratorExit):
                 raise
-            self.fail(exc)
+            # The failure starts at the generator's frame.  This frame
+            # would tie the value to the process (a cycle) and, through its
+            # callers, to the host stack that ran the simulation.
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
         finally:
             sim._active_process = prev
 
@@ -230,6 +247,14 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
+
+    def close(self) -> None:
+        """Drop the event heap and ``timeout``, which refers back to this
+        simulator, so a finished simulation is freed by reference counting.
+        Nothing can be scheduled afterwards; the clock and the event counts
+        stay readable."""
+        self._heap.clear()
+        vars(self).pop("timeout", None)
 
     @property
     def active_process(self) -> Optional[Process]:

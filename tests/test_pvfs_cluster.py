@@ -1,6 +1,8 @@
 """End-to-end tests of the simulated PVFS deployment."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -459,3 +461,86 @@ class TestWorkloadRunner:
         res = cluster.run_workload(wl, clients=[0])
         assert res.total_logical_requests == 2  # 100 regions / cap 64
         assert res.total_server_messages >= res.total_logical_requests
+
+
+class TestClose:
+    @staticmethod
+    def _read(cluster):
+        regions = RegionList.strided(start=0, count=40, length=50, stride=300)
+
+        def wl(client):
+            f = yield from client.open("/c", create=True)
+            yield from f.write(0, np.zeros(12_000, np.uint8))
+            yield from f.read_list(regions)
+            yield from f.close()
+
+        return cluster.run_workload(wl)
+
+    def test_closed_cluster_refuses_run_workload(self):
+        cluster = small_cluster()
+        self._read(cluster)
+        cluster.close()
+        with pytest.raises(ConfigError, match="closed cluster"):
+            self._read(cluster)
+
+    def test_results_stay_readable_and_close_is_idempotent(self):
+        cluster = Cluster.build(ClusterConfig(n_clients=2, n_iods=4), trace=True)
+        self._read(cluster)
+        before = (
+            dict(cluster.counters.items()),
+            cluster.sim.events_scheduled,
+            cluster.sim.now,
+            [iod.requests_served for iod in cluster.iods],
+            len(cluster.tracer.spans),
+        )
+        cluster.close()
+        cluster.close()
+        after = (
+            dict(cluster.counters.items()),
+            cluster.sim.events_scheduled,
+            cluster.sim.now,
+            [iod.requests_served for iod in cluster.iods],
+            len(cluster.tracer.spans),
+        )
+        assert after == before
+
+    @pytest.mark.parametrize("fault", [None, "crash", "link-down"])
+    def test_a_closed_cluster_is_freed_by_reference_counting(self, fault):
+        from repro.faults import FaultConfig, FaultPlan, IodCrash, LinkDown, RetryPolicy
+
+        cfg = ClusterConfig(n_clients=2, n_iods=4)
+        # Failed and timed-out attempts, retries and their exceptions must
+        # not tie any part of the cluster into a cycle: daemon 0 dies and
+        # comes back, or its link stalls past the request deadline.
+        plans = {
+            "crash": (IodCrash(iod=0, at=0.002, restart_after=0.05), 1.0),
+            "link-down": (LinkDown(node="iod0", at=0.002, duration=0.2), 0.02),
+        }
+        if fault is not None:
+            event, timeout = plans[fault]
+            cfg = cfg.with_(
+                faults=FaultConfig(
+                    plan=FaultPlan((event,)),
+                    retry=RetryPolicy(
+                        request_timeout=timeout, max_retries=20, backoff_base=0.01
+                    ),
+                )
+            )
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = Cluster.build(cfg)
+            self._read(cluster)
+            if fault is not None:
+                assert cluster.counters.total("client", ".retries") > 0
+            if fault == "link-down":
+                assert cluster.counters.total("client", ".timeouts") > 0
+            cluster.close()
+            parts = [cluster, cluster.sim, *cluster.iods, *cluster.clients]
+            refs = [weakref.ref(part) for part in parts]
+            del cluster, parts
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -6,6 +6,8 @@ import pytest
 from repro.errors import RegionError
 from repro.regions import RegionList, build_flat_indices, gather_runs, pair_pieces, scatter_runs
 
+from .patterns_reference import subdivide
+
 
 class TestConstruction:
     def test_empty(self):
@@ -176,31 +178,35 @@ class TestSplitAtBoundaries:
 
 
 class TestSubdivide:
+    """``subdivide`` left ``RegionList`` with the whole-array ``block_block``;
+    it lives on in the reference that ``block_block`` is checked against
+    (``tests/patterns_reference.py``), and these tests pin that oracle."""
+
     def test_exact_pieces(self):
-        r = RegionList([0, 100], [8, 8]).subdivide(4)
+        r = subdivide(RegionList([0, 100], [8, 8]), 4)
         assert list(r) == [(0, 4), (4, 4), (100, 4), (104, 4)]
 
     def test_short_tail(self):
-        r = RegionList([10], [10]).subdivide(4)
+        r = subdivide(RegionList([10], [10]), 4)
         assert list(r) == [(10, 4), (14, 4), (18, 2)]
 
     def test_noop_when_pieces_big_enough(self):
         r = RegionList([0, 100], [8, 8])
-        assert r.subdivide(8) == r
-        assert r.subdivide(100) == r
+        assert subdivide(r, 8) == r
+        assert subdivide(r, 100) == r
 
     def test_preserves_bytes_and_coverage(self):
         r = RegionList.strided(3, 20, 57, 100)
-        s = r.subdivide(13)
+        s = subdivide(r, 13)
         assert s.total_bytes == r.total_bytes
         assert s.coalesced() == r.coalesced()
 
     def test_bad_piece_size(self):
         with pytest.raises(RegionError):
-            RegionList([0], [8]).subdivide(0)
+            subdivide(RegionList([0], [8]), 0)
 
     def test_empty(self):
-        assert RegionList.empty().subdivide(4).count == 0
+        assert subdivide(RegionList.empty(), 4).count == 0
 
 
 class TestChunksOf:
