@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-out bench bench-compare bench-pytest digests \
-	profile lint figures figures-paper examples clean
+	profile lint size figures figures-paper examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -65,6 +65,10 @@ bench-pytest:
 lint:
 	ruff check .
 	ruff format --check src/repro/bench src/repro/mpiio src/repro/mpi src/repro/model
+
+# the simplicity counts: src/ lines, add_argument calls, ClusterConfig leaves
+size:
+	$(PYTHON) tools/size.py
 
 # regenerate every figure from the paper's evaluation
 figures:

@@ -59,7 +59,7 @@ class Scenario:
 
 def _artificial(figure: str) -> Callable[[Scale], List]:
     """Artificial figure ``figure``'s points at its smallest client count."""
-    clients_attr = artificial.FIGURE_RECIPES[figure][4]
+    clients_attr = artificial.FIGURE_RECIPES[figure].clients_attr
     return lambda scale: artificial.build_specs(
         figure, scale, "des", clients=(min(getattr(scale, clients_attr)),)
     )

@@ -13,7 +13,7 @@ noncontiguous method.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
 
 from ..config import ClusterConfig
 from ..sweep import PointSpec, run_sweep
@@ -25,72 +25,6 @@ __all__ = ["figure9", "figure10", "figure11", "figure12", "build_specs"]
 
 _READ_METHODS = ("multiple", "datasieve", "list")
 _WRITE_METHODS = ("multiple", "list")
-
-#: figure number -> (figure label, pattern recipe, methods, direction,
-#: which Scale client list drives the sweep).  One row per artificial
-#: figure so the four drivers build their specs from a single source of
-#: truth.
-FIGURE_RECIPES = {
-    "9": ("fig09", "one_dim_cyclic", _READ_METHODS, "read", "cyclic_clients"),
-    "10": ("fig10", "one_dim_cyclic", _WRITE_METHODS, "write", "cyclic_clients"),
-    "11": ("fig11", "block_block", _READ_METHODS, "read", "blockblock_clients"),
-    "12": ("fig12", "block_block", _WRITE_METHODS, "write", "blockblock_clients"),
-}
-
-
-def build_specs(
-    figure: str,
-    scale: Scale,
-    mode: str,
-    clients: Optional[Sequence[int]] = None,
-    accesses: Optional[Sequence[int]] = None,
-    faults=None,
-) -> List[PointSpec]:
-    """The sweep specs of one artificial figure (9/10/11/12) — exactly
-    the points the figure driver runs, importable without running them."""
-    label, pattern_name, methods, kind, client_attr = FIGURE_RECIPES[figure]
-    clients = tuple(clients or getattr(scale, client_attr))
-    accesses = tuple(accesses or scale.accesses_sweep)
-    specs: List[PointSpec] = []
-    for n_clients in clients:
-        cfg = ClusterConfig.chiba_city(n_clients=n_clients)
-        if faults is not None and mode != "model":
-            # Fault/straggler injection is a DES concept; the analytic
-            # model has no notion of time-varying degradation.
-            cfg = cfg.with_(faults=faults)
-        for acc in accesses:
-            for method in methods:
-                specs.append(
-                    PointSpec(
-                        figure=label,
-                        pattern=pattern_name,
-                        pattern_args=(scale.artificial_total, n_clients, acc),
-                        method=method,
-                        kind=kind,
-                        mode=mode,
-                        cfg=cfg,
-                        x=acc,
-                    )
-                )
-    return specs
-
-
-def _run_sweep(
-    figure: str,
-    scale: Scale,
-    mode: str,
-    clients: Optional[Sequence[int]],
-    accesses: Optional[Sequence[int]],
-    obs=None,
-    faults=None,
-    jobs: int = 1,
-    cache=None,
-) -> Tuple[List[DataPoint], object]:
-    specs = build_specs(
-        figure, scale, mode, clients=clients, accesses=accesses, faults=faults
-    )
-    label = FIGURE_RECIPES[figure][0]
-    return run_sweep(specs, jobs=jobs, cache=cache, obs=obs, label=label)
 
 
 def _monotone_check(result_points, series, n_clients, label) -> Check:
@@ -141,99 +75,35 @@ def _gap_check(result_points, slow, fast, n_clients, min_ratio, label) -> Check:
     )
 
 
-def figure9(
-    scale: Scale = SCALED,
-    mode: str = "model",
-    clients: Optional[Sequence[int]] = None,
-    accesses: Optional[Sequence[int]] = None,
-    obs=None,
-    faults=None,
-    jobs: int = 1,
-    cache=None,
-) -> FigureResult:
-    """One-dimensional cyclic read results (paper Figure 9)."""
-    clients = tuple(clients or scale.cyclic_clients)
-    accesses = tuple(accesses or scale.accesses_sweep)
-    points, stats = _run_sweep(
-        "9", scale, mode, clients, accesses, obs=obs, faults=faults, jobs=jobs, cache=cache
-    )
-    checks: List[Check] = []
+def _fig9_checks(points: List[DataPoint], clients: Sequence[int]) -> Iterator[Check]:
     for n in clients:
-        checks.append(_monotone_check(points, "multiple", n, "fig09"))
-        checks.append(_flat_check(points, "datasieve", n, "fig09"))
-        checks.append(_gap_check(points, "multiple", "list", n, 4.0, "fig09"))
+        yield _monotone_check(points, "multiple", n, "fig09")
+        yield _flat_check(points, "datasieve", n, "fig09")
+        yield _gap_check(points, "multiple", "list", n, 4.0, "fig09")
     # "the time nearly doubles with data sieving I/O when the clients double"
     if 8 in clients and 16 in clients:
         d8 = max(p.elapsed for p in points if p.series == "datasieve" and p.n_clients == 8)
         d16 = max(p.elapsed for p in points if p.series == "datasieve" and p.n_clients == 16)
-        checks.append(
-            Check(
-                "fig09: data sieving time roughly doubles from 8 to 16 clients",
-                1.4 <= d16 / d8 <= 3.0,
-                detail=f"ratio {d16 / d8:.2f}",
-            )
+        yield Check(
+            "fig09: data sieving time roughly doubles from 8 to 16 clients",
+            1.4 <= d16 / d8 <= 3.0,
+            detail=f"ratio {d16 / d8:.2f}",
         )
-    return FigureResult(
-        "fig09",
-        f"1-D cyclic reads, {scale.name} scale ({mode})",
-        points,
-        checks,
-        sweep_stats=stats,
-    )
 
 
-def figure10(
-    scale: Scale = SCALED,
-    mode: str = "model",
-    clients: Optional[Sequence[int]] = None,
-    accesses: Optional[Sequence[int]] = None,
-    obs=None,
-    faults=None,
-    jobs: int = 1,
-    cache=None,
-) -> FigureResult:
-    """One-dimensional cyclic write results (paper Figure 10)."""
-    clients = tuple(clients or scale.cyclic_clients)
-    accesses = tuple(accesses or scale.accesses_sweep)
-    points, stats = _run_sweep(
-        "10", scale, mode, clients, accesses, obs=obs, faults=faults, jobs=jobs, cache=cache
-    )
-    checks: List[Check] = []
+def _fig10_checks(points: List[DataPoint], clients: Sequence[int]) -> Iterator[Check]:
     for n in clients:
-        checks.append(_monotone_check(points, "multiple", n, "fig10"))
-        checks.append(_monotone_check(points, "list", n, "fig10"))
+        yield _monotone_check(points, "multiple", n, "fig10")
+        yield _monotone_check(points, "list", n, "fig10")
         # "a performance gap of nearly two orders of magnitude"
-        checks.append(_gap_check(points, "multiple", "list", n, 20.0, "fig10"))
-    return FigureResult(
-        "fig10",
-        f"1-D cyclic writes, {scale.name} scale ({mode})",
-        points,
-        checks,
-        sweep_stats=stats,
-    )
+        yield _gap_check(points, "multiple", "list", n, 20.0, "fig10")
 
 
-def figure11(
-    scale: Scale = SCALED,
-    mode: str = "model",
-    clients: Optional[Sequence[int]] = None,
-    accesses: Optional[Sequence[int]] = None,
-    obs=None,
-    faults=None,
-    jobs: int = 1,
-    cache=None,
-) -> FigureResult:
-    """Block-block read results (paper Figure 11)."""
-    clients = tuple(clients or scale.blockblock_clients)
-    accesses = tuple(accesses or scale.accesses_sweep)
-    points, stats = _run_sweep(
-        "11", scale, mode, clients, accesses, obs=obs, faults=faults, jobs=jobs, cache=cache
-    )
-    checks: List[Check] = []
+def _fig11_checks(points: List[DataPoint], clients: Sequence[int]) -> Iterator[Check]:
     for n in clients:
-        checks.append(_monotone_check(points, "multiple", n, "fig11"))
-        checks.append(_flat_check(points, "datasieve", n, "fig11"))
-        checks.append(_gap_check(points, "multiple", "list", n, 3.0, "fig11"))
+        yield _monotone_check(points, "multiple", n, "fig11")
+        yield _flat_check(points, "datasieve", n, "fig11")
+        yield _gap_check(points, "multiple", "list", n, 3.0, "fig11")
         # list I/O cost grows as accesses shrink toward ~150 B (the upturn)
         pts = sorted(
             (p for p in points if p.series == "list" and p.n_clients == n),
@@ -242,46 +112,124 @@ def figure11(
         if len(pts) >= 2 and pts[-1].logical_requests > pts[0].logical_requests:
             # Only meaningful when the sweep actually changes fragmentation
             # (tiny smoke geometries can collapse to one feasible grid).
-            checks.append(
-                Check(
-                    f"fig11: list I/O rises with access count ({n} clients)",
-                    pts[-1].elapsed > pts[0].elapsed,
-                    detail=f"{pts[0].elapsed:.1f} -> {pts[-1].elapsed:.1f}",
-                )
+            yield Check(
+                f"fig11: list I/O rises with access count ({n} clients)",
+                pts[-1].elapsed > pts[0].elapsed,
+                detail=f"{pts[0].elapsed:.1f} -> {pts[-1].elapsed:.1f}",
             )
-    return FigureResult(
-        "fig11",
-        f"block-block reads, {scale.name} scale ({mode})",
-        points,
-        checks,
-        sweep_stats=stats,
-    )
 
 
-def figure12(
-    scale: Scale = SCALED,
-    mode: str = "model",
+def _fig12_checks(points: List[DataPoint], clients: Sequence[int]) -> Iterator[Check]:
+    for n in clients:
+        yield _monotone_check(points, "multiple", n, "fig12")
+        yield _gap_check(points, "multiple", "list", n, 20.0, "fig12")
+
+
+class Recipe(NamedTuple):
+    """One artificial figure: what its sweep runs and what it claims."""
+
+    label: str
+    pattern: str  # pattern recipe name
+    methods: Sequence[str]
+    kind: str  # "read" | "write"
+    clients_attr: str  # which Scale client list drives the sweep
+    title: str
+    checks: Callable[[List[DataPoint], Sequence[int]], Iterator[Check]]
+
+
+#: figure number -> its recipe: the single source of truth the four
+#: drivers and the bench suite build their specs from.
+FIGURE_RECIPES = {
+    "9": Recipe(
+        "fig09", "one_dim_cyclic", _READ_METHODS, "read", "cyclic_clients",
+        "1-D cyclic reads", _fig9_checks,
+    ),
+    "10": Recipe(
+        "fig10", "one_dim_cyclic", _WRITE_METHODS, "write", "cyclic_clients",
+        "1-D cyclic writes", _fig10_checks,
+    ),
+    "11": Recipe(
+        "fig11", "block_block", _READ_METHODS, "read", "blockblock_clients",
+        "block-block reads", _fig11_checks,
+    ),
+    "12": Recipe(
+        "fig12", "block_block", _WRITE_METHODS, "write", "blockblock_clients",
+        "block-block writes", _fig12_checks,
+    ),
+}
+
+
+def build_specs(
+    figure: str,
+    scale: Scale,
+    mode: str,
     clients: Optional[Sequence[int]] = None,
     accesses: Optional[Sequence[int]] = None,
-    obs=None,
     faults=None,
-    jobs: int = 1,
-    cache=None,
-) -> FigureResult:
-    """Block-block write results (paper Figure 12)."""
-    clients = tuple(clients or scale.blockblock_clients)
+) -> List[PointSpec]:
+    """The sweep specs of one artificial figure (9/10/11/12) — exactly
+    the points the figure driver runs, importable without running them."""
+    recipe = FIGURE_RECIPES[figure]
+    clients = tuple(clients or getattr(scale, recipe.clients_attr))
     accesses = tuple(accesses or scale.accesses_sweep)
-    points, stats = _run_sweep(
-        "12", scale, mode, clients, accesses, obs=obs, faults=faults, jobs=jobs, cache=cache
-    )
-    checks: List[Check] = []
-    for n in clients:
-        checks.append(_monotone_check(points, "multiple", n, "fig12"))
-        checks.append(_gap_check(points, "multiple", "list", n, 20.0, "fig12"))
-    return FigureResult(
-        "fig12",
-        f"block-block writes, {scale.name} scale ({mode})",
-        points,
-        checks,
-        sweep_stats=stats,
-    )
+    specs: List[PointSpec] = []
+    for n_clients in clients:
+        cfg = ClusterConfig.chiba_city(n_clients=n_clients)
+        if faults is not None and mode != "model":
+            # Fault/straggler injection is a DES concept; the analytic
+            # model has no notion of time-varying degradation.
+            cfg = cfg.with_(faults=faults)
+        for acc in accesses:
+            for method in recipe.methods:
+                specs.append(
+                    PointSpec(
+                        figure=recipe.label,
+                        pattern=recipe.pattern,
+                        pattern_args=(scale.artificial_total, n_clients, acc),
+                        method=method,
+                        kind=recipe.kind,
+                        mode=mode,
+                        cfg=cfg,
+                        x=acc,
+                    )
+                )
+    return specs
+
+
+def _driver(figure: str, doc: str) -> Callable[..., FigureResult]:
+    """The public driver of artificial figure ``figure``: run its sweep,
+    then evaluate its recipe's checks on the points."""
+    recipe = FIGURE_RECIPES[figure]
+
+    def driver(
+        scale: Scale = SCALED,
+        mode: str = "model",
+        clients: Optional[Sequence[int]] = None,
+        accesses: Optional[Sequence[int]] = None,
+        obs=None,
+        faults=None,
+        jobs: int = 1,
+        cache=None,
+    ) -> FigureResult:
+        clients = tuple(clients or getattr(scale, recipe.clients_attr))
+        specs = build_specs(
+            figure, scale, mode, clients=clients, accesses=accesses, faults=faults
+        )
+        points, stats = run_sweep(specs, jobs=jobs, cache=cache, obs=obs, label=recipe.label)
+        return FigureResult(
+            recipe.label,
+            f"{recipe.title}, {scale.name} scale ({mode})",
+            points,
+            list(recipe.checks(points, clients)),
+            sweep_stats=stats,
+        )
+
+    driver.__name__ = driver.__qualname__ = f"figure{figure}"
+    driver.__doc__ = doc
+    return driver
+
+
+figure9 = _driver("9", "One-dimensional cyclic read results (paper Figure 9).")
+figure10 = _driver("10", "One-dimensional cyclic write results (paper Figure 10).")
+figure11 = _driver("11", "Block-block read results (paper Figure 11).")
+figure12 = _driver("12", "Block-block write results (paper Figure 12).")

@@ -35,12 +35,13 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..config import ClusterConfig
-from ..core import METHODS
+from ..core import ListIO
 from ..errors import ConfigError, FaultError
 from ..faults import (
     DiskStall,
@@ -58,6 +59,7 @@ from ..regions import gather_runs
 from ..simulate import Event
 from ..sweep import ChaosSpec, run_sweep
 from .cli import add_sweep_options, check_sweep
+from .harness import transfer
 from .presets import SCALES, SMOKE, Scale
 
 __all__ = [
@@ -210,24 +212,6 @@ def _oracle_bytes(regions) -> np.ndarray:
     return gather_runs(_oracle_stream(256 + longest), regions.offsets % 256, regions.lengths)
 
 
-def _run_once(pattern, kind: str, cfg: ClusterConfig):
-    """One list-I/O run of the pattern; returns (cluster, WorkloadResult)."""
-    cluster = Cluster.build(cfg, move_bytes=False)
-    method = METHODS["list"]()
-
-    def workload(client):
-        access = pattern.rank(client.index)
-        f = yield from client.open("/chaos", create=True)
-        if kind == "read":
-            yield from method.read(f, None, access.mem_regions, access.file_regions)
-        else:
-            yield from method.write(f, None, access.mem_regions, access.file_regions)
-        yield from f.close()
-
-    result = cluster.run_workload(workload)
-    return cluster, result
-
-
 def _row(
     cluster, scenario: str, benchmark: str, pattern, replicas: int, ack: str, **fields
 ) -> ChaosRow:
@@ -295,29 +279,30 @@ def run_scenario(
         )
     pattern, kind = _pattern(benchmark, scale)
     cfg = _replicated_cfg(pattern, replicas, ack)
-    base_cluster, base = _run_once(pattern, kind, cfg)
-    base_cluster.close()
+    workload = partial(transfer, pattern=pattern, method=ListIO(), kind=kind)
+    with Cluster.build(cfg, move_bytes=False) as cluster:
+        base = cluster.run_workload(workload)
     faults = FaultConfig(
         plan=_plan(scenario, base.elapsed, restart_after),
         retry=_retry_policy(scenario, base.elapsed),
     )
-    cluster, res = _run_once(pattern, kind, cfg.with_(faults=faults))
-    row = _row(
-        cluster,
-        scenario,
-        benchmark,
-        pattern,
-        replicas,
-        ack,
-        baseline_s=base.elapsed,
-        faulty_s=res.elapsed,
-    )
-    cluster.close()
-    return row
+    with Cluster.build(cfg.with_(faults=faults), move_bytes=False) as cluster:
+        res = cluster.run_workload(workload)
+        return _row(
+            cluster,
+            scenario,
+            benchmark,
+            pattern,
+            replicas,
+            ack,
+            baseline_s=base.elapsed,
+            faulty_s=res.elapsed,
+        )
 
 
-def _run_failover(pattern, cfg: ClusterConfig):
-    """One replicated read-back run with bytes moving.
+def _run_failover(cluster, pattern):
+    """One replicated read-back run with bytes moving, on ``cluster``
+    (built with ``move_bytes=True``).
 
     Client 0 seeds ``/failover`` with the analytic oracle pattern across
     the full extent every rank touches, releases a barrier, and then
@@ -325,9 +310,8 @@ def _run_failover(pattern, cfg: ClusterConfig):
     Both phases live in ONE workload (``run_workload`` drains the event
     queue, so a separate prewrite run would let an absolute-time crash
     fire in the gap between phases instead of mid-read).  Returns
-    ``(cluster, prewrite_s, read_s, data_errors)``.
+    ``(prewrite_s, read_s, data_errors)``.
     """
-    cluster = Cluster.build(cfg, move_bytes=True)
     sim = cluster.sim
     extent = max(
         pattern.rank(i).file_regions.extent[1] for i in range(pattern.n_ranks)
@@ -356,7 +340,7 @@ def _run_failover(pattern, cfg: ClusterConfig):
 
     res = cluster.run_workload(workload)
     pre_s = phase["read_start"]
-    return cluster, pre_s, res.elapsed - pre_s, errors[0]
+    return pre_s, res.elapsed - pre_s, errors[0]
 
 
 def run_failover_scenario(
@@ -393,8 +377,8 @@ def run_failover_scenario(
         jitter=0.1,
     )
     base_cfg = cfg.with_(faults=FaultConfig(retry=unbounded))
-    base_cluster, pre_s, base_read_s, base_errors = _run_failover(pattern, base_cfg)
-    base_cluster.close()
+    with Cluster.build(base_cfg, move_bytes=True) as cluster:
+        pre_s, base_read_s, base_errors = _run_failover(cluster, pattern)
     if base_errors:
         raise ConfigError(
             f"fault-free baseline read back {base_errors} wrong byte(s); the "
@@ -412,42 +396,41 @@ def run_failover_scenario(
         (IodCrash(iod=0, at=pre_s + base_read_s / 3, restart_after=restart_after),)
     )
     faulty_cfg = cfg.with_(faults=FaultConfig(plan=plan, retry=policy))
-    cluster, faulty_pre_s, read_s, errors = _run_failover(pattern, faulty_cfg)
-    repl = cluster.replication
-    run_end = faulty_pre_s + read_s
-    degraded_s = None
-    degraded_goodput = None
-    if repl.fences:
-        t0 = repl.fences[0][0]
-        # Clip to the workload's end: once every read has completed, the
-        # cluster is idle and the window no longer measures goodput.
-        t1 = min(repl.unfences[0][0], run_end) if repl.unfences else run_end
-        degraded_s = max(t1 - t0, 0.0)
-        window_bytes = sum(b for t, b in repl.goodput_log if t0 <= t <= t1)
-        degraded_goodput = (
-            window_bytes / degraded_s / 1e6 if degraded_s > 0 else 0.0
+    with Cluster.build(faulty_cfg, move_bytes=True) as cluster:
+        faulty_pre_s, read_s, errors = _run_failover(cluster, pattern)
+        repl = cluster.replication
+        run_end = faulty_pre_s + read_s
+        degraded_s = None
+        degraded_goodput = None
+        if repl.fences:
+            t0 = repl.fences[0][0]
+            # Clip to the workload's end: once every read has completed, the
+            # cluster is idle and the window no longer measures goodput.
+            t1 = min(repl.unfences[0][0], run_end) if repl.unfences else run_end
+            degraded_s = max(t1 - t0, 0.0)
+            window_bytes = sum(b for t, b in repl.goodput_log if t0 <= t <= t1)
+            degraded_goodput = (
+                window_bytes / degraded_s / 1e6 if degraded_s > 0 else 0.0
+            )
+        failover_s = (
+            max(tc - td for td, tc, _p, _c in repl.failover_log)
+            if repl.failover_log
+            else None
         )
-    failover_s = (
-        max(tc - td for td, tc, _p, _c in repl.failover_log)
-        if repl.failover_log
-        else None
-    )
-    row = _row(
-        cluster,
-        "failover-read",
-        benchmark,
-        pattern,
-        replicas,
-        ack,
-        baseline_s=base_read_s,
-        faulty_s=read_s,
-        data_errors=errors,
-        failover_s=failover_s,
-        degraded_s=degraded_s,
-        degraded_goodput_mb_s=degraded_goodput,
-    )
-    cluster.close()
-    return row
+        return _row(
+            cluster,
+            "failover-read",
+            benchmark,
+            pattern,
+            replicas,
+            ack,
+            baseline_s=base_read_s,
+            faulty_s=read_s,
+            data_errors=errors,
+            failover_s=failover_s,
+            degraded_s=degraded_s,
+            degraded_goodput_mb_s=degraded_goodput,
+        )
 
 
 def rows_markdown(rows: List[ChaosRow]) -> str:

@@ -34,9 +34,8 @@ from ..config import ClusterConfig
 from ..datatypes import BYTE, Contiguous, Resized
 from ..mpi import Communicator
 from ..mpiio import open_one
-from ..pvfs import Cluster
 from ..sweep import MpiioSpec, PointSpec, run_sweep
-from .harness import DataPoint
+from .harness import DataPoint, run_point
 from .presets import SCALED, Scale
 from .report import Check, FigureResult
 
@@ -138,48 +137,40 @@ def _mpiio_point(
     cfg = ClusterConfig.chiba_city(n_clients=n_ranks)
     if faults is not None:
         cfg = cfg.with_(faults=faults)
-    cluster = Cluster.build(
+    series = "mpiio-coll" if collective else "mpiio-indep"
+
+    def workload(cluster):
+        comm = Communicator(cluster.sim, n_ranks)
+        shared = {}
+
+        def wl(client):
+            r = client.index
+            mf = yield from open_one(
+                comm, client, "/f18", shared, cb_nodes=cb_nodes, cb_buffer=cb_buffer
+            )
+            mf.set_view(
+                disp=r * chunk,
+                filetype=Resized(Contiguous(BYTE, chunk), chunk * n_ranks),
+            )
+            if collective:
+                yield from mf.write_at_all(0, None, nbytes=nbytes)
+            else:
+                yield from mf.write_at(0, None, nbytes=nbytes)
+            yield from mf.close()
+
+        return wl
+
+    return run_point(
         cfg,
-        move_bytes=False,
-        trace=obs is not None,
-    )
-    if obs is not None:
-        obs.attach(cluster)
-    comm = Communicator(cluster.sim, n_ranks)
-    shared = {}
-
-    def wl(client):
-        r = client.index
-        mf = yield from open_one(
-            comm, client, "/f18", shared, cb_nodes=cb_nodes, cb_buffer=cb_buffer
-        )
-        mf.set_view(
-            disp=r * chunk,
-            filetype=Resized(Contiguous(BYTE, chunk), chunk * n_ranks),
-        )
-        if collective:
-            yield from mf.write_at_all(0, None, nbytes=nbytes)
-        else:
-            yield from mf.write_at(0, None, nbytes=nbytes)
-        yield from mf.close()
-
-    res = cluster.run_workload(wl)
-    if obs is not None:
-        series = "mpiio-coll" if collective else "mpiio-indep"
-        obs.capture(cluster, label=f"fig18/{series} write x={n_ranks}")
-    return DataPoint(
+        workload,
+        f"fig18/{series} write x={n_ranks}",
+        obs,
         figure="fig18",
-        series="mpiio-coll" if collective else "mpiio-indep",
+        series=series,
         x=n_ranks,
-        elapsed=res.elapsed,
-        mode="des",
         kind="write",
         n_clients=n_ranks,
-        logical_requests=res.total_logical_requests,
-        server_messages=res.total_server_messages,
         useful_bytes=n_ranks * nbytes,
-        moved_bytes=int(res.counters.get("net.payload_bytes", 0)),
-        sim_events=cluster.sim.events_scheduled,
     )
 
 

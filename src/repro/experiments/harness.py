@@ -8,13 +8,16 @@ Two engines produce :class:`DataPoint` records with identical accounting:
   analytic bound model (used at paper scale).
 
 Both serialize data-sieving / RMW-hybrid writes exactly the way the paper
-does (barrier loop).
+does (barrier loop).  :func:`transfer` is the one per-client body of a
+simulated point (the chaos scenarios run it too), and :func:`run_point`
+the one lifecycle of a timing-only point (figure 18's MPI-IO points run
+through it too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..config import ClusterConfig
 from ..core import METHODS, DataSievingIO, HybridIO
@@ -24,7 +27,7 @@ from ..model import predict_pattern
 from ..patterns.base import Pattern
 from ..pvfs import Cluster
 
-__all__ = ["DataPoint", "des_point", "model_point"]
+__all__ = ["DataPoint", "des_point", "model_point", "run_point", "transfer"]
 
 
 @dataclass
@@ -51,8 +54,9 @@ class DataPoint:
     #: committed per-point digests) serialize every field.
     elapsed_std: float = 0.0
     repeats: int = 1
-    #: Per-category span statistics (``Tracer.summary()``) when the point
-    #: ran with ``trace=True``; None otherwise.
+    #: Always None: an ``ObsSession`` records the span statistics of an
+    #: observed run (``RunCapture.summary``).  Kept as a field for the same
+    #: reason as ``elapsed_std``.
     trace_summary: Optional[Dict[str, Dict[str, float]]] = None
     #: Events the DES kernel scheduled for this point — a deterministic
     #: churn measure (0 in model mode, which runs no kernel).  perfbench
@@ -80,6 +84,69 @@ def _make_method(method_name: str, method_opts: Optional[dict]):
     return cls(**(method_opts or {}))
 
 
+def transfer(client, pattern, method, kind, comm=None, shared=None, phases=None):
+    """One client's share of ``pattern``: open ``/bench``, read or write
+    its regions with ``method``, close.
+
+    Collective methods meet over ``comm`` and the ``shared`` rendezvous
+    dict; a non-collective write given ``comm`` is serialized (the paper's
+    barrier loop for sieving and hybrid writes).  ``phases``, when given,
+    collects the open / transfer / close seconds of every client.
+    """
+    access = pattern.rank(client.index)
+    mem, regions = access.mem_regions, access.file_regions
+    sim = client.sim
+    t0 = sim.now
+    f = yield from client.open("/bench", create=True)
+    t1 = sim.now
+    if getattr(method, "collective", False):
+        op = method.collective_read if kind == "read" else method.collective_write
+        yield from op(comm, client.index, shared, f, None, mem, regions)
+    elif kind == "read":
+        yield from method.read(f, None, mem, regions)
+    elif comm is not None:
+        yield from method.serialized_write(comm, client.index, f, None, mem, regions)
+    else:
+        yield from method.write(f, None, mem, regions)
+    t2 = sim.now
+    yield from f.close()
+    if phases is not None:
+        phases["open"].append(t1 - t0)
+        phases["transfer"].append(t2 - t1)
+        phases["close"].append(sim.now - t2)
+
+
+def run_point(
+    cfg: ClusterConfig, make_workload: Callable, label: str, obs=None, **fields
+) -> DataPoint:
+    """Run one timing-only DES point and return it.
+
+    Builds the cluster, attaches ``obs`` (an :class:`~repro.obs.ObsSession`,
+    which captures the run as ``label``), runs the per-client workload
+    ``make_workload(cluster)`` returns, and closes the cluster.  The point
+    carries the run's time, request counts, payload bytes and kernel
+    events; ``fields`` give the rest (figure, series, x, kind, ...).
+    Observation is passive: the simulated outputs are bit-identical with
+    and without it.
+    """
+    with Cluster.build(cfg, move_bytes=False, trace=obs is not None) as cluster:
+        if obs is not None:
+            obs.attach(cluster)
+        result = cluster.run_workload(make_workload(cluster))
+        if obs is not None:
+            obs.capture(cluster, label=label)
+        return DataPoint(
+            elapsed=result.elapsed,
+            mode="des",
+            logical_requests=result.total_logical_requests,
+            server_messages=result.total_server_messages,
+            # headers too: see DataPoint
+            moved_bytes=int(result.counters.get("net.payload_bytes", 0)),
+            sim_events=cluster.sim.events_scheduled,
+            **fields,
+        )
+
+
 def des_point(
     pattern: Pattern,
     method_name: str,
@@ -90,93 +157,42 @@ def des_point(
     x: float = 0.0,
     method_opts: Optional[dict] = None,
     measure_phases: bool = False,
-    path: str = "/bench",
-    trace: bool = False,
     obs=None,
 ) -> DataPoint:
     """Run one benchmark point through the discrete-event simulator.
 
     With ``measure_phases=True`` the point's ``phases`` dict carries the
     open / transfer / close breakdown (max across clients per phase), as
-    Figure 17 reports.
-
-    ``trace=True`` enables span collection and stores the tracer summary
-    on the returned point (``trace_summary``).  ``obs`` (an
-    :class:`~repro.obs.ObsSession`) additionally captures the run's spans
-    for Perfetto export / bottleneck attribution.  Both are passive: the
-    simulated times are bit-identical with and without them.
+    Figure 17 reports.  ``obs`` (an :class:`~repro.obs.ObsSession`)
+    captures the run's spans for Perfetto export / bottleneck attribution.
     """
     cfg = cfg or ClusterConfig.chiba_city(n_clients=pattern.n_ranks)
     if cfg.n_clients != pattern.n_ranks:
         cfg = cfg.with_(n_clients=pattern.n_ranks)
-    cluster = Cluster.build(cfg, move_bytes=False, trace=trace or obs is not None)
-    if obs is not None:
-        obs.attach(cluster)
     method = _make_method(method_name, method_opts)
     serialize = kind == "write" and isinstance(method, (DataSievingIO, HybridIO))
-    collective = getattr(method, "collective", False)
-    comm = Communicator(cluster.sim, pattern.n_ranks) if serialize or collective else None
-    shared: Dict = {}
-    phase_times: Dict[str, list] = {"open": [], "transfer": [], "close": []}
+    coordinated = serialize or getattr(method, "collective", False)
+    phases: Dict[str, list] = {"open": [], "transfer": [], "close": []}
 
-    def workload(client):
-        access = pattern.rank(client.index)
-        sim = client.sim
-        t0 = sim.now
-        f = yield from client.open(path, create=True)
-        t1 = sim.now
-        if collective and kind == "read":
-            yield from method.collective_read(
-                comm, client.index, shared, f, None, access.mem_regions, access.file_regions
-            )
-        elif collective:
-            yield from method.collective_write(
-                comm, client.index, shared, f, None, access.mem_regions, access.file_regions
-            )
-        elif kind == "read":
-            yield from method.read(f, None, access.mem_regions, access.file_regions)
-        elif serialize:
-            yield from method.serialized_write(
-                comm, client.index, f, None, access.mem_regions, access.file_regions
-            )
-        else:
-            yield from method.write(f, None, access.mem_regions, access.file_regions)
-        t2 = sim.now
-        yield from f.close()
-        t3 = sim.now
-        phase_times["open"].append(t1 - t0)
-        phase_times["transfer"].append(t2 - t1)
-        phase_times["close"].append(t3 - t2)
+    def workload(cluster):
+        comm = Communicator(cluster.sim, pattern.n_ranks) if coordinated else None
+        shared: Dict = {}
+        return lambda client: transfer(client, pattern, method, kind, comm, shared, phases)
 
-    result = cluster.run_workload(workload)
-    if obs is not None:
-        obs.capture(
-            cluster,
-            label=f"{figure or 'point'}/{method_name} {kind} "
-            f"x={x:g} clients={pattern.n_ranks}",
-        )
-    counters = result.counters
-    moved = int(counters.get("net.payload_bytes", 0.0))  # headers too: see DataPoint
-    useful = pattern.total_bytes
-    point = DataPoint(
+    point = run_point(
+        cfg,
+        workload,
+        f"{figure or 'point'}/{method_name} {kind} x={x:g} clients={pattern.n_ranks}",
+        obs,
         figure=figure,
         series=method_name,
         x=x,
-        elapsed=result.elapsed,
-        mode="des",
         kind=kind,
         n_clients=pattern.n_ranks,
-        logical_requests=result.total_logical_requests,
-        server_messages=result.total_server_messages,
-        moved_bytes=moved,
-        useful_bytes=useful,
-        sim_events=cluster.sim.events_scheduled,
+        useful_bytes=pattern.total_bytes,
     )
     if measure_phases:
-        point.phases = {k: max(v) for k, v in phase_times.items() if v}
-    if trace:
-        point.trace_summary = cluster.tracer.summary()
-    cluster.close()
+        point.phases = {k: max(v) for k, v in phases.items() if v}
     return point
 
 

@@ -4,15 +4,17 @@
 :class:`~repro.config.ClusterConfig` and offers the workload runner the
 experiment harness drives::
 
-    cluster = Cluster.build(ClusterConfig.chiba_city(n_clients=8))
-
     def workload(client):
         f = yield from client.open("/data", create=True)
         yield from f.write(0, payload)
         yield from f.close()
 
-    result = cluster.run_workload(workload)
+    with Cluster.build(ClusterConfig.chiba_city(n_clients=8)) as cluster:
+        result = cluster.run_workload(workload)
     print(result.elapsed, result.counters["client.0.logical_requests"])
+
+Leaving the ``with`` block closes the cluster (:meth:`Cluster.close`),
+also when the workload raises.
 """
 
 from __future__ import annotations
@@ -234,6 +236,12 @@ class Cluster:
         for client in self.clients:
             client.cluster = None
         self.sim.close()
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()  # returns None: an exception propagates
 
     def __repr__(self) -> str:
         return (

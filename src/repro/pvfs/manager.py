@@ -84,8 +84,8 @@ class Manager:
 
     def _execute(self, req: ManagerRequest):
         ns = self.namespace
-        if req.op in ("open", "create"):
-            if req.create or req.op == "create":
+        if req.op == "open":
+            if req.create:
                 meta = ns.create(req.path, stripe=req.stripe)
             else:
                 meta = ns.lookup(req.path)
@@ -98,9 +98,6 @@ class Manager:
             meta.open_count = max(meta.open_count - 1, 0)
             if req.size_hint:
                 meta.grow_to(req.size_hint)
-            return True
-        if req.op == "set_size":
-            ns.by_id(req.file_id).grow_to(req.size_hint)
             return True
         if req.op == "unlink":
             ns.unlink(req.path)

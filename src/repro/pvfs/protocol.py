@@ -155,7 +155,8 @@ class IORequest:
 
 @dataclass
 class ManagerRequest:
-    """A metadata operation (open / create / close / stat / set_size)."""
+    """A metadata operation (open / close / stat / unlink, and the fencing
+    ops report_failure / rejoin); ``create`` makes an open create."""
 
     op: str
     path: Optional[str] = None
@@ -175,8 +176,6 @@ class ManagerRequest:
         "open",
         "close",
         "stat",
-        "create",
-        "set_size",
         "unlink",
         "report_failure",
         "rejoin",

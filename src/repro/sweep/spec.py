@@ -13,7 +13,8 @@ Three spec flavours cover every sweep in the repository:
   native methods): dispatches to
   :func:`~repro.experiments.harness.des_point` or ``model_point``;
 * :class:`MpiioSpec` — figure 18's MPI-IO strategies (independent and
-  two-phase collective), which bypass the harness;
+  two-phase collective), whose per-client MPI-IO body runs through
+  :func:`~repro.experiments.harness.run_point`;
 * :class:`ChaosSpec` — one ``pvfs-sim chaos`` scenario (baseline +
   faulty run pair), returning a :class:`~repro.experiments.chaos.ChaosRow`.
 

@@ -7,14 +7,17 @@ per message, catch a change that adds, drops or reorders an event on the
 paths every DES run takes: a smoke-sized 1-D cyclic pattern read and
 written with each of the six methods, once with regions inside one stripe
 unit and once with 5,368-byte regions (a third of which straddle a unit
-boundary, like figure 9's paper-scale multiple-I/O anchor), and the faulty
-run of an R=2 failover read.  A change that alters them on purpose (a DES
+boundary, like figure 9's paper-scale multiple-I/O anchor), the faulty
+run of an R=2 failover read, the four timing-only chaos scenarios on the
+artificial and tiled benchmarks, and figure 18's independent and
+collective MPI-IO points.  A change that alters them on purpose (a DES
 fidelity fix) re-records this table and says why.
 """
 
 import pytest
 
-from repro.experiments.chaos import run_failover_scenario
+from repro.experiments.chaos import run_failover_scenario, run_scenario
+from repro.experiments.collective import _mpiio_point
 from repro.experiments.harness import des_point
 from repro.experiments.presets import SMOKE
 from repro.patterns import one_dim_cyclic
@@ -70,3 +73,47 @@ def test_failover_read_schedules_the_pinned_events():
         0.03276480000000023,
         0.17076397977109667,
     )
+
+
+# (scenario, benchmark,
+#  (baseline_s, faulty_s, sim_events, server_messages, retries, timeouts, crashes))
+CHAOS_PINS = [
+    ("crash", "artificial", (0.21209048000000005, 2.3093849762333463, 1869, 128, 32, 0, 1)),
+    ("crash", "tiled", (0.02602288, 2.1162389621523037, 384, 12, 24, 0, 1)),
+    ("disk-stall", "artificial", (0.21209048000000005, 0.33495752, 1775, 128, 2, 2, 0)),
+    ("disk-stall", "tiled", (0.02602288, 0.02602288, 267, 12, 0, 0, 0)),
+    ("flaky-net", "artificial", (0.21209048000000005, 0.4078779999999998, 2225, 128, 32, 32, 0)),
+    ("flaky-net", "tiled", (0.02602288, 0.26389983965305397, 376, 12, 6, 6, 0)),
+    ("straggler", "artificial", (0.21209048000000005, 0.4747652799999998, 1374, 128, 0, 0, 0)),
+    ("straggler", "tiled", (0.02602288, 0.16036448, 232, 12, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, workload, pinned",
+    CHAOS_PINS,
+    ids=[f"{s}-{b}" for s, b, _p in CHAOS_PINS],
+)
+def test_chaos_scenario_schedules_the_pinned_events(scenario, workload, pinned):
+    # (the benchmark is called ``workload`` here: a ``benchmark`` argument
+    # would shadow pytest-benchmark's fixture of that name)
+    row = run_scenario(scenario, workload, scale=SMOKE)
+    assert (
+        row.baseline_s,
+        row.faulty_s,
+        row.sim_events,
+        row.server_messages,
+        row.retries,
+        row.timeouts,
+        row.crashes,
+    ) == pinned
+
+
+@pytest.mark.parametrize(
+    "collective, events, elapsed",
+    [(False, 64, 0.04916544), (True, 81, 0.04776237999999999)],
+    ids=["independent", "collective"],
+)
+def test_mpiio_point_schedules_the_pinned_events(collective, events, elapsed):
+    point = _mpiio_point(SMOKE, 2, collective)
+    assert (point.sim_events, point.elapsed) == (events, elapsed)

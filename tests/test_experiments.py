@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import ClusterConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RetryExhausted
 from repro.experiments import (
     SCALES,
     SMOKE,
@@ -22,8 +22,11 @@ from repro.experiments import (
     model_point,
     points_to_csv,
 )
+from repro.experiments.chaos import run_failover_scenario, run_scenario
 from repro.experiments.cli import FIGURES, SUBCOMMANDS, main
+from repro.experiments.collective import figure18
 from repro.patterns import one_dim_cyclic, tiled_visualization
+from repro.pvfs import Cluster
 from repro.simulate import Simulator
 
 
@@ -59,6 +62,39 @@ class TestHarness:
         cfg = ClusterConfig.chiba_city(n_clients=32)  # wrong client count
         p = des_point(pattern, "list", "read", cfg)
         assert p.n_clients == 4
+
+    # (call, clusters it builds, exception it raises)
+    CLOSING = {
+        # multiple, list, the two MPI-IO points and two-phase; the model
+        # points build none
+        "figure18": (lambda: figure18(scale=SMOKE, clients=(2,)), 5, None),
+        "crash": (lambda: run_scenario("crash", scale=SMOKE), 2, None),
+        "failover-r2": (lambda: run_failover_scenario(scale=SMOKE, replicas=2), 2, None),
+        "failover-r1": (
+            lambda: run_failover_scenario(scale=SMOKE, replicas=1),
+            2,
+            RetryExhausted,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CLOSING))
+    def test_every_cluster_an_experiment_builds_is_closed(self, name, monkeypatch):
+        call, builds, raises = self.CLOSING[name]
+        built = []
+        init = Cluster.__init__
+
+        def recording_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cluster, "__init__", recording_init)
+        if raises is None:
+            call()
+        else:
+            with pytest.raises(raises):
+                call()
+        assert len(built) == builds
+        assert [c.closed for c in built] == [True] * builds
 
     def test_wasted_bytes(self):
         p = DataPoint(

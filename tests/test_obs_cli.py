@@ -115,15 +115,20 @@ class TestObsSubcommand:
 
 class TestHarnessTraceOption:
     def test_des_point_trace_summary(self):
+        # The session records the span summary; the point's own
+        # trace_summary field stays None.
         from repro.experiments.harness import des_point
         from repro.experiments.presets import SMOKE
+        from repro.obs import ObsSession
         from repro.patterns import one_dim_cyclic
 
+        obs = ObsSession()
         pattern = one_dim_cyclic(SMOKE.artificial_total, 2, 16)
-        point = des_point(pattern, "list", "read", trace=True)
-        assert point.trace_summary is not None
-        assert "iod.service" in point.trace_summary
-        assert "p99" in point.trace_summary["iod.service"]
+        point = des_point(pattern, "list", "read", obs=obs)
+        summary = obs.runs[0].summary
+        assert "iod.service" in summary
+        assert "p99" in summary["iod.service"]
+        assert point.trace_summary is None
 
     def test_des_point_obs_capture(self):
         from repro.experiments.harness import des_point

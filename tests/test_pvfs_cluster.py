@@ -483,6 +483,16 @@ class TestClose:
         with pytest.raises(ConfigError, match="closed cluster"):
             self._read(cluster)
 
+    def test_with_block_closes_and_lets_the_exception_through(self):
+        with small_cluster() as cluster:
+            self._read(cluster)
+        assert cluster.closed
+        with pytest.raises(RuntimeError, match="mid-run"):
+            with small_cluster() as cluster:
+                self._read(cluster)
+                raise RuntimeError("mid-run")
+        assert cluster.closed
+
     def test_results_stay_readable_and_close_is_idempotent(self):
         cluster = Cluster.build(ClusterConfig(n_clients=2, n_iods=4), trace=True)
         self._read(cluster)

@@ -511,9 +511,9 @@ class TestFailoverScenario:
             baseline.faults.retry, request_timeout=sized.request_timeout
         )
         pattern, _kind = chaos._pattern("artificial", SMOKE)
-        _, pre_s, read_s, errors = chaos._run_failover(
-            pattern, baseline.with_(faults=FaultConfig(retry=sized))
-        )
+        sized_cfg = baseline.with_(faults=FaultConfig(retry=sized))
+        with Cluster.build(sized_cfg, move_bytes=True) as cluster:
+            pre_s, read_s, errors = chaos._run_failover(cluster, pattern)
         assert errors == 0
         assert row.baseline_s == read_s
         assert sized.request_timeout == max(0.5, 2 * pre_s, 2 * read_s)

@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Print the repository's three simplicity counts.
+
+* ``src lines``: every line of ``src/**/*.py`` (as ``wc -l`` counts them);
+* ``add_argument calls``: the command-line options ``src/`` declares,
+  counted as ``add_argument(...)`` calls in the parsed code (comments and
+  docstrings do not count);
+* ``ClusterConfig leaves``: every dataclass field of a default
+  ``ClusterConfig``, recursively, with a ``FaultPlan`` counted as one value.
+
+Usage::
+
+    python tools/size.py            # or: make size
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import sys
+from pathlib import Path
+
+
+def src_lines(src: Path) -> int:
+    return sum(p.read_text().count("\n") for p in src.rglob("*.py"))
+
+
+def add_argument_calls(src: Path) -> int:
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for p in src.rglob("*.py")
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+    )
+
+
+def config_leaves(src: Path) -> int:
+    sys.path.insert(0, str(src))
+    from repro.config import ClusterConfig
+    from repro.faults import FaultPlan
+
+    def leaves(value) -> int:
+        if dataclasses.is_dataclass(value) and not isinstance(value, FaultPlan):
+            return sum(leaves(getattr(value, f.name)) for f in dataclasses.fields(value))
+        return 1
+
+    return leaves(ClusterConfig())
+
+
+def main() -> int:
+    src = Path(__file__).resolve().parent.parent / "src"
+    print(f"src lines            {src_lines(src):6d}")
+    print(f"add_argument calls   {add_argument_calls(src):6d}")
+    print(f"ClusterConfig leaves {config_leaves(src):6d}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
