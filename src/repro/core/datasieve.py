@@ -38,12 +38,15 @@ def _window_pieces(regions: RegionList, buffer_size: int):
     Windows holding no piece never appear.
     """
     start = int(regions.offsets[0])
-    pieces, parent, window = split_with_parents(regions.shift(-start), buffer_size)
+    shifted = regions.shift(-start)
+    pieces, parent, window = split_with_parents(shifted, buffer_size)
     if (window[1:] < window[:-1]).any():
         # Overlapping regions: gather each window's pieces, in region order.
         order = np.argsort(window, kind="stable")
         pieces, parent, window = pieces.take(order), parent[order], window[order]
-    first = np.flatnonzero(np.diff(window, prepend=-1))
+    first = np.concatenate(([0], np.flatnonzero(window[1:] != window[:-1]) + 1))
+    if pieces is shifted:  # no region crossed a window edge
+        return regions, parent, first
     return pieces.shift(start), parent, first
 
 

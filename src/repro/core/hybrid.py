@@ -41,16 +41,8 @@ def cluster_extents(file_regions: RegionList, gap_threshold: int) -> RegionList:
     ``gap_threshold`` bytes into covering extents."""
     if gap_threshold < 0:
         raise RegionError("gap_threshold must be non-negative")
-    r = file_regions.coalesced()
-    if r.count <= 1:
-        return r
-    # Coalesced runs are disjoint and sorted, so their ends are their own
-    # running maximum: each cluster ends where its last run does.
-    ends = r.ends
-    brk = r.offsets[1:] - ends[:-1] > gap_threshold
-    starts = np.concatenate((r.offsets[:1], r.offsets[1:][brk]))
-    stops = np.concatenate((ends[:-1][brk], ends[-1:]))
-    return RegionList._trusted(starts, stops - starts, nonempty=True)
+    # Coalescing first and then merging the runs gives the same extents.
+    return file_regions._merged(gap_threshold)
 
 
 class HybridIO(AccessMethod):

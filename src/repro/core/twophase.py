@@ -44,8 +44,11 @@ def wire_order(file_regions: RegionList):
     :class:`~repro.errors.RegionError` on overlapping regions.
     """
     regions = file_regions.drop_empty()
-    order = np.argsort(regions.offsets, kind="stable")
-    regions = regions.take(order)
+    if regions.is_sorted():
+        order = np.arange(regions.count)
+    else:
+        order = np.argsort(regions.offsets, kind="stable")
+        regions = RegionList._trusted(regions.offsets[order], regions.lengths[order], nonempty=True)
     if not regions.is_disjoint():
         raise RegionError("two-phase collective I/O needs disjoint file regions per rank")
     return regions, order

@@ -82,20 +82,72 @@ def _wire(cfg: ClusterConfig, payload):
 
 
 class _Loads:
-    """Accumulated per-server and per-client load totals."""
+    """Accumulated per-server and per-client load totals.  The per-server
+    totals are the rows of one ``table``, so a phase adds them in one step;
+    the wire bytes are into (rx) and out of (tx) the servers."""
+
+    ROWS = (
+        "msgs", "pieces", "bytes", "write_msgs", "write_bytes", "read_bytes", "rx_wire", "tx_wire"
+    )
 
     def __init__(self, n_servers: int, n_clients: int) -> None:
-        self.msgs = np.zeros(n_servers)
-        self.pieces = np.zeros(n_servers)
-        self.bytes = np.zeros(n_servers)
-        self.write_msgs = np.zeros(n_servers)
-        self.write_bytes = np.zeros(n_servers)
-        self.read_bytes = np.zeros(n_servers)
-        self.rx_wire = np.zeros(n_servers)  # into servers
-        self.tx_wire = np.zeros(n_servers)  # out of servers
+        self.table = np.zeros((len(self.ROWS), n_servers))
+        for name, row in zip(self.ROWS, self.table):
+            setattr(self, name, row)
         #: Per-rank totals; predict_plans appends each rank's as it arrives.
         self.client_tx = [0.0] * n_clients
         self.client_rx = [0.0] * n_clients
+
+
+def _frames(rot, head: int, var, msgs, pcount: int, mtu: int):
+    """Frames per rotation place of messages of ``head + var`` payload
+    bytes, where ``var`` is a scalar or a float64 array of one count per
+    message (which this overwrites).  A payload of ``p`` bytes takes
+    ``ceil(p / mtu)`` frames, so only payloads past one frame are divided."""
+    if np.isscalar(var):
+        return msgs * np.ceil((head + var) / mtu)
+    if head + var.max() <= mtu:
+        return msgs
+    var += head
+    var /= mtu
+    return np.bincount(rot, weights=np.ceil(var, out=var), minlength=pcount)
+
+
+def _price(rot, pieces, nbytes, phase: RankPlan, cfg: ClusterConfig, pcount: int) -> np.ndarray:
+    """The :class:`_Loads` rows, per place in the stripe rotation, of
+    non-empty messages on places ``rot`` holding ``pieces`` pieces
+    (``None``: one each) and ``nbytes`` bytes (float64, overwritten).
+    A message's wire bytes are its payload plus a fixed overhead per frame,
+    so each total is a sum of per-place sums."""
+    msgs = np.bincount(rot, minlength=pcount)
+    total = np.bincount(rot, weights=nbytes, minlength=pcount)
+    n_pieces = msgs if pieces is None else np.bincount(rot, weights=pieces, minlength=pcount)
+    if phase.wire_mode == "descriptor":
+        trailing = BYTES_PER_REGION * VECTOR_DESCRIPTOR_SLOTS
+    elif pieces is None:
+        trailing = 0
+    else:
+        trailing = np.where(pieces > 1, BYTES_PER_REGION * pieces, 0.0)
+    if np.isscalar(trailing):
+        trailing_sum = trailing * msgs
+    else:
+        trailing_sum = np.bincount(rot, weights=trailing, minlength=pcount)
+    # Requests carry the trailing data, and for writes the bytes too;
+    # responses carry the bytes of reads.
+    write = phase.kind == "write"
+    if write:
+        nbytes += trailing
+    req_var, resp_var = (nbytes, 0) if write else (trailing, nbytes)
+    mtu = cfg.network.mtu_payload
+    per_frame = cfg.network.frame_overhead + cfg.network.ip_tcp_overhead
+    req = REQUEST_HEADER_BYTES * msgs + trailing_sum
+    req = req + per_frame * _frames(rot, REQUEST_HEADER_BYTES, req_var, msgs, pcount, mtu)
+    resp = RESPONSE_HEADER_BYTES * msgs
+    resp = resp + per_frame * _frames(rot, RESPONSE_HEADER_BYTES, resp_var, msgs, pcount, mtu)
+    zero = np.zeros(pcount)
+    if write:
+        return np.array((msgs, n_pieces, total, msgs, total, zero, req + total, resp))
+    return np.array((msgs, n_pieces, total, zero, zero, total, req, resp + total))
 
 
 def _decompose_phase(
@@ -111,88 +163,88 @@ def _decompose_phase(
     the head cut on slot 0 and the tail cut on slot ``(k - 1) % pcount``.
     One region's slots sit on distinct servers, so a message is the set of
     one request's slots on one server.
+
+    Every region is priced as one slot of one piece first; the *wide*
+    regions (over more than one stripe unit) then trade it for their own
+    slots.  Every load is a sum of integers, exact in float64 in any order.
+    Fresh pages cost about as much as the arithmetic, so two arrays of one
+    integer per region serve every per-region step.
     """
     regions = phase.regions
-    ns = cfg.n_iods
-    pcount = cfg.stripe.resolve_pcount(ns)
+    n = regions.count
+    pcount = cfg.stripe.resolve_pcount(cfg.n_iods)
     ssize = cfg.stripe.stripe_size
-    offsets, ends = regions.offsets, regions.ends
+    offsets, lengths = regions.offsets, regions.lengths
     unit = offsets // ssize  # first stripe unit of each region
-    k = (ends - 1) // ssize - unit + 1  # its pieces (regions are non-empty)
-    n_pieces = int(k.sum())
-    # Slot i is region i's slot 0.  A region over several units and servers
-    # also has slots 1 .. min(k, pcount) - 1, appended after the regions.
-    slot_unit, slot_pieces, slot_bytes, more_region = unit, k, regions.lengths, None
-    if pcount > 1 and n_pieces > regions.count:
-        wide = np.flatnonzero(k > 1)
-        k_wide = k[wide]
-        width = np.minimum(k_wide, pcount)
+    rot = offsets + lengths
+    rot -= 1
+    rot //= ssize
+    rot -= unit  # units past the first
+    wide = np.flatnonzero(rot != 0)
+    more = rot[wide]
+    rot = np.floor_divide(unit, pcount, out=rot)
+    rot *= pcount
+    rot = np.subtract(unit, rot, out=rot)  # each region's place in the stripe rotation
+    n_pieces = n_msgs = n
+    if wide.size:
+        n_pieces += int(more.sum())
+        width = np.minimum(more + 1, pcount)
         first = np.cumsum(width) - width  # each wide region's slot 0
-        region = np.repeat(wide, width)
-        d = np.arange(region.size) - np.repeat(first, width)
-        wide_pieces = (k[region] - d + (pcount - 1)) // pcount
-        wide_bytes = wide_pieces * ssize
-        wide_bytes[first] -= offsets[wide] - unit[wide] * ssize  # head cut
-        wide_bytes[first + (k_wide - 1) % pcount] -= (unit[wide] + k_wide) * ssize - ends[wide]
-        more = np.flatnonzero(d)
-        more_region = region[more]
-        slot_unit = np.concatenate((unit, unit[more_region] + d[more]))
-        slot_pieces = np.concatenate((k, wide_pieces[more]))
-        slot_bytes = np.concatenate((regions.lengths, wide_bytes[more]))
-        slot_pieces[wide], slot_bytes[wide] = wide_pieces[first], wide_bytes[first]
-    server = slot_unit % pcount  # place in the stripe rotation
-    if cfg.stripe.base:
-        server = (server + cfg.stripe.base) % ns
-    # Group slots into (request, server) messages.  Chunk ids never
-    # decrease (RankPlan checks it); where they strictly increase, each
-    # request is one region and each slot a message of its own.
+        n_slots = int(first[-1] + width[-1])
+        n_msgs += n_slots - wide.size
+        d = np.arange(n_slots) - np.repeat(first, width)
+        slot_rot = (np.repeat(rot[wide], width) + d) % pcount
+        slot_pieces = (np.repeat(more, width) - d) // pcount + 1
+        slot_bytes = slot_pieces * float(ssize)
+        starts, unit_w = offsets[wide], unit[wide]
+        slot_bytes[first] -= starts - unit_w * ssize  # head cut
+        tail = (unit_w + more + 1) * ssize - starts - lengths[wide]
+        slot_bytes[first + more % pcount] -= tail  # tail cut
+    # Chunk ids never decrease (RankPlan checks it); where they strictly
+    # increase, each request is one region and each slot a message.
     step = phase.chunk_of_region[1:] != phase.chunk_of_region[:-1]
     if step.all():
-        msg_server, counts, msg_bytes = server, slot_pieces, slot_bytes
+        table = np.zeros((len(_Loads.ROWS), pcount))
+        if wide.size:
+            table += _price(slot_rot, slot_pieces, slot_bytes, phase, cfg, pcount)
+        if wide.size < n:
+            nbytes = unit.view(np.float64)  # unit's pages, reused
+            nbytes[:] = lengths
+            table += _price(rot, None, nbytes, phase, cfg, pcount)
+            if wide.size:
+                nbytes = lengths[wide].astype(np.float64)
+                table -= _price(rot[wide], None, nbytes, phase, cfg, pcount)
     else:
-        # One bin per (request, server); chunk ids may skip values, so number
+        # One bin per (request, place); chunk ids may skip values, so number
         # the requests densely when the ids outnumber the regions.
         request = phase.chunk_of_region
-        if phase.n_requests > regions.count:
+        if phase.n_requests > n:
             request = np.concatenate(([0], np.cumsum(step)))
-        if more_region is not None:
-            request = np.concatenate((request, request[more_region]))
-        key = request * ns + server
-        counts = np.bincount(key, weights=slot_pieces)
+        size = (int(request[-1]) + 1) * pcount
+        key = np.multiply(request, pcount, out=unit)
+        key += rot
+        counts = np.bincount(key, minlength=size)
+        nbytes = rot.view(np.float64)  # rot's pages, reused
+        nbytes[:] = lengths
+        nbytes = np.bincount(key, weights=nbytes, minlength=size)
+        if wide.size:
+            slot_pieces[first] -= 1  # slot 0 replaces the region's own slot
+            slot_bytes[first] -= lengths[wide]
+            slot_rot += np.repeat(request[wide] * pcount, width)
+            counts = counts + np.bincount(slot_rot, weights=slot_pieces, minlength=size)
+            nbytes += np.bincount(slot_rot, weights=slot_bytes, minlength=size)
         live = np.flatnonzero(counts)
-        counts = counts[live]
-        msg_bytes = np.bincount(key, weights=slot_bytes)[live]
-        msg_server = live % ns
-    n_msgs = msg_server.size
-    # -- wire sizing per message --------------------------------------
-    if phase.wire_mode == "descriptor":
-        trailing = np.full(n_msgs, float(BYTES_PER_REGION * VECTOR_DESCRIPTOR_SLOTS))
-    else:
-        trailing = np.where(counts > 1, float(BYTES_PER_REGION) * counts, 0.0)
-    if phase.kind == "write":
-        req_payload = REQUEST_HEADER_BYTES + trailing + msg_bytes
-        resp_payload = np.full(n_msgs, float(RESPONSE_HEADER_BYTES))
-    else:
-        req_payload = REQUEST_HEADER_BYTES + trailing
-        resp_payload = RESPONSE_HEADER_BYTES + msg_bytes
-    req_wire = _wire(cfg, req_payload)
-    resp_wire = _wire(cfg, resp_payload)
+        n_msgs = live.size
+        table = _price(live % pcount, counts[live], nbytes[live], phase, cfg, pcount)
     # -- accumulate -----------------------------------------------------
-    # Every load is a sum of integers, exact in float64 in any order.
-    server_msgs = np.bincount(msg_server, minlength=ns)
-    server_bytes = np.bincount(msg_server, weights=msg_bytes, minlength=ns)
-    loads.msgs += server_msgs
-    loads.pieces += np.bincount(msg_server, weights=counts, minlength=ns)
-    loads.bytes += server_bytes
-    if phase.kind == "write":
-        loads.write_msgs += server_msgs
-        loads.write_bytes += server_bytes
-    else:
-        loads.read_bytes += server_bytes
-    loads.rx_wire += np.bincount(msg_server, weights=req_wire, minlength=ns)
-    loads.tx_wire += np.bincount(msg_server, weights=resp_wire, minlength=ns)
-    loads.client_tx[rank] += req_wire.sum()
-    loads.client_rx[rank] += resp_wire.sum()
+    base = cfg.stripe.base
+    if base + pcount <= cfg.n_iods:
+        loads.table[:, base : base + pcount] += table
+    else:  # the rotation wraps past the last server
+        loads.table[:, np.arange(base, base + pcount) % cfg.n_iods] += table
+    req_wire, resp_wire = table[6:].sum(axis=1).tolist()
+    loads.client_tx[rank] += req_wire
+    loads.client_rx[rank] += resp_wire
     # -- rank-local -------------------------------------------------------
     costs = cfg.costs
     nbytes = float(regions.total_bytes)
@@ -203,17 +255,13 @@ def _decompose_phase(
     )
     if phase.kind == "write":
         work += n_msgs * costs.iod_write_commit_cost
-    return {
-        "msgs": float(n_msgs),
-        "work": work,
-        "req_wire": float(req_wire.sum()),
-        "resp_wire": float(resp_wire.sum()),
-    }
+    return {"msgs": float(n_msgs), "work": work, "req_wire": req_wire, "resp_wire": resp_wire}
 
 
-def _disk_time_estimate(cfg: ClusterConfig, kind: str, nbytes: float, unique_bytes: float) -> float:
+def _disk_time_estimate(cfg: ClusterConfig, kind: str, nbytes, unique_bytes):
     """Disk service estimate for ``nbytes`` of access, of which
-    ``unique_bytes`` are first-touch (media) bytes."""
+    ``unique_bytes`` are first-touch (media) bytes (floats, or arrays of
+    them per server)."""
     cache = cfg.cache
     disk = cfg.disk
     memcpy = nbytes / cache.memory_copy_rate
@@ -223,7 +271,7 @@ def _disk_time_estimate(cfg: ClusterConfig, kind: str, nbytes: float, unique_byt
         positionings = unique_bytes / window
         return memcpy + media + positionings * disk.positioning_time
     # write-back: media only for volume beyond the cache
-    spill = max(unique_bytes - cache.capacity, 0.0)
+    spill = np.maximum(unique_bytes - cache.capacity, 0.0)
     media = spill / disk.transfer_rate
     positionings = spill / max(cache.capacity, cache.block_size)
     return memcpy + media + positionings * disk.positioning_time
@@ -289,17 +337,15 @@ def predict_plans(plans: Iterable[RankPlan], cfg: ClusterConfig) -> Prediction:
     # share of the union extent (an upper estimate of distinct bytes read).
     union_extent_bytes = float(min(read_total, read_hi - read_lo)) if read_hi else 0.0
     union_cap = union_extent_bytes / max(cfg.stripe.resolve_pcount(cfg.n_iods), 1)
-    server_work = np.zeros(cfg.n_iods)
-    for s in range(cfg.n_iods):
-        read_unique = min(loads.read_bytes[s], union_cap)
-        work = (
-            loads.msgs[s] * costs.iod_request_cost
-            + loads.pieces[s] * costs.iod_region_cost
-            + loads.write_msgs[s] * costs.iod_write_commit_cost
-            + _disk_time_estimate(cfg, "read", loads.read_bytes[s], read_unique)
-            + _disk_time_estimate(cfg, "write", loads.write_bytes[s], loads.write_bytes[s])
+    server_work = (
+        loads.msgs * costs.iod_request_cost
+        + loads.pieces * costs.iod_region_cost
+        + loads.write_msgs * costs.iod_write_commit_cost
+        + _disk_time_estimate(
+            cfg, "read", loads.read_bytes, np.minimum(loads.read_bytes, union_cap)
         )
-        server_work[s] = work
+        + _disk_time_estimate(cfg, "write", loads.write_bytes, loads.write_bytes)
+    )
     server_bound = float(server_work.max())
 
     # -- network bound ------------------------------------------------------

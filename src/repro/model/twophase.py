@@ -87,10 +87,7 @@ def predict_twophase(
     """Predict one two-phase collective transfer over ``pattern``."""
     n = pattern.n_ranks
     n_agg = len(select_aggregators(n, cb_nodes))
-    metas = {}
-    for rank, access in enumerate(pattern.accesses):
-        regions, _order = wire_order(access.file_regions)
-        metas[rank] = regions
+    metas = {rank: wire_order(a.file_regions)[0] for rank, a in enumerate(pattern.accesses)}
     domains = partition_file_domains(metas, n, n_agg, cfg.stripe.stripe_size)
     rounds = round_count(domains, cb_buffer)
     cap = cfg.list_io_max_regions
@@ -138,21 +135,15 @@ def predict_twophase(
     remote[np.arange(n), :, np.arange(n)] = False
     # Writes counted at senders, reads at requesters: each transfer once.
     exchange_payload = int(nbytes[remote].sum())
-    exchange = np.zeros(n)
-    for rank in range(n):
-        tx = (n - 1) * meta_wire[rank]
-        rx = float(meta_wire.sum() - meta_wire[rank])
-        # Accumulated in exchange order: round by round, this rank's own
-        # messages by aggregator, and as an aggregator its peers' by rank.
-        own = wire[rank][remote[rank]].tolist()
-        peers = wire[:, :, rank].T[remote[:, :, rank].T].tolist()
-        sent, received = (own, peers) if kind == "write" else (peers, own)
-        for w in sent:
-            tx += w
-        for w in received:
-            rx += w
-        pack = metas[rank].total_bytes / memcpy  # pack (write) / unpack (read)
-        exchange[rank] = pack + (tx + rx) / bw + cfg.network.latency * (1 + rounds)
+    # Each rank's own data messages and, as an aggregator, its peers'.
+    # Wire bytes are integers, so their sums are exact in any order.
+    wire = np.where(remote, wire, 0.0)
+    own, peers = wire.sum(axis=(1, 2)), wire.sum(axis=(0, 1))
+    sent, received = (own, peers) if kind == "write" else (peers, own)
+    tx = (n - 1) * meta_wire + sent
+    rx = meta_wire.sum() - meta_wire + received
+    pack = np.array([metas[r].total_bytes for r in range(n)]) / memcpy  # pack / unpack
+    exchange = pack + (tx + rx) / bw + cfg.network.latency * (1 + rounds)
     exchange_bound = float(exchange.max())
 
     return Prediction(

@@ -47,11 +47,12 @@ def one_dim_cyclic(
         )
     total_bytes = block * n_blocks
     stride = n_clients * block
+    # Rank c's regions are rank 0's moved by c blocks: every rank shares
+    # one lengths array.
+    regions = RegionList.strided(start=0, count=accesses_per_client, length=block, stride=stride)
     accesses = []
     for c in range(n_clients):
-        file_regions = RegionList.strided(
-            start=c * block, count=accesses_per_client, length=block, stride=stride
-        )
+        file_regions = regions.shift(c * block)
         mem_regions = RegionList.single(0, accesses_per_client * block)
         accesses.append(RankAccess(rank=c, mem_regions=mem_regions, file_regions=file_regions))
     return Pattern(

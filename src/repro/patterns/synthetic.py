@@ -45,13 +45,13 @@ def uniform_fragments(
         raise PatternError(f"unknown layout {layout!r}")
     slot = max(round(fragment_size / density), fragment_size)
     accesses = []
+    # Each rank's regions are rank 0's moved to its start, so every rank
+    # shares one lengths array.
     if layout == "interleaved":
         stride = slot * n_clients
+        regions = RegionList.strided(0, fragments_per_client, fragment_size, stride)
         for c in range(n_clients):
-            file_regions = RegionList.strided(
-                start=c * slot, count=fragments_per_client,
-                length=fragment_size, stride=stride,
-            )
+            file_regions = regions.shift(c * slot)
             accesses.append(
                 RankAccess(
                     rank=c,
@@ -62,11 +62,9 @@ def uniform_fragments(
         file_size = stride * fragments_per_client
     else:
         zone = slot * fragments_per_client
+        regions = RegionList.strided(0, fragments_per_client, fragment_size, slot)
         for c in range(n_clients):
-            file_regions = RegionList.strided(
-                start=c * zone, count=fragments_per_client,
-                length=fragment_size, stride=slot,
-            )
+            file_regions = regions.shift(c * zone)
             accesses.append(
                 RankAccess(
                     rank=c,

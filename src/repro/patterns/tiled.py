@@ -75,17 +75,15 @@ def tiled_visualization(cfg: TiledConfig | None = None) -> Pattern:
     bpp = cfg.bytes_per_pixel
     row_bytes = cfg.frame_width * bpp
     run = cfg.tile_width * bpp
+    # Each tile's regions are tile 0's moved to its corner, so every tile
+    # shares one lengths array.
+    rows = RegionList.strided(start=0, count=cfg.tile_height, length=run, stride=row_bytes)
     accesses = []
     for rank in range(cfg.n_tiles):
         ty, tx = divmod(rank, cfg.tiles_x)
         x0 = tx * (cfg.tile_width - cfg.overlap_x)
         y0 = ty * (cfg.tile_height - cfg.overlap_y)
-        file_regions = RegionList.strided(
-            start=y0 * row_bytes + x0 * bpp,
-            count=cfg.tile_height,
-            length=run,
-            stride=row_bytes,
-        )
+        file_regions = rows.shift(y0 * row_bytes + x0 * bpp)
         mem_regions = RegionList.single(0, cfg.tile_bytes)
         accesses.append(
             RankAccess(rank=rank, mem_regions=mem_regions, file_regions=file_regions)

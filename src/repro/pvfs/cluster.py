@@ -20,6 +20,7 @@ also when the workload raises.
 from __future__ import annotations
 
 import itertools
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -27,7 +28,7 @@ from ..config import ClusterConfig
 from ..errors import ConfigError
 from ..faults import FaultInjector
 from ..network import Network
-from ..simulate import Counters, Simulator, Tracer
+from ..simulate import Counters, Process, Simulator, Tracer
 from ..storage import ByteStore, Disk, NullByteStore
 from .client import PVFSClient
 from .iod import IOD
@@ -72,6 +73,7 @@ class Cluster:
         self.sim = Simulator()
         #: Set by :meth:`close`; a closed cluster runs no more workloads.
         self.closed = False
+        self._workload: List[Process] = []
         self.counters = Counters()
         self.tracer = Tracer(enabled=trace)
         #: Ids of the I/O requests this cluster's clients and daemons
@@ -191,8 +193,18 @@ class Cluster:
             self.sim.process(timed(c), name=f"workload.client{c.index}")
             for c in selected
         ]
+        # Kept for close(): a run that raises leaves them suspended.
+        self._workload = [p for p in self._workload if p.is_alive] + procs
         done = self.sim.all_of(procs)
-        self.sim.run(until=until)
+        try:
+            self.sim.run(until=until)
+        except BaseException as exc:
+            # The traceback keeps this frame and the finished ones below
+            # it; their locals keep the failed run, which keeps the
+            # exception: a cycle only the collector would break.
+            procs = done = None
+            traceback.clear_frames(exc.__traceback__)
+            raise
         if not done.triggered:
             raise ConfigError(
                 "workload did not complete (simulation drained or hit `until`); "
@@ -211,7 +223,8 @@ class Cluster:
         """Release a finished cluster.
 
         Closes every process still suspended (the daemon and manager
-        loops, rejoins, fault drivers) and drops the references back to the
+        loops, rejoins, fault drivers, a failed run's client processes and
+        all they wait on) and drops the references back to the
         cluster: each daemon's and client's ``cluster``, the manager's
         daemon list, the fault injector's cluster and the simulator's own
         ``timeout``.  The cluster is then freed by reference counting as
@@ -222,7 +235,7 @@ class Cluster:
         if self.closed:
             return
         self.closed = True
-        procs = [self.manager._proc]
+        procs, self._workload = [self.manager._proc, *self._workload], []
         for iod in self.iods:
             procs += [iod._proc, iod._rejoin_proc, *iod._inflight_responses]
             iod.cluster = None

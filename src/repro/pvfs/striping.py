@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import StripeParams
 from ..errors import ConfigError
-from ..regions import RegionList
+from ..regions import RegionList, split_with_parents
 
 __all__ = [
     "StripeMap",
@@ -156,10 +156,9 @@ def map_regions(regions: RegionList, stripe: StripeParams, n_iods: int) -> Strip
                 for server, phys, piece_len, pos in pieces
             )
             return StripeMap(slices, ln)
-    pieces = regions.drop_empty().split_at_boundaries(ssize)
+    pieces, _, unit = split_with_parents(regions, ssize)
     if pieces.count == 0:
         return StripeMap((), 0)
-    unit = pieces.offsets // ssize
     server = (base + unit % pcount) % n_iods
     phys_off = (unit // pcount) * ssize + pieces.offsets % ssize
     stream_off = np.concatenate(([0], np.cumsum(pieces.lengths)[:-1]))

@@ -194,18 +194,12 @@ class RegionList:
     def is_sorted(self) -> bool:
         if self.count <= 1:
             return True
-        return bool((np.diff(self.offsets) >= 0).all())
+        return bool((self.offsets[1:] >= self.offsets[:-1]).all())
 
     def is_disjoint(self) -> bool:
         """True when no two non-empty regions overlap (adjacency is fine)."""
-        mask = self.lengths > 0
-        if mask.sum() <= 1:
-            return True
-        off = self.offsets[mask]
-        ln = self.lengths[mask]
-        order = np.argsort(off, kind="stable")
-        off, ln = off[order], ln[order]
-        return bool((off[1:] >= (off + ln)[:-1]).all())
+        r = self.drop_empty().sorted()
+        return r.count <= 1 or bool((r.offsets[1:] >= r.ends[:-1]).all())
 
     def is_contiguous(self) -> bool:
         """True when the non-empty regions form one contiguous run in order."""
@@ -250,13 +244,22 @@ class RegionList:
     def coalesced(self) -> "RegionList":
         """Merge adjacent/overlapping regions.  Sorts and drops empties
         first; overlapping regions merge into their union."""
+        return self._merged(0)
+
+    def _merged(self, gap: int) -> "RegionList":
+        """Sorted runs covering the non-empty regions, where a run takes in
+        every region that starts at most ``gap >= 0`` bytes past the end of
+        the regions before it (``gap=0``: :meth:`coalesced`)."""
         r = self.drop_empty().sorted()
         if r.count <= 1:
             return r
-        ends = np.maximum.accumulate(r.ends)
-        # A new run starts where the offset exceeds the running max end, and
-        # the run before it ends at that running max.
-        brk = r.offsets[1:] > ends[:-1]
+        ends = r.ends
+        np.maximum.accumulate(ends, out=ends)
+        # A new run starts where the offset passes the running max end by
+        # more than the gap, and the run before it ends at that running max.
+        brk = r.offsets[1:] - ends[:-1] > gap
+        if brk.all():
+            return r  # every region is a run of its own
         starts = np.concatenate((r.offsets[:1], r.offsets[1:][brk]))
         run_ends = np.concatenate((ends[:-1][brk], ends[-1:]))
         return RegionList._trusted(starts, run_ends - starts, nonempty=True)
@@ -282,31 +285,9 @@ class RegionList:
 
         This is the striping primitive: after splitting, no region crosses a
         ``boundary`` multiple, so each piece lives on exactly one stripe
-        unit.  Fully vectorized; preserves byte order.
+        unit.  Preserves byte order; see :func:`split_with_parents`.
         """
-        if boundary <= 0:
-            raise RegionError("boundary must be positive")
-        r = self.drop_empty()
-        if r.count == 0:
-            return r
-        first_unit = r.offsets // boundary
-        last_unit = (r.ends - 1) // boundary
-        pieces_per = (last_unit - first_unit + 1).astype(np.int64)
-        n_pieces = int(pieces_per.sum())
-        if n_pieces == r.count:
-            return r  # nothing crosses a boundary
-        # For region i with k_i pieces, piece j (0-based) starts at
-        # max(off_i, (first_unit_i + j) * boundary) and ends at
-        # min(end_i, (first_unit_i + j + 1) * boundary).
-        reg_idx = np.repeat(np.arange(r.count, dtype=np.int64), pieces_per)
-        # j = position within its region's run of pieces
-        firsts = np.zeros(n_pieces, dtype=np.int64)
-        firsts[np.cumsum(pieces_per)[:-1]] = pieces_per[:-1]
-        j = np.arange(n_pieces, dtype=np.int64) - np.cumsum(firsts)
-        unit = first_unit[reg_idx] + j
-        piece_start = np.maximum(r.offsets[reg_idx], unit * boundary)
-        piece_end = np.minimum(r.ends[reg_idx], (unit + 1) * boundary)
-        return RegionList._trusted(piece_start, piece_end - piece_start, nonempty=True)
+        return split_with_parents(self, boundary)[0]
 
     def clip(self, window_start: int, window_end: int) -> "RegionList":
         """Intersect every region with ``[window_start, window_end)``,
@@ -494,28 +475,40 @@ def split_with_parents(
     (``offset // boundary``).
 
     Data sieving's planner needs both: parents to map each piece back to
-    its region, and units to group the pieces by buffer window.
+    its region, and units to group the pieces by buffer window.  Only the
+    regions that cross a boundary are cut.
     """
     if boundary <= 0:
         raise RegionError("boundary must be positive")
     r = regions.drop_empty()
     if r.count == 0:
         return r, np.empty(0, np.int64), np.empty(0, np.int64)
-    ends = r.ends
     first_unit = r.offsets // boundary
-    pieces_per = (ends - 1) // boundary - first_unit + 1
-    n_pieces = int(pieces_per.sum())
-    reg_idx = np.repeat(np.arange(r.count, dtype=np.int64), pieces_per)
-    if n_pieces == r.count:
-        return r, reg_idx, first_unit
-    # Piece k lies in unit k - (index of its region's first piece) + first_unit.
-    unit = np.arange(n_pieces, dtype=np.int64) + np.repeat(
-        first_unit + pieces_per - np.cumsum(pieces_per), pieces_per
-    )
-    piece_start = np.maximum(r.offsets[reg_idx], unit * boundary)
-    piece_end = np.minimum(ends[reg_idx], (unit + 1) * boundary)
-    pieces = RegionList._trusted(piece_start, piece_end - piece_start, nonempty=True)
-    return pieces, reg_idx, unit
+    per = r.ends
+    per -= 1
+    per //= boundary
+    per -= first_unit  # boundaries crossed
+    cross = np.flatnonzero(per != 0)
+    if cross.size == 0:
+        return r, np.arange(r.count, dtype=np.int64), first_unit
+    per += 1  # pieces
+    offsets = np.repeat(r.offsets, per)
+    lengths = np.repeat(r.lengths, per)
+    parent = np.repeat(np.arange(r.count, dtype=np.int64), per)
+    unit = np.repeat(first_unit, per)
+    # Piece j of a crossing region lies in unit first_unit + j; every
+    # other region is its own one piece.
+    k = per[cross]
+    head = np.cumsum(k) - k
+    j = np.arange(int(head[-1] + k[-1])) - np.repeat(head, k)
+    # Where each crossing region's pieces land: after its own index, shifted
+    # by the extra pieces of the crossing regions before it.
+    at = np.repeat(cross + (head - np.arange(cross.size)), k) + j
+    unit[at] += j
+    start = np.maximum(offsets[at], unit[at] * boundary)
+    lengths[at] = np.minimum(offsets[at] + lengths[at], (unit[at] + 1) * boundary) - start
+    offsets[at] = start
+    return RegionList._trusted(offsets, lengths, nonempty=True), parent, unit
 
 
 def _run_arrays(offsets, lengths) -> Tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,7 @@ from types import GeneratorType
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .events import _UNSET, AllOf, AnyOf, Event, Timeout
+from .events import _UNSET, AllOf, AnyOf, Event, Timeout, _Condition
 from .fastpath import fastpath_enabled
 
 __all__ = ["Simulator", "Process"]
@@ -100,17 +100,22 @@ class Process(Event):
         kick.succeed()
 
     def close(self) -> None:
-        """Abandon the process: stop waiting on its event and close its
-        generator (``GeneratorExit`` at the suspended ``yield``), so
-        neither refers to the other any more.  The process never fires.
-        For tearing down a finished simulation; unlike an interrupt it
-        schedules and cancels nothing."""
+        """Abandon the process and every live process it waits on, directly
+        or through AllOf/AnyOf: each stops waiting on its event, drops its
+        callbacks and has its generator closed (``GeneratorExit`` at the
+        suspended ``yield``), so none of them refers to another any more.
+        None of them ever fires.  For tearing down a finished simulation;
+        unlike an interrupt it schedules and cancels nothing."""
         ev, self._waiting_on = self._waiting_on, None
         if ev is not None:
             try:
                 ev.callbacks.remove(self._resume)
             except ValueError:
                 pass
+            for child in ev.events if isinstance(ev, _Condition) else (ev,):
+                if isinstance(child, Process) and not child._triggered:
+                    child.close()
+        self.callbacks = []
         self._gen.close()
 
     def _detach_from_waited_event(self) -> None:

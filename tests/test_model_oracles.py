@@ -6,8 +6,9 @@ linear merge over already-sorted input replaced, kept verbatim: the
 ``np.maximum.at`` run ends of ``coalesced``/``cluster_extents``, the
 one-clip-per-window loop of :func:`repro.core.datasieve.sieve_spans`, the
 per-window ``while`` loop of ``DataSievingIO._windows``, the ``np.unique``
-message grouping of the model's phase decomposition, and the clip-loop
-two-phase exchange with its per-round aggregator unions.  Hypothesis checks
+message grouping of the model's phase decomposition, the argsort and
+``take`` of ``wire_order``, and the clip-loop two-phase exchange with its
+per-round aggregator unions.  Hypothesis checks
 the code in ``src/`` against them for exact equality: ``np.array_equal`` on
 arrays and ``==`` on floats.  The old ``_windows`` loop is exact only for
 sorted, disjoint regions (it assumed sorted piece ends); sorted, overlapping
@@ -584,10 +585,26 @@ def _loads_equal(a: _Loads, b: _Loads) -> None:
         assert np.array_equal(value, getattr(b, name)), name
 
 
+#: Region lengths: short ones; ones whose message needs more than one
+#: 1,460-byte frame; and ones over more stripe units than servers, even at
+#: the 16 KiB stripe.
+region_lengths = st.one_of(
+    st.integers(1, 600), st.integers(1_400, 5_000), st.integers(16_384, 400_000)
+)
+
+
 @st.composite
-def phases(draw):
-    regions = draw(region_lists(max_regions=40, max_offset=100_000, max_len=600, min_len=1))
-    steps = draw(st.lists(st.integers(0, 2), min_size=regions.count, max_size=regions.count))
+def phases(draw, stripe_size: int):
+    # At most 64 stripe units per long region, so the piece-by-piece
+    # reference stays small at the tiny stripes.
+    cap = max(600, 64 * stripe_size)
+    n = draw(st.integers(0, draw(st.sampled_from([40, 200]))))
+    offsets = draw(st.lists(st.integers(0, 2_000_000), min_size=n, max_size=n))
+    lengths = draw(st.lists(region_lengths.map(lambda x: min(x, cap)), min_size=n, max_size=n))
+    regions = RegionList(offsets, lengths)
+    # Chunk ids that strictly increase (one region per request) or repeat.
+    low = draw(st.integers(0, 1))
+    steps = draw(st.lists(st.integers(low, 2), min_size=regions.count, max_size=regions.count))
     chunks = np.cumsum(np.array(steps, np.int64)) - (steps[0] if steps else 0)
     return RankPlan(
         method="list",
@@ -600,8 +617,10 @@ def phases(draw):
 
 
 class TestMessageGrouping:
-    @given(phases(), cluster_configs(), st.integers(0, 3))
-    def test_matches_unique(self, phase, cfg, rank):
+    @settings(max_examples=150)
+    @given(cluster_configs(), st.integers(0, 3), st.data())
+    def test_matches_unique(self, cfg, rank, data):
+        phase = data.draw(phases(cfg.stripe.stripe_size))
         got_loads, want_loads = _Loads(cfg.n_iods, 4), _Loads(cfg.n_iods, 4)
         got = predict_mod._decompose_phase(phase, rank, cfg, got_loads)
         want = ref_decompose_phase(phase, rank, cfg, want_loads)
@@ -654,6 +673,53 @@ class TestStreamingPlans:
     def test_empty_iterator_rejected(self):
         with pytest.raises(ModelError, match="at least one rank plan"):
             predict_plans(iter([]), ClusterConfig())
+
+
+# ---------------------------------------------------------------------------
+# wire_order: sorted lists pass through without a sort
+# ---------------------------------------------------------------------------
+
+
+def ref_wire_order(file_regions: RegionList):
+    regions = file_regions.drop_empty()
+    order = np.argsort(regions.offsets, kind="stable")
+    regions = regions.take(order)
+    if not regions.is_disjoint():
+        raise RegionError("two-phase collective I/O needs disjoint file regions per rank")
+    return regions, order
+
+
+class TestWireOrder:
+    @given(region_lists())
+    def test_matches_argsort(self, regions):
+        # unsorted, overlapping or zero-length: the same order and regions,
+        # or the same refusal
+        try:
+            want, want_order = ref_wire_order(regions)
+        except RegionError:
+            with pytest.raises(RegionError):
+                wire_order(regions)
+            return
+        got, order = wire_order(regions)
+        assert_same_regions(got, want)
+        assert np.array_equal(order, want_order)
+
+    @given(disjoint_lists(max_regions=30, shuffle=False))
+    def test_sorted_input_keeps_its_order(self, regions):
+        got, order = wire_order(regions)
+        assert_same_regions(got, regions)
+        assert np.array_equal(order, np.arange(regions.count))
+
+    @given(disjoint_lists(max_regions=30))
+    def test_unsorted_input_is_sorted(self, regions):
+        got, order = wire_order(regions)
+        assert got.is_sorted()
+        assert_same_regions(got, regions.take(order))
+
+    def test_overlap_still_rejected(self):
+        for regions in (RegionList([0, 5], [10, 10]), RegionList([20, 0], [5, 30])):
+            with pytest.raises(RegionError, match="disjoint"):
+                wire_order(regions)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PatternError, RegionError
-from repro.patterns import FlashConfig, block_block, flash_io, random_fragments
+from repro.patterns import (
+    FlashConfig,
+    TiledConfig,
+    block_block,
+    flash_io,
+    one_dim_cyclic,
+    random_fragments,
+    tiled_visualization,
+    uniform_fragments,
+)
 from repro.regions import RegionList
 
 from . import patterns_reference as ref
@@ -191,6 +200,64 @@ class TestStrided:
 
     def test_empty_with_negative_length(self):
         assert RegionList.strided(0, 0, -5, 10) == ref.strided(0, 0, -5, 10)
+
+
+# ---------------------------------------------------------------------------
+# strided patterns: rank by rank equal to their own strided list, with one
+# lengths array shared by every rank
+# ---------------------------------------------------------------------------
+def assert_strided_ranks(pattern, starts, count, length, stride) -> None:
+    assert pattern.n_ranks == len(starts)
+    for access, start in zip(pattern.accesses, starts):
+        assert access.file_regions == ref.strided(start, count, length, stride)
+        assert_valid(access.file_regions)
+        assert access.file_regions.lengths is pattern.accesses[0].file_regions.lengths
+
+
+class TestStridedPatterns:
+    @given(st.integers(1, 16), st.integers(1, 300), st.integers(1, 1 << 20))
+    def test_one_dim_cyclic(self, n, accesses, total):
+        try:
+            pattern = one_dim_cyclic(total, n, accesses)
+        except PatternError:
+            assert total < n * accesses
+            return
+        block = total // (n * accesses)
+        assert_strided_ranks(pattern, [c * block for c in range(n)], accesses, block, n * block)
+
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 200),
+        st.integers(1, 5000),
+        st.floats(0.05, 1.0),
+        st.sampled_from(["interleaved", "partitioned"]),
+    )
+    def test_uniform_fragments(self, n, count, size, density, layout):
+        pattern = uniform_fragments(n, count, size, density=density, layout=layout)
+        slot = max(round(size / density), size)
+        if layout == "interleaved":
+            starts, stride = [c * slot for c in range(n)], slot * n
+        else:
+            starts, stride = [c * slot * count for c in range(n)], slot
+        assert_strided_ranks(pattern, starts, count, size, stride)
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 30), st.integers(0, 20))
+    def test_tiled_visualization(self, tiles_x, tiles_y, overlap_x, overlap_y):
+        cfg = TiledConfig(
+            tiles_x=tiles_x,
+            tiles_y=tiles_y,
+            tile_width=40,
+            tile_height=24,
+            overlap_x=overlap_x,
+            overlap_y=overlap_y,
+            bytes_per_pixel=3,
+        )
+        row = cfg.frame_width * 3
+        starts = [
+            (r // tiles_x) * (24 - overlap_y) * row + (r % tiles_x) * (40 - overlap_x) * 3
+            for r in range(cfg.n_tiles)
+        ]
+        assert_strided_ranks(tiled_visualization(cfg), starts, 24, 40 * 3, row)
 
 
 # ---------------------------------------------------------------------------

@@ -554,3 +554,58 @@ class TestClose:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_a_run_that_raises_leaves_nothing_for_the_collector(self):
+        # No with block: close() alone must free a cluster whose workload
+        # raised, with the exception's frames still holding the failed run.
+        from repro.errors import RetryExhausted
+        from repro.faults import FaultConfig, FaultPlan, IodCrash, RetryPolicy
+
+        cfg = ClusterConfig(n_clients=2, n_iods=4).with_(
+            faults=FaultConfig(
+                plan=FaultPlan((IodCrash(iod=0, at=0.002),)),
+                retry=RetryPolicy(request_timeout=0.05, max_retries=2, backoff_base=0.01),
+            )
+        )
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = Cluster.build(cfg)
+            try:
+                self._read(cluster)
+            except RetryExhausted:
+                pass
+            else:
+                pytest.fail("the read should exhaust its retries")
+            finally:
+                cluster.close()
+            del cluster
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("replicas", [2, 1])
+    def test_a_failover_read_leaves_nothing_for_the_collector(self, replicas):
+        # With one copy the read raises RetryExhausted mid-run: its client
+        # processes, their in-flight sends and the exception's frames must
+        # not keep the cluster alive once the exception is gone.
+        from repro.errors import RetryExhausted
+        from repro.experiments.chaos import run_failover_scenario
+        from repro.experiments.presets import SMOKE
+
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                run_failover_scenario(scale=SMOKE, replicas=replicas)
+            except RetryExhausted:
+                assert replicas == 1
+            else:
+                assert replicas == 2
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
