@@ -66,7 +66,8 @@ lint:
 	ruff check .
 	ruff format --check src/repro/bench src/repro/mpiio src/repro/mpi src/repro/model
 
-# the simplicity counts: src/ lines, add_argument calls, ClusterConfig leaves
+# the simplicity counts: src/ lines, add_argument calls, ClusterConfig leaves,
+# exported names
 size:
 	$(PYTHON) tools/size.py
 

@@ -35,11 +35,10 @@ def run_flash_mpiio(n_ranks: int, collective: bool, cb_nodes=None):
         ClusterConfig.chiba_city(n_clients=n_ranks), move_bytes=False
     )
     comm = Communicator(cluster.sim, n_ranks)
-    shared = {}
 
     def wl(client):
         r = client.index
-        mf = yield from open_one(comm, client, "/flash", shared, cb_nodes=cb_nodes)
+        mf = yield from open_one(comm, client, "/flash", cb_nodes=cb_nodes)
         mf.set_view(
             disp=r * chunk,
             filetype=Resized(Contiguous(BYTE, chunk), chunk * n_ranks),

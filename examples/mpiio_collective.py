@@ -51,11 +51,10 @@ def run_mpiio(collective: bool):
     per_rank = MESH.n_blocks * MESH.n_vars * chunk
     cluster = Cluster.build(ClusterConfig.chiba_city(n_clients=N_RANKS), move_bytes=False)
     comm = Communicator(cluster.sim, N_RANKS)
-    shared = {}
 
     def wl(client):
         r = client.index
-        mf = yield from open_one(comm, client, "/ckpt", shared)
+        mf = yield from open_one(comm, client, "/ckpt")
         mf.set_view(
             disp=r * chunk,
             filetype=Resized(Contiguous(BYTE, chunk), chunk * N_RANKS),

@@ -23,13 +23,11 @@ I/O on coalesced regions.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..errors import RegionError
 from ..mpi import Communicator
-from ..regions import RegionList, gather_runs, scatter_runs
+from ..regions import RegionList, gather_runs, scatter_runs, stream_positions
 from ..pvfs.client import PVFSFile
 from .base import AccessMethod, validate_transfer
 
@@ -56,38 +54,26 @@ class HybridIO(AccessMethod):
         self.gap_threshold = gap_threshold
 
     # ------------------------------------------------------------------
-    def _plan(self, file_regions: RegionList) -> Tuple[RegionList, np.ndarray]:
+    def _plan(self, file_regions: RegionList) -> RegionList:
         if not file_regions.is_sorted():
             raise RegionError("hybrid I/O requires file regions sorted by offset")
-        extents = cluster_extents(file_regions, self.gap_threshold)
-        # Where each extent's bytes start inside the extents' byte stream.
-        ext_stream_base = np.concatenate(([0], np.cumsum(extents.lengths)[:-1]))
-        return extents, ext_stream_base
-
-    def _region_positions_in_extents(
-        self, file_regions: RegionList, extents: RegionList, base: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(starts, lengths)`` of the requested regions' runs within the
-        extent stream, in file-region order."""
-        r = file_regions.drop_empty()
-        which = np.searchsorted(extents.offsets, r.offsets, side="right") - 1
-        start_in_stream = base[which] + (r.offsets - extents.offsets[which])
-        return start_in_stream, r.lengths
+        return cluster_extents(file_regions, self.gap_threshold)
 
     # ------------------------------------------------------------------
     def read(self, f: PVFSFile, memory, mem_regions, file_regions):
         validate_transfer(memory, mem_regions, file_regions)
         if not file_regions.is_disjoint():
             raise RegionError("hybrid I/O requires disjoint file regions")
-        extents, base = self._plan(file_regions)
+        extents = self._plan(file_regions)
         ext_stream = yield from f.read_list(extents)
         useful = file_regions.total_bytes
         unpack = self._memcpy_time(f, useful)
         if unpack > 0:
             yield f.client.sim.timeout(unpack)
         if memory is not None and ext_stream is not None:
-            runs = self._region_positions_in_extents(file_regions, extents, base)
-            self._scatter_memory(memory, mem_regions, gather_runs(ext_stream, *runs))
+            r = file_regions.drop_empty()
+            stream = gather_runs(ext_stream, stream_positions(extents, r), r.lengths)
+            self._scatter_memory(memory, mem_regions, stream)
         f.client.scope.add("hybrid_fetched_bytes", extents.total_bytes)
         f.client.scope.add("hybrid_wasted_bytes", extents.total_bytes - useful)
 
@@ -97,7 +83,7 @@ class HybridIO(AccessMethod):
         validate_transfer(memory, mem_regions, file_regions)
         if not file_regions.is_disjoint():
             raise RegionError("hybrid I/O requires disjoint file regions")
-        extents, base = self._plan(file_regions)
+        extents = self._plan(file_regions)
         has_gaps = extents.total_bytes > file_regions.total_bytes
         move = f.client.move_bytes
         if has_gaps:
@@ -110,8 +96,9 @@ class HybridIO(AccessMethod):
         if pack > 0:
             yield f.client.sim.timeout(pack)
         if memory is not None and ext_stream is not None:
-            runs = self._region_positions_in_extents(file_regions, extents, base)
-            scatter_runs(ext_stream, *runs, self._gather_memory(memory, mem_regions))
+            r = file_regions.drop_empty()
+            pos = stream_positions(extents, r)
+            scatter_runs(ext_stream, pos, r.lengths, self._gather_memory(memory, mem_regions))
         yield from f.write_list(extents, ext_stream)
         f.client.scope.add("hybrid_rmw_bytes", extents.total_bytes - file_regions.total_bytes if has_gaps else 0)
 

@@ -10,8 +10,9 @@ Unlike the independent methods, two-phase is *collective*: a transfer is
 only defined across all ranks of a communicator (they exchange metadata
 and redistribute data over the fabric before any file access happens).
 The harness detects ``TwoPhaseIO.collective`` and drives
-:meth:`collective_read` / :meth:`collective_write` with a shared
-communicator, mirroring how it serializes data-sieving writes.
+:meth:`collective_read` / :meth:`collective_write` with the workload's
+communicator, which matches each rank's call to the others' (the same
+signature as :meth:`~repro.core.DataSievingIO.serialized_write`).
 
 Cost accounting mirrors list I/O on the client side (one pack/unpack of
 the transfer volume at the memcpy rate); the exchange traffic and the
@@ -59,7 +60,7 @@ class TwoPhaseIO(AccessMethod):
 
     name = "twophase"
     #: Marks this method as collective: the harness must supply a
-    #: communicator + shared context and call ``collective_read/write``.
+    #: communicator and call ``collective_read/write``.
     collective = True
 
     def __init__(
@@ -84,18 +85,10 @@ class TwoPhaseIO(AccessMethod):
         )
 
     # -- collective interface --------------------------------------------
-    def _context(self, f: PVFSFile, comm: Communicator, shared: dict):
-        ctx = shared.get("twophase_ctx")
-        if ctx is None:
-            ctx = engine.CollectiveContext(f.client.sim, comm)
-            shared["twophase_ctx"] = ctx
-        return ctx
-
     def collective_write(
         self,
         comm: Communicator,
         rank: int,
-        shared: dict,
         f: PVFSFile,
         memory: Optional[np.ndarray],
         mem_regions: RegionList,
@@ -111,21 +104,13 @@ class TwoPhaseIO(AccessMethod):
         if pack > 0:
             yield f.client.sim.timeout(pack)
         yield from engine.collective_write(
-            f,
-            comm,
-            rank,
-            self._context(f, comm, shared),
-            regions,
-            stream,
-            cb_nodes=self.cb_nodes,
-            cb_buffer=self.cb_buffer,
+            f, comm, rank, regions, stream, cb_nodes=self.cb_nodes, cb_buffer=self.cb_buffer
         )
 
     def collective_read(
         self,
         comm: Communicator,
         rank: int,
-        shared: dict,
         f: PVFSFile,
         memory: Optional[np.ndarray],
         mem_regions: RegionList,
@@ -135,13 +120,7 @@ class TwoPhaseIO(AccessMethod):
         validate_transfer(memory, mem_regions, file_regions)
         regions, order = wire_order(file_regions)
         stream = yield from engine.collective_read(
-            f,
-            comm,
-            rank,
-            self._context(f, comm, shared),
-            regions,
-            cb_nodes=self.cb_nodes,
-            cb_buffer=self.cb_buffer,
+            f, comm, rank, regions, cb_nodes=self.cb_nodes, cb_buffer=self.cb_buffer
         )
         if stream is not None:
             stream = _unpermute_stream(stream, regions, order)

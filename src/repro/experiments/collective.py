@@ -141,13 +141,10 @@ def _mpiio_point(
 
     def workload(cluster):
         comm = Communicator(cluster.sim, n_ranks)
-        shared = {}
 
         def wl(client):
             r = client.index
-            mf = yield from open_one(
-                comm, client, "/f18", shared, cb_nodes=cb_nodes, cb_buffer=cb_buffer
-            )
+            mf = yield from open_one(comm, client, "/f18", cb_nodes=cb_nodes, cb_buffer=cb_buffer)
             mf.set_view(
                 disp=r * chunk,
                 filetype=Resized(Contiguous(BYTE, chunk), chunk * n_ranks),

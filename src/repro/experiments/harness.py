@@ -84,14 +84,14 @@ def _make_method(method_name: str, method_opts: Optional[dict]):
     return cls(**(method_opts or {}))
 
 
-def transfer(client, pattern, method, kind, comm=None, shared=None, phases=None):
+def transfer(client, pattern, method, kind, comm=None, phases=None):
     """One client's share of ``pattern``: open ``/bench``, read or write
     its regions with ``method``, close.
 
-    Collective methods meet over ``comm`` and the ``shared`` rendezvous
-    dict; a non-collective write given ``comm`` is serialized (the paper's
-    barrier loop for sieving and hybrid writes).  ``phases``, when given,
-    collects the open / transfer / close seconds of every client.
+    Collective methods meet over ``comm``; a non-collective write given
+    ``comm`` is serialized (the paper's barrier loop for sieving and hybrid
+    writes).  ``phases``, when given, collects the open / transfer / close
+    seconds of every client.
     """
     access = pattern.rank(client.index)
     mem, regions = access.mem_regions, access.file_regions
@@ -101,7 +101,7 @@ def transfer(client, pattern, method, kind, comm=None, shared=None, phases=None)
     t1 = sim.now
     if getattr(method, "collective", False):
         op = method.collective_read if kind == "read" else method.collective_write
-        yield from op(comm, client.index, shared, f, None, mem, regions)
+        yield from op(comm, client.index, f, None, mem, regions)
     elif kind == "read":
         yield from method.read(f, None, mem, regions)
     elif comm is not None:
@@ -176,8 +176,7 @@ def des_point(
 
     def workload(cluster):
         comm = Communicator(cluster.sim, pattern.n_ranks) if coordinated else None
-        shared: Dict = {}
-        return lambda client: transfer(client, pattern, method, kind, comm, shared, phases)
+        return lambda client: transfer(client, pattern, method, kind, comm, phases)
 
     point = run_point(
         cfg,

@@ -8,13 +8,16 @@ and gather among the client processes of one workload.
 
 Data movement through the communicator is control-plane-sized, so these
 operations charge a latency term (a tree of small messages) but never move
-bulk data through the NIC model.
+bulk data through the NIC model.  :meth:`Communicator.slot` is the one
+rendezvous of collective calls: broadcast, gather and the two-phase
+collective I/O engine (:mod:`repro.mpiio.twophase`) all find the state
+they share through it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from ..errors import ConfigError
 from ..simulate import Barrier, Event, Simulator
@@ -37,28 +40,39 @@ class Communicator:
         #: Per-hop small-message latency used for collective cost.
         self.latency = latency
         self._barrier = Barrier(sim, size)
-        self._bcast_state: Dict[int, Event] = {}
-        self._gather_state: Dict[int, dict] = {}
-        self._gather_events: Dict[int, Event] = {}
-        self._generation = 0
+        #: ``(kind, k)`` -> the state every rank's k-th call of ``kind`` shares.
+        self._slots: Dict[Tuple[str, int], Any] = {}
+        #: ``(kind, rank)`` -> how many calls of ``kind`` the rank has made.
+        self._calls: Dict[Tuple[str, int], int] = {}
 
     def _collective_time(self) -> float:
         """Dissemination-tree time for one collective."""
         return self.latency * max(math.ceil(math.log2(max(self.size, 2))), 1)
 
     # ------------------------------------------------------------------
+    def slot(self, kind: str, rank: int, make: Callable[[], Any]) -> Any:
+        """The state this rank's k-th call of ``kind`` shares with every
+        other rank's k-th call, built by ``make()`` on the first arrival.
+
+        Ranks must invoke collectives in the same order (as MPI requires).
+        """
+        k = self._calls.get((kind, rank), 0)
+        self._calls[(kind, rank)] = k + 1
+        state = self._slots.get((kind, k))
+        if state is None:
+            state = self._slots[(kind, k)] = make()
+        return state
+
     def barrier(self) -> Event:
         """Event that fires when all ranks have arrived (use ``yield``)."""
         return self._barrier.wait()
 
-    # ------------------------------------------------------------------
     def bcast(self, rank: int, value: Any = None, root: int = 0):
         """Broadcast ``value`` from ``root``; every rank gets it.
 
         Process form: ``got = yield from comm.bcast(rank, mine, root=0)``.
         """
-        gen = self._generation_slot(rank)
-        ev = self._bcast_state.setdefault(gen, Event(self.sim))
+        ev = self.slot("bcast", rank, lambda: Event(self.sim))
         if rank == root:
             ev.succeed(value)
         got = yield ev
@@ -67,33 +81,15 @@ class Communicator:
 
     def gather(self, rank: int, value: Any, root: int = 0):
         """Gather each rank's value at ``root`` (others receive ``None``)."""
-        gen = self._generation_slot(rank, kind="gather")
-        state = self._gather_state.setdefault(gen, {})
-        ev = self._gather_events.setdefault(gen, Event(self.sim))
-        state[rank] = value
-        if len(state) == self.size:
-            ev.succeed(dict(state))
+        values, ev = self.slot("gather", rank, lambda: ({}, Event(self.sim)))
+        values[rank] = value
+        if len(values) == self.size:
+            ev.succeed(values)
         got = yield ev
         yield self.sim.timeout(self._collective_time())
         if rank != root:
             return None
         return [got[r] for r in sorted(got)]
-
-    # ------------------------------------------------------------------
-    _slot_counters: Dict[str, Dict[int, int]]
-
-    def _generation_slot(self, rank: int, kind: str = "bcast") -> int:
-        """Match the k-th collective call of every rank to one generation.
-
-        Ranks must invoke collectives in the same order (as MPI requires);
-        each rank's k-th call of a given kind joins generation k.
-        """
-        if not hasattr(self, "_slot_counters"):
-            self._slot_counters = {}
-        per_kind = self._slot_counters.setdefault(kind, {})
-        gen = per_kind.get(rank, 0)
-        per_kind[rank] = gen + 1
-        return gen
 
     def __repr__(self) -> str:
         return f"<Communicator size={self.size}>"

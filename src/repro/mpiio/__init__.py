@@ -2,7 +2,6 @@
 
 from .file import MPIFile, MPIIOError, open_one
 from .twophase import (
-    CollectiveContext,
     Exchange,
     collective_read,
     collective_write,
@@ -18,7 +17,6 @@ __all__ = [
     "MPIIOError",
     "open_one",
     "FileView",
-    "CollectiveContext",
     "Exchange",
     "collective_read",
     "collective_write",

@@ -34,13 +34,7 @@ from ..datatypes import BYTE, Datatype
 from ..mpi import Communicator
 from ..pvfs.client import PVFSFile
 from ..regions import gather_runs, scatter_runs
-from .twophase import (
-    CollectiveContext,
-    MPIIOError,
-    collective_read,
-    collective_write,
-    select_aggregators,
-)
+from .twophase import MPIIOError, collective_read, collective_write, select_aggregators
 from .view import FileView
 
 __all__ = ["MPIIOError", "MPIFile", "open_one"]
@@ -54,14 +48,12 @@ class MPIFile:
         pvfs_file: PVFSFile,
         comm: Communicator,
         rank: int,
-        context: CollectiveContext,
         cb_nodes: Optional[int] = None,
         cb_buffer: Optional[int] = None,
     ) -> None:
         self.f = pvfs_file
         self.comm = comm
         self.rank = rank
-        self._ctx = context
         self.view = FileView()
         #: Number of collective-buffering aggregators (ROMIO's ``cb_nodes``
         #: hint).  Default: every rank aggregates.  Must be identical on
@@ -161,7 +153,6 @@ class MPIFile:
             self.f,
             self.comm,
             self.rank,
-            self._ctx,
             my_regions,
             data,
             cb_nodes=self.cb_nodes,
@@ -176,7 +167,6 @@ class MPIFile:
             self.f,
             self.comm,
             self.rank,
-            self._ctx,
             my_regions,
             cb_nodes=self.cb_nodes,
             cb_buffer=self.cb_buffer,
@@ -195,19 +185,14 @@ def open_one(
     comm: Communicator,
     client,
     path: str,
-    shared_context: dict,
+    *,
     create: bool = True,
     cb_nodes: Optional[int] = None,
     cb_buffer: Optional[int] = None,
 ):
-    """Open ``path`` on one rank and join the communicator's collective
-    context (process).  ``shared_context`` is any dict shared by the ranks
-    of the workload (e.g. a closure variable).  ``cb_nodes`` sets the
-    number of collective-buffering aggregators and ``cb_buffer`` the
-    collective buffer size in bytes (both must match on all ranks)."""
+    """Open ``path`` on one rank as an :class:`MPIFile` over ``comm``
+    (process).  ``cb_nodes`` sets the number of collective-buffering
+    aggregators and ``cb_buffer`` the collective buffer size in bytes (both
+    must match on all ranks)."""
     f = yield from client.open(path, create=create)
-    ctx = shared_context.get("ctx")
-    if ctx is None:
-        ctx = CollectiveContext(client.sim, comm)
-        shared_context["ctx"] = ctx
-    return MPIFile(f, comm, client.index, ctx, cb_nodes=cb_nodes, cb_buffer=cb_buffer)
+    return MPIFile(f, comm, client.index, cb_nodes=cb_nodes, cb_buffer=cb_buffer)

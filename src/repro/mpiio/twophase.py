@@ -7,8 +7,9 @@ repository — :meth:`repro.mpiio.MPIFile.write_at_all` /
 algorithm of Thakur/Gropp/Lusk ("Optimizing Noncontiguous Accesses in
 MPI-IO", see PAPERS.md):
 
-1. **Metadata exchange** — every rank ships its (offset, length) list to
-   every other rank (:func:`exchange_meta`), as real messages through the
+1. **Metadata exchange** — every rank joins the call's :class:`Exchange`
+   (found through :meth:`repro.mpi.Communicator.slot`) and ships its
+   (offset, length) list to every other rank, as real messages through the
    simulated fabric.
 2. **Aggregator selection + file-domain partitioning** — the first
    ``cb_nodes`` ranks (:func:`select_aggregators`) each own one
@@ -29,14 +30,14 @@ entered by every rank of the communicator in the same order.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Hashable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import PVFSError
 from ..mpi import Communicator
-from ..regions import RegionList, gather_runs, scatter_runs
+from ..regions import RegionList, gather_runs, scatter_runs, stream_positions
 from ..simulate import Event
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "DATA_HEADER",
     "MPIIOError",
     "Exchange",
-    "CollectiveContext",
-    "stream_positions",
     "select_aggregators",
     "partition_file_domains",
     "round_count",
@@ -69,9 +68,11 @@ class MPIIOError(PVFSError):
 class Exchange:
     """Scratch state shared by all ranks for ONE collective operation.
 
-    Contributions and replies are keyed by arbitrary hashables so one
-    exchange can span several collective-buffer rounds (the engine keys
-    them by ``(rank, round)``).
+    Phase 0 collects every rank's offset list (:meth:`deposit_meta`).  One
+    mailbox then carries the data every round moves, writes and reads
+    alike: senders :meth:`deposit` under a key (the engine keys them by
+    ``(receiver, round)``), and the receiver says with :meth:`expect` how
+    many deposits it waits for.
     """
 
     def __init__(self, sim, size: int) -> None:
@@ -79,17 +80,10 @@ class Exchange:
         self.size = size
         self.meta: Dict[int, RegionList] = {}
         self.meta_event = Event(sim)
-        self.contributions: Dict[Hashable, List[Tuple[int, RegionList, Optional[np.ndarray]]]] = (
-            defaultdict(list)
-        )
-        self._arrival_events: Dict[Hashable, Event] = {}
-        self._expected: Dict[Hashable, int] = {}
-        # read path: (requester key, aggregator) -> (regions, data)
-        self.replies: Dict[Tuple[Hashable, int], Tuple[RegionList, Optional[np.ndarray]]] = {}
-        self._reply_events: Dict[Hashable, Event] = {}
-        self._reply_expected: Dict[Hashable, int] = {}
+        #: key -> [deposits, expected count (None until expect), event];
+        #: a key's entry goes once its event fires.
+        self._mail: Dict[Hashable, list] = {}
 
-    # -- metadata ------------------------------------------------------
     def deposit_meta(self, rank: int, regions: RegionList) -> None:
         if rank in self.meta:
             raise MPIIOError(f"rank {rank} entered the collective twice")
@@ -97,90 +91,33 @@ class Exchange:
         if len(self.meta) == self.size:
             self.meta_event.succeed(dict(self.meta))
 
-    # -- write-side contributions ---------------------------------------
-    def expect_contributions(self, key: Hashable, n: int) -> Event:
-        ev = self._arrival_events.setdefault(key, Event(self.sim))
-        self._expected[key] = n
-        self._maybe_fire(key)
-        return ev
+    def expect(self, key: Hashable, n: int) -> Event:
+        """Event that fires with the ``(src, regions, data)`` deposits under
+        ``key``, sorted by sender, once ``n`` have arrived."""
+        box = self._box(key)
+        box[1] = n
+        self._fire(key, box)
+        return box[2]
 
-    def deposit_contribution(
-        self,
-        key: Hashable,
-        src: int,
-        regions: RegionList,
-        data: Optional[np.ndarray],
+    def deposit(
+        self, key: Hashable, src: int, regions: RegionList, data: Optional[np.ndarray]
     ) -> None:
-        self.contributions[key].append((src, regions, data))
-        self._maybe_fire(key)
+        box = self._box(key)
+        box[0].append((src, regions, data))
+        self._fire(key, box)
 
-    def _maybe_fire(self, key: Hashable) -> None:
-        ev = self._arrival_events.get(key)
-        expected = self._expected.get(key)
-        if ev is None or expected is None or ev.triggered:
-            return
-        if len(self.contributions[key]) >= expected:
-            self.contributions[key].sort(key=lambda t: t[0])
-            ev.succeed(self.contributions[key])
+    def _box(self, key: Hashable) -> list:
+        box = self._mail.get(key)
+        if box is None:
+            box = self._mail[key] = [[], None, Event(self.sim)]
+        return box
 
-    # -- read-side replies ----------------------------------------------
-    def expect_replies(self, key: Hashable, n: int) -> Event:
-        ev = self._reply_events.setdefault(key, Event(self.sim))
-        self._reply_expected[key] = n
-        self._maybe_reply(key)
-        return ev
-
-    def deposit_reply(
-        self,
-        key: Hashable,
-        aggregator: int,
-        regions: RegionList,
-        data: Optional[np.ndarray],
-    ) -> None:
-        self.replies[(key, aggregator)] = (regions, data)
-        self._maybe_reply(key)
-
-    def _maybe_reply(self, key: Hashable) -> None:
-        ev = self._reply_events.get(key)
-        expected = self._reply_expected.get(key)
-        if ev is None or expected is None or ev.triggered:
-            return
-        got = [
-            (agg, *self.replies[(req, agg)]) for (req, agg) in self.replies if req == key
-        ]
-        if len(got) >= expected:
-            got.sort(key=lambda t: t[0])
+    def _fire(self, key: Hashable, box: list) -> None:
+        got, n, ev = box
+        if n is not None and len(got) >= n:
+            del self._mail[key]
+            got.sort(key=itemgetter(0))
             ev.succeed(got)
-
-
-class CollectiveContext:
-    """Per-(file, communicator) registry matching each rank's k-th
-    collective call to a shared :class:`Exchange`."""
-
-    def __init__(self, sim, comm: Communicator) -> None:
-        self.sim = sim
-        self.comm = comm
-        self._slots: Dict[Tuple[str, int], Exchange] = {}
-        self._calls: Dict[Tuple[str, int], int] = defaultdict(int)
-
-    def slot(self, kind: str, rank: int) -> Exchange:
-        gen = self._calls[(kind, rank)]
-        self._calls[(kind, rank)] += 1
-        key = (kind, gen)
-        if key not in self._slots:
-            self._slots[key] = Exchange(self.sim, self.comm.size)
-        return self._slots[key]
-
-
-def stream_positions(regions: RegionList, clipped: RegionList) -> np.ndarray:
-    """Stream offsets (within ``regions``' byte stream) of each clipped
-    piece.  ``regions`` must be sorted & disjoint; ``clipped`` must be a
-    sub-list of it (as produced by ``regions.clip``)."""
-    if clipped.count == 0:
-        return np.empty(0, np.int64)
-    starts = np.concatenate(([0], np.cumsum(regions.lengths)[:-1]))
-    idx = np.searchsorted(regions.ends, clipped.offsets, side="right")
-    return starts[idx] + (clipped.offsets - regions.offsets[idx])
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +197,14 @@ def _node_of(f, rank: int):
     return f.client.cluster.clients[rank].node
 
 
-def exchange_meta(f, comm: Communicator, rank: int, regions: RegionList):
-    """Phase 0 (process): ship this rank's offset list to every peer."""
+def _phase0(f, comm: Communicator, rank: int, kind: str, regions: RegionList, cb_nodes):
+    """Phase 0 (process): join this call's exchange, ship this rank's
+    offset list to every peer, wait for every rank's list and cut the file
+    domains.  Returns ``(exchange, metas, domains)``."""
     sim = f.client.sim
+    n_aggregators = len(select_aggregators(comm.size, cb_nodes))
+    ex = comm.slot(kind, rank, lambda: Exchange(sim, comm.size))
+    ex.deposit_meta(rank, regions)
     net = f.client.cluster.net
     meta_bytes = META_HEADER + META_BYTES_PER_REGION * regions.count
     sends = [
@@ -272,32 +214,31 @@ def exchange_meta(f, comm: Communicator, rank: int, regions: RegionList):
     ]
     if sends:
         yield sim.all_of(sends)
+    metas = yield ex.meta_event
+    domains = partition_file_domains(metas, comm.size, n_aggregators, f.stripe.stripe_size)
+    return ex, metas, domains
 
 
-def _ship_contribution(f, ex: Exchange, key, src: int, aggregator: int, regions, payload):
-    nbytes = DATA_HEADER + META_BYTES_PER_REGION * regions.count + regions.total_bytes
-    if aggregator != src:
-        yield from f.client.cluster.net.transfer(_node_of(f, src), _node_of(f, aggregator), nbytes)
+def _ship(f, ex: Exchange, rnd: int, src: int, dst: int, regions, payload, nbytes: int):
+    """Move ``nbytes`` from rank ``src`` to rank ``dst`` (process), then
+    deposit ``regions`` and ``payload`` in ``dst``'s round-``rnd`` mail."""
+    if dst != src:
+        yield from f.client.cluster.net.transfer(_node_of(f, src), _node_of(f, dst), nbytes)
     else:
         yield f.client.sim.timeout(0)
-    ex.deposit_contribution(key, src, regions, payload)
+    ex.deposit((dst, rnd), src, regions, payload)
 
 
-def _ship_reply(f, ex: Exchange, key, src: int, requester: int, regions, payload):
-    nbytes = DATA_HEADER + regions.total_bytes
-    if requester != src:
-        yield from f.client.cluster.net.transfer(_node_of(f, src), _node_of(f, requester), nbytes)
-    else:
-        yield f.client.sim.timeout(0)
-    ex.deposit_reply(key, src, regions, payload)
+def _union(pieces: Sequence[RegionList]) -> RegionList:
+    """The coalesced union of one or more region lists."""
+    offsets = np.concatenate([p.offsets for p in pieces])
+    lengths = np.concatenate([p.lengths for p in pieces])
+    return RegionList(offsets, lengths).coalesced()
 
 
 def _assemble(client, contribs):
     """Merge contribution region lists; fill the aggregation buffer."""
-    pieces = RegionList.empty()
-    for _src, regions, _payload in contribs:
-        pieces = pieces.concat(regions)
-    merged = pieces.coalesced()
+    merged = _union([regions for _src, regions, _payload in contribs])
     buffer = None
     if client.move_bytes:
         buffer = np.zeros(merged.total_bytes, np.uint8)
@@ -313,7 +254,6 @@ def collective_write(
     f,
     comm: Communicator,
     rank: int,
-    ctx: CollectiveContext,
     regions: RegionList,
     stream: Optional[np.ndarray],
     *,
@@ -329,21 +269,14 @@ def collective_write(
     """
     client = f.client
     sim = client.sim
-    n_aggregators = len(select_aggregators(comm.size, cb_nodes))
-    ex = ctx.slot("write", rank)
-
-    # -- phase 0: metadata exchange (offset lists, all-to-all) -------
-    ex.deposit_meta(rank, regions)
-    yield from exchange_meta(f, comm, rank, regions)
-    metas = yield ex.meta_event
-    domains = partition_file_domains(metas, comm.size, n_aggregators, f.stripe.stripe_size)
+    ex, metas, domains = yield from _phase0(f, comm, rank, "write", regions, cb_nodes)
 
     for rnd in range(round_count(domains, cb_buffer)):
         windows = [round_window(d, rnd, cb_buffer) for d in domains]
         # -- phase 1: redistribute this round's data to aggregators --
         wa, wb = windows[rank]
         expected = sum(1 for r in metas.values() if r.clip(wa, wb).count > 0)
-        arrival = ex.expect_contributions((rank, rnd), expected)
+        arrival = ex.expect((rank, rnd), expected)
         send_procs = []
         for d, (a, b) in enumerate(windows):
             mine = regions.clip(a, b)
@@ -351,11 +284,9 @@ def collective_write(
                 continue
             payload = None
             if client.move_bytes and stream is not None:
-                pos = stream_positions(regions, mine)
-                payload = gather_runs(stream, pos, mine.lengths)
-            send_procs.append(
-                sim.process(_ship_contribution(f, ex, (d, rnd), rank, d, mine, payload))
-            )
+                payload = gather_runs(stream, stream_positions(regions, mine), mine.lengths)
+            nbytes = DATA_HEADER + META_BYTES_PER_REGION * mine.count + mine.total_bytes
+            send_procs.append(sim.process(_ship(f, ex, rnd, rank, d, mine, payload, nbytes)))
         if send_procs:
             yield sim.all_of(send_procs)
 
@@ -373,7 +304,6 @@ def collective_read(
     f,
     comm: Communicator,
     rank: int,
-    ctx: CollectiveContext,
     regions: RegionList,
     *,
     cb_nodes: Optional[int] = None,
@@ -383,14 +313,7 @@ def collective_read(
     byte stream (``None`` on timing-only clusters)."""
     client = f.client
     sim = client.sim
-    n_aggregators = len(select_aggregators(comm.size, cb_nodes))
-    ex = ctx.slot("read", rank)
-
-    # -- phase 0: metadata exchange ----------------------------------
-    ex.deposit_meta(rank, regions)
-    yield from exchange_meta(f, comm, rank, regions)
-    metas = yield ex.meta_event
-    domains = partition_file_domains(metas, comm.size, n_aggregators, f.stripe.stripe_size)
+    ex, metas, domains = yield from _phase0(f, comm, rank, "read", regions, cb_nodes)
 
     out = None
     if client.move_bytes:
@@ -399,33 +322,26 @@ def collective_read(
         windows = [round_window(d, rnd, cb_buffer) for d in domains]
         # how many aggregators will send me data this round?
         a_mine = sum(1 for (a, b) in windows if regions.clip(a, b).count > 0)
-        reply_ev = ex.expect_replies((rank, rnd), a_mine)
+        reply_ev = ex.expect((rank, rnd), a_mine)
 
         # -- phase 1: aggregator reads its window --------------------
+        # (each requester's pieces of it, in the order the lists arrived)
         wa, wb = windows[rank]
-        domain_union = RegionList.empty()
-        for r in metas.values():
-            domain_union = domain_union.concat(r.clip(wa, wb))
-        domain_union = domain_union.coalesced()
-        if domain_union.count:
+        wants = [(q, r.clip(wa, wb)) for q, r in metas.items()]
+        wants = [(q, want) for q, want in wants if want.count]
+        if wants:
+            domain_union = _union([want for _q, want in wants])
             domain_data = yield from f.read_list(domain_union)
             # -- phase 2: ship each requester its pieces -------------
             ship = []
-            for requester, want_all in metas.items():
-                want = want_all.clip(wa, wb)
-                if want.count == 0:
-                    continue
+            for requester, want in wants:
                 payload = None
                 if client.move_bytes and domain_data is not None:
                     pos = stream_positions(domain_union, want)
                     payload = gather_runs(domain_data, pos, want.lengths)
-                ship.append(
-                    sim.process(
-                        _ship_reply(f, ex, (requester, rnd), rank, requester, want, payload)
-                    )
-                )
-            if ship:
-                yield sim.all_of(ship)
+                nbytes = DATA_HEADER + want.total_bytes
+                ship.append(sim.process(_ship(f, ex, rnd, rank, requester, want, payload, nbytes)))
+            yield sim.all_of(ship)
 
         # -- phase 3: assemble my stream from this round's replies ---
         replies = yield reply_ev

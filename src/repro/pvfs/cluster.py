@@ -29,7 +29,7 @@ from ..errors import ConfigError
 from ..faults import FaultInjector
 from ..network import Network
 from ..simulate import Counters, Process, Simulator, Tracer
-from ..storage import ByteStore, Disk, NullByteStore
+from ..storage import ByteStore, Disk
 from .client import PVFSClient
 from .iod import IOD
 from .manager import Manager
@@ -94,19 +94,16 @@ class Cluster:
         )
         self.iods: List[IOD] = []
         for i, node in enumerate(iod_nodes):
-            disk = Disk(config.disk, config.cache)
-            store: ByteStore = ByteStore() if move_bytes else NullByteStore()
             self.iods.append(
                 IOD(
                     self.sim,
                     self.net,
                     node,
                     i,
-                    disk,
-                    store,
+                    Disk(config.disk, config.cache),
+                    ByteStore() if move_bytes else None,
                     config.costs,
                     self.counters,
-                    move_bytes=move_bytes,
                     tracer=self.tracer,
                 )
             )

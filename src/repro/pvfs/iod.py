@@ -59,10 +59,9 @@ class IOD:
         node: Node,
         index: int,
         disk: Disk,
-        store: ByteStore,
+        store: Optional[ByteStore],
         costs: CostModel,
         counters: Optional[Counters] = None,
-        move_bytes: bool = True,
         tracer=None,
     ) -> None:
         self.sim = sim
@@ -70,10 +69,11 @@ class IOD:
         self.node = node
         self.index = index
         self.disk = disk
+        #: The stripe files' contents; ``None`` on a timing-only daemon,
+        #: which moves no bytes.
         self.store = store
         self.costs = costs
         self.counters = counters if counters is not None else Counters()
-        self.move_bytes = move_bytes
         self.tracer = tracer
         self.inbox: Store = Store(sim, name=f"iod{index}.inbox")
         self.scope = self.counters.scoped(f"iod.{index}")
@@ -284,9 +284,7 @@ class IOD:
                 yield sim.timeout(disk_t)
                 if tracing:
                     self._note_disk(t_disk, sim.now, "read", regions.total_bytes)
-            data = (
-                self.store.read(req.store_key, regions) if self.move_bytes else None
-            )
+            data = None if self.store is None else self.store.read(req.store_key, regions)
             cdata[key["read_requests"]] += 1.0
             cdata[key["read_bytes"]] += regions.total_bytes
             self._spawn_response(req, data)
@@ -297,7 +295,7 @@ class IOD:
             yield sim.timeout(disk_t * scale * self.disk.fault_scale)
             if tracing:
                 self._note_disk(t_disk, sim.now, "write", regions.total_bytes)
-            if self.move_bytes and req.data is not None:
+            if self.store is not None and req.data is not None:
                 self.store.write(req.store_key, regions, req.data)
             cdata[key["write_requests"]] += 1.0
             cdata[key["write_bytes"]] += regions.total_bytes
@@ -401,7 +399,7 @@ class IOD:
                         self._note_disk(
                             t_disk, sim.now, "resync", entry.regions.total_bytes
                         )
-                    if self.move_bytes and data is not None:
+                    if self.store is not None and data is not None:
                         self.store.write(key, entry.regions, data)
                     copied += entry.regions.total_bytes
                     entries.remove(entry)

@@ -11,7 +11,8 @@ builds on:
 * clipping to an extent (data sieving windows),
 * pairing two equal-volume lists into matched copy pieces (memory<->file
   data movement),
-* moving real bytes run by run (:func:`gather_runs`, :func:`scatter_runs`).
+* moving real bytes run by run (:func:`gather_runs`, :func:`scatter_runs`,
+  which take run starts from :func:`stream_positions`).
 
 The region algebra is O(n log n) or better in the number of regions and
 vectorized over the region arrays.  Operations whose input is already
@@ -42,6 +43,7 @@ __all__ = [
     "gather_runs",
     "scatter_runs",
     "split_with_parents",
+    "stream_positions",
 ]
 
 
@@ -517,6 +519,22 @@ def _run_arrays(offsets, lengths) -> Tuple[np.ndarray, np.ndarray]:
     if offsets.shape != lengths.shape:
         raise RegionError("offsets and lengths must have equal shape")
     return offsets, lengths
+
+
+def stream_positions(regions: RegionList, pieces: RegionList) -> np.ndarray:
+    """Where each of ``pieces`` starts in the byte stream of ``regions``.
+
+    ``regions`` must be sorted and disjoint, and every piece must lie inside
+    one of them: the pieces of a ``regions.clip``, or the regions that a
+    coalesced or clustered list covers.  The result is the ``offsets``
+    argument that moves the pieces' bytes out of (:func:`gather_runs`) or
+    into (:func:`scatter_runs`) that stream.
+    """
+    if pieces.count == 0:
+        return np.empty(0, np.int64)
+    starts = np.concatenate(([0], np.cumsum(regions.lengths)[:-1]))
+    idx = np.searchsorted(regions.ends, pieces.offsets, side="right")
+    return starts[idx] + (pieces.offsets - regions.offsets[idx])
 
 
 def gather_runs(src: np.ndarray, offsets, lengths) -> np.ndarray:

@@ -3,10 +3,8 @@
 Every I/O daemon owns one store holding the *contents* of its stripe files,
 so the simulator moves real data and the test suite can verify end-to-end
 correctness of every access method.  Storage is sparse (chunked) so a file
-with data only at large offsets does not allocate the gap.
-
-:class:`NullByteStore` is a drop-in that discards writes and reads back
-zeros; the benchmark harness uses it when only timing matters.
+with data only at large offsets does not allocate the gap.  A timing-only
+cluster (``move_bytes=False``) gives its daemons no store at all.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 from ..errors import StorageError
 from ..regions import RegionList
 
-__all__ = ["ByteStore", "NullByteStore"]
+__all__ = ["ByteStore"]
 
 # One default stripe unit (``StripeParams.stripe_size``).  An I/O daemon's
 # stripe file grows one stripe unit at a time, so a larger chunk would mostly
@@ -105,25 +103,3 @@ class ByteStore:
 
     def __repr__(self) -> str:
         return f"<ByteStore files={len(self._files)} chunk={self.chunk_size}>"
-
-
-class NullByteStore(ByteStore):
-    """Timing-only store: writes vanish, reads return zeros.
-
-    Keeps the byte counters so request accounting still works.
-    """
-
-    def write(self, file_id: Hashable, regions: RegionList, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.uint8)
-        if data.ndim != 1 or data.size != regions.total_bytes:
-            raise StorageError(
-                f"data size {data.size} does not match region volume {regions.total_bytes}"
-            )
-        self.bytes_written += int(regions.total_bytes)
-
-    def read(self, file_id: Hashable, regions: RegionList) -> np.ndarray:
-        self.bytes_read += int(regions.total_bytes)
-        return np.zeros(regions.total_bytes, dtype=np.uint8)
-
-    def __repr__(self) -> str:
-        return "<NullByteStore>"

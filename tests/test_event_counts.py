@@ -10,17 +10,25 @@ unit and once with 5,368-byte regions (a third of which straddle a unit
 boundary, like figure 9's paper-scale multiple-I/O anchor), the faulty
 run of an R=2 failover read, the four timing-only chaos scenarios on the
 artificial and tiled benchmarks, and figure 18's independent and
-collective MPI-IO points.  A change that alters them on purpose (a DES
-fidelity fix) re-records this table and says why.
+collective MPI-IO points.  The two-phase engine is also pinned with
+several collective-buffer rounds and with fewer aggregators than ranks,
+through both of its front ends (the ``twophase`` method and MPI-IO's
+``write_at_all``/``read_at_all``).  A change that alters them on purpose
+(a DES fidelity fix) re-records this table and says why.
 """
 
 import pytest
 
+from repro.config import ClusterConfig
+from repro.datatypes import BYTE, Contiguous, Resized
 from repro.experiments.chaos import run_failover_scenario, run_scenario
 from repro.experiments.collective import _mpiio_point
 from repro.experiments.harness import des_point
 from repro.experiments.presets import SMOKE
+from repro.mpi import Communicator
+from repro.mpiio import open_one
 from repro.patterns import one_dim_cyclic
+from repro.pvfs import Cluster
 
 PATTERNS = {
     "aligned": (1 << 20, 4, 256),  # 1,024-byte regions
@@ -117,3 +125,54 @@ def test_chaos_scenario_schedules_the_pinned_events(scenario, workload, pinned):
 def test_mpiio_point_schedules_the_pinned_events(collective, events, elapsed):
     point = _mpiio_point(SMOKE, 2, collective)
     assert (point.sim_events, point.elapsed) == (events, elapsed)
+
+
+# (kind, method_opts, sim_events, elapsed) of a two-phase point on the
+# aligned pattern: several rounds, two of four ranks aggregating, and both
+TWOPHASE_PINS = [
+    ("read", {"cb_buffer": 64 << 10}, 1206, 0.09472264000000002),
+    ("read", {"cb_nodes": 2}, 396, 0.12121749999999998),
+    ("read", {"cb_nodes": 2, "cb_buffer": 16 << 10}, 2050, 0.29769791999999934),
+    ("write", {"cb_buffer": 64 << 10}, 1123, 0.2563901600000001),
+    ("write", {"cb_nodes": 2}, 349, 0.1434838200000001),
+    ("write", {"cb_nodes": 2, "cb_buffer": 16 << 10}, 2351, 1.5681959400000034),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, opts, events, elapsed",
+    TWOPHASE_PINS,
+    ids=[
+        f"{k}-" + "-".join(f"{o}{v}" for o, v in opts.items())
+        for k, opts, _e, _t in TWOPHASE_PINS
+    ],
+)
+def test_twophase_rounds_and_aggregators_schedule_the_pinned_events(kind, opts, events, elapsed):
+    point = des_point(one_dim_cyclic(*PATTERNS["aligned"]), "twophase", kind, method_opts=opts)
+    assert (point.sim_events, point.elapsed) == (events, elapsed)
+
+
+def test_mpiio_point_with_rounds_and_aggregators_schedules_the_pinned_events():
+    point = _mpiio_point(SMOKE, 4, True, cb_nodes=2, cb_buffer=4096)
+    assert (point.sim_events, point.elapsed) == (188, 0.05170077999999999)
+
+
+def test_mpiio_write_then_read_at_all_schedules_the_pinned_events():
+    """Figure 18's view (512-byte chunks, 24 per rank) written and read back
+    collectively by 4 ranks, two of them aggregating, in 4 KiB rounds."""
+    n, chunk, nbytes = 4, 512, 24 * 512
+    with Cluster.build(ClusterConfig.chiba_city(n_clients=n), move_bytes=False) as cluster:
+        comm = Communicator(cluster.sim, n)
+
+        def rank(client):
+            mf = yield from open_one(comm, client, "/rw", cb_nodes=2, cb_buffer=4096)
+            mf.set_view(
+                disp=client.index * chunk,
+                filetype=Resized(Contiguous(BYTE, chunk), chunk * n),
+            )
+            yield from mf.write_at_all(0, None, nbytes=nbytes)
+            yield from mf.read_at_all(0, nbytes)
+            yield from mf.close()
+
+        result = cluster.run_workload(rank)
+        assert (cluster.sim.events_scheduled, result.elapsed) == (1049, 0.3717036799999993)

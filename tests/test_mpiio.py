@@ -64,17 +64,6 @@ class TestFileView:
         assert FileView().regions_for(5, 0).count == 0
 
 
-def run_ranks(cluster, body):
-    """Run `body(client, shared)` on every client; returns client_returns."""
-    shared = {}
-
-    def wl(client):
-        result = yield from body(client, shared)
-        return result
-
-    return cluster.run_workload(wl).client_returns
-
-
 class TestIndependentIO:
     def test_read_write_roundtrip_with_view(self):
         from repro.datatypes import Resized
@@ -85,9 +74,9 @@ class TestIndependentIO:
         payloads = [np.full(64, r + 1, np.uint8) for r in range(2)]
         outs = [None, None]
 
-        def body(client, shared):
+        def body(client):
             r = client.index
-            mf = yield from open_one(comm, client, "/v", shared)
+            mf = yield from open_one(comm, client, "/v")
             mf.set_view(
                 disp=r * 4, filetype=Resized(Contiguous(BYTE, 4), 8)
             )
@@ -95,7 +84,7 @@ class TestIndependentIO:
             outs[r] = yield from mf.read_at(0, 64)
             yield from mf.close()
 
-        run_ranks(cluster, body)
+        cluster.run_workload(body)
         for r in range(2):
             np.testing.assert_array_equal(outs[r], payloads[r])
 
@@ -105,14 +94,14 @@ class TestIndependentIO:
         cluster = make_cluster(n_clients=2)
         comm = Communicator(cluster.sim, 2)
 
-        def body(client, shared):
+        def body(client):
             r = client.index
-            mf = yield from open_one(comm, client, "/i", shared)
+            mf = yield from open_one(comm, client, "/i")
             mf.set_view(disp=r * 2, filetype=Resized(Contiguous(BYTE, 2), 4))
             yield from mf.write_at(0, np.full(8, r + 1, np.uint8))
             yield from mf.close()
 
-        run_ranks(cluster, body)
+        cluster.run_workload(body)
 
         def check(client):
             f = yield from client.open("/i")
@@ -134,7 +123,6 @@ class TestMemoryDatatypes:
 
         cluster = make_cluster(n_clients=1)
         comm = Communicator(cluster.sim, 1)
-        shared = {}
         # memory: 4 data bytes every 12; file: 4 visible bytes every 8
         mem_t = Resized(Contiguous(BYTE, 4), 12)
         buf = np.zeros(12 * 16, np.uint8)
@@ -142,7 +130,7 @@ class TestMemoryDatatypes:
         out = np.zeros_like(buf)
 
         def wl(client):
-            mf = yield from open_one(comm, client, "/md", shared)
+            mf = yield from open_one(comm, client, "/md")
             mf.set_view(filetype=Resized(Contiguous(BYTE, 4), 8))
             yield from mf.write_at(0, src, mem_datatype=mem_t, count=16)
             yield from mf.read_at(0, memory=out, mem_datatype=mem_t, count=16)
@@ -161,11 +149,10 @@ class TestMemoryDatatypes:
 
         cluster = make_cluster(n_clients=1)
         comm = Communicator(cluster.sim, 1)
-        shared = {}
         mem_t = Resized(Contiguous(BYTE, 2), 4)  # 2 data, 2 gap
 
         def wl(client):
-            mf = yield from open_one(comm, client, "/mg", shared)
+            mf = yield from open_one(comm, client, "/mg")
             src = np.array([1, 2, 99, 99, 3, 4, 99, 99], np.uint8)
             yield from mf.write_at(0, src, mem_datatype=mem_t, count=2)
             got = yield from mf.read_at(0, 4)
@@ -187,9 +174,9 @@ class TestCollectiveWrite:
         piece = 8
         reps = 16
 
-        def body(client, shared):
+        def body(client):
             r = client.index
-            mf = yield from open_one(comm, client, "/coll", shared)
+            mf = yield from open_one(comm, client, "/coll")
             mf.set_view(
                 disp=r * piece,
                 filetype=Resized(Contiguous(BYTE, piece), piece * n_ranks),
@@ -198,12 +185,7 @@ class TestCollectiveWrite:
             yield from mf.write_at_all(0, payload)
             yield from mf.close()
 
-        shared = {}
-
-        def wl(client):
-            yield from body(client, shared)
-
-        cluster.run_workload(wl)
+        cluster.run_workload(body)
 
         def check(client):
             f = yield from client.open("/coll")
@@ -233,11 +215,10 @@ class TestCollectiveWrite:
         def run(collective):
             cluster = make_cluster(n_clients=n_ranks)
             comm = Communicator(cluster.sim, n_ranks)
-            shared = {}
 
             def wl(client):
                 r = client.index
-                mf = yield from open_one(comm, client, "/c2", shared)
+                mf = yield from open_one(comm, client, "/c2")
                 mf.set_view(
                     disp=r * piece,
                     filetype=Resized(Contiguous(BYTE, piece), piece * n_ranks),
@@ -267,12 +248,11 @@ class TestCollectiveWrite:
         n_ranks, piece, reps = 4, 8, 8
         cluster = make_cluster(n_clients=n_ranks)
         comm = Communicator(cluster.sim, n_ranks)
-        shared = {}
 
         def wl(client):
             r = client.index
             mf = yield from open_one(
-                comm, client, "/cb", shared, cb_nodes=cb_nodes
+                comm, client, "/cb", cb_nodes=cb_nodes
             )
             mf.set_view(
                 disp=r * piece,
@@ -298,11 +278,10 @@ class TestCollectiveWrite:
     def test_cb_nodes_validated(self):
         cluster = make_cluster(n_clients=2)
         comm = Communicator(cluster.sim, 2)
-        shared = {}
 
         def wl(client):
             try:
-                yield from open_one(comm, client, "/bad", shared, cb_nodes=5)
+                yield from open_one(comm, client, "/bad", cb_nodes=5)
             except Exception as e:
                 return type(e).__name__
 
@@ -312,10 +291,9 @@ class TestCollectiveWrite:
     def test_rank_with_empty_contribution(self):
         cluster = make_cluster(n_clients=2)
         comm = Communicator(cluster.sim, 2)
-        shared = {}
 
         def wl(client):
-            mf = yield from open_one(comm, client, "/e", shared)
+            mf = yield from open_one(comm, client, "/e")
             if client.index == 0:
                 yield from mf.write_at_all(0, np.full(32, 7, np.uint8))
             else:
@@ -351,11 +329,10 @@ class TestCollectiveRead:
 
         cluster.run_workload(prefill, clients=[0])
         outs = [None] * n_ranks
-        shared = {}
 
         def wl(client):
             r = client.index
-            mf = yield from open_one(comm, client, "/cr", shared)
+            mf = yield from open_one(comm, client, "/cr")
             mf.set_view(
                 disp=r * piece,
                 filetype=Resized(Contiguous(BYTE, piece), piece * n_ranks),
@@ -387,11 +364,10 @@ class TestCollectiveRead:
 
         cluster.run_workload(prefill, clients=[0])
         results = {}
-        shared = {}
 
         def wl(client):
             r = client.index
-            mf = yield from open_one(comm, client, "/cmp", shared)
+            mf = yield from open_one(comm, client, "/cmp")
             mf.set_view(disp=r * 4, filetype=Resized(Contiguous(BYTE, 4), 8))
             a = yield from mf.read_at(0, 64)
             b = yield from mf.read_at_all(0, 64)
@@ -452,10 +428,9 @@ class TestErrors:
     def test_repr(self):
         cluster = make_cluster(n_clients=1)
         comm = Communicator(cluster.sim, 1)
-        shared = {}
 
         def wl(client):
-            mf = yield from open_one(comm, client, "/r", shared)
+            mf = yield from open_one(comm, client, "/r")
             yield from mf.close()
             return repr(mf)
 

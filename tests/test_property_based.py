@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, StripeParams
+from repro.core.hybrid import cluster_extents
 from repro.regions import (
     RegionList,
     _merge_pieces,
@@ -13,6 +14,7 @@ from repro.regions import (
     pair_pieces,
     scatter_runs,
     split_with_parents,
+    stream_positions,
 )
 from repro.pvfs.striping import map_regions
 from repro.simulate import Resource, Simulator
@@ -250,6 +252,33 @@ class TestRunCopyProperties:
         want = np.zeros(size, np.uint8)
         want[build_flat_indices(offsets, lengths)] = stream
         np.testing.assert_array_equal(got, want)
+
+
+class TestStreamPositions:
+    """stream_positions against a per-byte map from file offset to the
+    position of that byte in the stream of a sorted, disjoint list."""
+
+    @staticmethod
+    def _check(regions: RegionList, pieces: RegionList) -> None:
+        where = np.full(int(regions.ends.max()) + 1, -1, np.int64)
+        where[build_flat_indices(regions.offsets, regions.lengths)] = np.arange(
+            regions.total_bytes
+        )
+        got = stream_positions(regions, pieces)
+        assert got.dtype == np.int64 and got.shape == (pieces.count,)
+        np.testing.assert_array_equal(
+            build_flat_indices(got, pieces.lengths),
+            where[build_flat_indices(pieces.offsets, pieces.lengths)],
+        )
+
+    @given(disjoint_sorted_lists(), st.integers(0, 6000), st.integers(0, 6000))
+    def test_clipped_pieces(self, regions, a, b):
+        a, b = min(a, b), max(a, b)
+        self._check(regions, regions.clip(a, b))
+
+    @given(disjoint_sorted_lists(), st.integers(0, 400))
+    def test_regions_inside_their_clusters(self, regions, gap):
+        self._check(cluster_extents(regions, gap), regions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Tests for ByteStore / NullByteStore."""
+"""Tests for ByteStore."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
 from repro.regions import RegionList
-from repro.storage import ByteStore, NullByteStore
+from repro.storage import ByteStore
 
 
 class TestByteStore:
@@ -87,18 +87,3 @@ class TestByteStore:
     def test_bad_chunk_size(self):
         with pytest.raises(StorageError):
             ByteStore(chunk_size=0)
-
-
-class TestNullByteStore:
-    def test_reads_zeros_and_counts(self):
-        store = NullByteStore()
-        store.write("f", RegionList.single(0, 4), np.full(4, 9, np.uint8))
-        out = store.read("f", RegionList.single(0, 4))
-        assert (out == 0).all()
-        assert store.bytes_written == 4
-        assert store.bytes_read == 4
-
-    def test_still_validates_sizes(self):
-        store = NullByteStore()
-        with pytest.raises(StorageError):
-            store.write("f", RegionList.single(0, 4), np.zeros(5, np.uint8))

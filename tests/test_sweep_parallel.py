@@ -16,7 +16,7 @@ the worker-process path, not just the serial one.
 from repro.config import ClusterConfig
 from repro.faults import FaultConfig, FaultPlan, Straggler
 from repro.obs import ObsSession
-from repro.sweep import ChaosSpec, PointSpec, ResultCache, run_sweep
+from repro.sweep import ChaosSpec, MpiioSpec, PointSpec, ResultCache, run_sweep
 from repro.units import MiB
 
 from .test_faults import RETRY
@@ -61,15 +61,46 @@ def _specs():
     return specs
 
 
+def _collective_specs():
+    """Collective points: figure 18's MPI-IO collective in 4 KiB rounds, and
+    a two-phase read and write in 64 KiB rounds.  (Not in ``_specs``: an
+    ``MpiioSpec`` has no ``series``, ``method`` or ``x``.)"""
+    from repro.experiments.presets import SMOKE
+
+    cfg = ClusterConfig.chiba_city(n_clients=2)
+    twophase = [
+        PointSpec(
+            figure="figP",
+            pattern="one_dim_cyclic",
+            pattern_args=(1 * MiB, 2, 8),
+            method="twophase",
+            kind=kind,
+            mode="des",
+            cfg=cfg,
+            x=8,
+            opts=(("cb_buffer", 65536),),
+        )
+        for kind in ("read", "write")
+    ]
+    return [MpiioSpec(scale=SMOKE, n_ranks=2, collective=True, cb_buffer=4096), *twophase]
+
+
+def _assert_parallel_matches_serial(specs, jobs):
+    serial, s_stats = run_sweep(specs, jobs=1)
+    parallel, p_stats = run_sweep(specs, jobs=jobs)
+    # dataclass equality: every field of every point, exact floats
+    assert parallel == serial
+    assert s_stats.executed == p_stats.executed == len(specs)
+    return p_stats
+
+
 class TestParallelDeterminism:
     def test_jobs4_bit_identical_to_jobs1(self):
-        specs = _specs()
-        serial, s_stats = run_sweep(specs, jobs=1)
-        parallel, p_stats = run_sweep(specs, jobs=4)
-        # dataclass equality: every field of every point, exact floats
-        assert parallel == serial
-        assert s_stats.executed == p_stats.executed == len(specs)
+        p_stats = _assert_parallel_matches_serial(_specs(), jobs=4)
         assert len(p_stats.per_worker) > 1  # genuinely fanned out
+
+    def test_collective_points_jobs2_bit_identical_to_jobs1(self):
+        _assert_parallel_matches_serial(_collective_specs(), jobs=2)
 
     def test_results_come_back_in_spec_order(self):
         specs = _specs()

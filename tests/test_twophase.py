@@ -48,7 +48,6 @@ def _run_write(method_name, rank_regions, opts=None):
     method = METHODS[method_name](**(opts or {}))
     collective = getattr(method, "collective", False)
     comm = Communicator(cluster.sim, n) if collective else None
-    shared = {}
 
     def workload(client):
         file_regions = rank_regions[client.index]
@@ -58,7 +57,7 @@ def _run_write(method_name, rank_regions, opts=None):
         f = yield from client.open("/x", create=True)
         if collective:
             yield from method.collective_write(
-                comm, client.index, shared, f, mem, mem_regions, file_regions
+                comm, client.index, f, mem, mem_regions, file_regions
             )
         else:
             yield from method.write(f, mem, mem_regions, file_regions)
@@ -92,7 +91,6 @@ def _run_read(method_name, rank_regions, opts=None):
     method = METHODS[method_name](**(opts or {}))
     collective = getattr(method, "collective", False)
     comm = Communicator(cluster.sim, n) if collective else None
-    shared = {}
     got = {}
 
     def workload(client):
@@ -106,7 +104,7 @@ def _run_read(method_name, rank_regions, opts=None):
         got[client.index] = (wmem, mem, mem_regions)
         if collective:
             yield from method.collective_read(
-                comm, client.index, shared, f, mem, mem_regions, file_regions
+                comm, client.index, f, mem, mem_regions, file_regions
             )
         else:
             yield from method.read(f, mem, mem_regions, file_regions)

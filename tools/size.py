@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Print the repository's three simplicity counts.
+"""Print the repository's four simplicity counts.
 
 * ``src lines``: every line of ``src/**/*.py`` (as ``wc -l`` counts them);
 * ``add_argument calls``: the command-line options ``src/`` declares,
   counted as ``add_argument(...)`` calls in the parsed code (comments and
   docstrings do not count);
 * ``ClusterConfig leaves``: every dataclass field of a default
-  ``ClusterConfig``, recursively, with a ``FaultPlan`` counted as one value.
+  ``ClusterConfig``, recursively, with a ``FaultPlan`` counted as one value;
+* ``exported names``: the entries of ``__all__`` in every package's
+  ``__init__.py`` under ``src/`` (the public API a package offers).
 
 Usage::
 
@@ -48,11 +50,22 @@ def config_leaves(src: Path) -> int:
     return leaves(ClusterConfig())
 
 
+def exported_names(src: Path) -> int:
+    return sum(
+        len(node.value.elts)
+        for p in src.rglob("__init__.py")
+        for node in ast.parse(p.read_text(), filename=str(p)).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+
+
 def main() -> int:
     src = Path(__file__).resolve().parent.parent / "src"
     print(f"src lines            {src_lines(src):6d}")
     print(f"add_argument calls   {add_argument_calls(src):6d}")
     print(f"ClusterConfig leaves {config_leaves(src):6d}")
+    print(f"exported names       {exported_names(src):6d}")
     return 0
 
 
