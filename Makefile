@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-out bench bench-compare bench-pytest digests \
-	profile lint size figures figures-paper examples clean
+	profile lint size traffic figures figures-paper examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -70,6 +70,12 @@ lint:
 # exported names
 size:
 	$(PYTHON) tools/size.py
+
+# every function of src/repro that no traffic (a perfbench pass per workload,
+# the figure, chaos and bench front ends, the examples) calls, with its line
+# count and a total; a report for deletion candidates, not a gate (~1 min)
+traffic:
+	$(PYTHON) tools/traffic.py
 
 # regenerate every figure from the paper's evaluation
 figures:

@@ -3,7 +3,7 @@
 
 The paper's closing line of future work — describing noncontiguous access
 with MPI datatypes — is where parallel I/O actually went: applications set
-a *file view* (displacement + etype + filetype) and call collective
+a *file view* (displacement + filetype) and call collective
 read/write, and the MPI-IO layer (ROMIO) turns interleaved per-rank
 accesses into a few large streaming requests via two-phase I/O.
 

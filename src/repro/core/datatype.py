@@ -13,8 +13,7 @@ cost (they must build the iovec either way); what disappears is the
 per-request overhead and the trailing-data volume — exactly the drawback
 of list I/O that the paper calls out.
 
-Irregular patterns are rejected by default; with ``fallback=True`` they
-degrade to plain list I/O.
+Irregular patterns are rejected with :class:`~repro.errors.RegionError`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from ..errors import RegionError
 from ..regions import RegionList
 from ..pvfs.client import PVFSFile
 from .base import AccessMethod, validate_transfer
-from .listio import ListIO
 
 __all__ = ["VectorIO", "as_vector"]
 
@@ -57,35 +55,23 @@ def as_vector(regions: RegionList) -> Optional[Tuple[int, int, int, int]]:
     return (int(r.offsets[0]), r.count, blocklen, int(strides[0]))
 
 
+def _require_vector(file_regions: RegionList) -> None:
+    if as_vector(file_regions) is None:
+        raise RegionError(
+            "VectorIO requires a regular (constant length, constant stride) "
+            "file access pattern"
+        )
+
+
 class VectorIO(AccessMethod):
     """One-request noncontiguous access for strided patterns."""
 
     name = "vector"
 
-    def __init__(self, fallback: bool = False) -> None:
-        #: When True, irregular patterns fall back to list I/O instead of
-        #: raising.
-        self.fallback = fallback
-        self._list = ListIO()
-
-    def _vector_or_fallback(self, file_regions: RegionList):
-        vec = as_vector(file_regions)
-        if vec is None and not self.fallback:
-            raise RegionError(
-                "VectorIO requires a regular (constant length, constant "
-                "stride) file access pattern; use fallback=True to degrade "
-                "to list I/O"
-            )
-        return vec
-
     def read(self, f: PVFSFile, memory, mem_regions, file_regions):
         validate_transfer(memory, mem_regions, file_regions)
-        if self._vector_or_fallback(file_regions) is None:
-            yield from self._list.read(f, memory, mem_regions, file_regions)
-            return
-        stream = yield from f.read_described(
-            file_regions, descriptor_slots=VECTOR_DESCRIPTOR_SLOTS
-        )
+        _require_vector(file_regions)
+        stream = yield from f.read_list(file_regions, descriptor_slots=VECTOR_DESCRIPTOR_SLOTS)
         unpack = self._memcpy_time(f, file_regions.total_bytes)
         if unpack > 0:
             yield f.client.sim.timeout(unpack)
@@ -93,13 +79,9 @@ class VectorIO(AccessMethod):
 
     def write(self, f: PVFSFile, memory, mem_regions, file_regions):
         validate_transfer(memory, mem_regions, file_regions)
-        if self._vector_or_fallback(file_regions) is None:
-            yield from self._list.write(f, memory, mem_regions, file_regions)
-            return
+        _require_vector(file_regions)
         stream = self._gather_memory(memory, mem_regions)
         pack = self._memcpy_time(f, file_regions.total_bytes)
         if pack > 0:
             yield f.client.sim.timeout(pack)
-        yield from f.write_described(
-            file_regions, stream, descriptor_slots=VECTOR_DESCRIPTOR_SLOTS
-        )
+        yield from f.write_list(file_regions, stream, descriptor_slots=VECTOR_DESCRIPTOR_SLOTS)

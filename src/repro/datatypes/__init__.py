@@ -1,41 +1,12 @@
 """MPI-style derived datatypes (flattened to region lists, ROMIO-style)."""
 
-from .base import (
-    BYTE,
-    CHAR,
-    DOUBLE,
-    FLOAT,
-    INT,
-    SHORT,
-    Contiguous,
-    Datatype,
-    DatatypeError,
-    HIndexed,
-    HVector,
-    Indexed,
-    Predefined,
-    Resized,
-    Struct,
-    Subarray,
-    Vector,
-)
+from .base import BYTE, Contiguous, Datatype, DatatypeError, Predefined, Resized
 
 __all__ = [
     "Datatype",
     "DatatypeError",
     "Predefined",
     "BYTE",
-    "CHAR",
-    "SHORT",
-    "INT",
-    "FLOAT",
-    "DOUBLE",
     "Contiguous",
-    "Vector",
-    "HVector",
-    "Indexed",
-    "HIndexed",
-    "Struct",
-    "Subarray",
     "Resized",
 ]

@@ -8,50 +8,28 @@ byte regions within its extent — and flattening a ``count`` of them at a
 ``displacement`` yields the :class:`~repro.regions.RegionList` the rest of
 pvfs-sim consumes.
 
-Supported constructors mirror MPI's:
+The constructors are the ones MPI-IO file views here are built from:
 
-* predefined types (:data:`BYTE`, :data:`INT`, :data:`DOUBLE`, ...)
-* :class:`Contiguous`  — ``MPI_Type_contiguous``
-* :class:`Vector` / :class:`HVector` — ``MPI_Type_vector`` (element /
-  byte strides)
-* :class:`Indexed` / :class:`HIndexed` — ``MPI_Type_indexed``
-* :class:`Struct` — ``MPI_Type_create_struct``
-* :class:`Subarray` — ``MPI_Type_create_subarray`` (C order)
+* :data:`BYTE`, the predefined byte (:class:`Predefined` names others)
+* :class:`Contiguous` — ``MPI_Type_contiguous``
 * :class:`Resized` — ``MPI_Type_create_resized``
 
-Types are immutable and compose arbitrarily; flattening is fully
-vectorized (numpy broadcasting over the component typemap) and coalesces
-adjacent regions, matching ROMIO's flattened representation.
+``Resized(Contiguous(BYTE, chunk), chunk * ranks)`` is figure 18's
+interleaved checkpoint view.  Types are immutable and compose;
+flattening is vectorized (numpy broadcasting over the component typemap)
+and coalesces adjacent regions, matching ROMIO's flattened representation.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import ReproError
 from ..regions import RegionList
 
-__all__ = [
-    "DatatypeError",
-    "Datatype",
-    "Predefined",
-    "BYTE",
-    "CHAR",
-    "SHORT",
-    "INT",
-    "FLOAT",
-    "DOUBLE",
-    "Contiguous",
-    "Vector",
-    "HVector",
-    "Indexed",
-    "HIndexed",
-    "Struct",
-    "Subarray",
-    "Resized",
-]
+__all__ = ["DatatypeError", "Datatype", "Predefined", "BYTE", "Contiguous", "Resized"]
 
 
 class DatatypeError(ReproError):
@@ -109,17 +87,6 @@ class Datatype:
         all_len = np.broadcast_to(ln, (count, ln.size)).ravel()
         return RegionList(all_off, all_len).coalesced()
 
-    def contiguous(self, count: int) -> "Contiguous":
-        return Contiguous(self, count)
-
-    def __mul__(self, count: int) -> "Contiguous":
-        return Contiguous(self, count)
-
-    @property
-    def density(self) -> float:
-        """Fraction of the extent that is real data."""
-        return self.size / self.extent if self.extent else 1.0
-
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} size={self.size} extent={self.extent} "
@@ -147,11 +114,6 @@ class Predefined(Datatype):
 
 
 BYTE = Predefined("BYTE", 1)
-CHAR = Predefined("CHAR", 1)
-SHORT = Predefined("SHORT", 2)
-INT = Predefined("INT", 4)
-FLOAT = Predefined("FLOAT", 4)
-DOUBLE = Predefined("DOUBLE", 8)
 
 
 class Contiguous(Datatype):
@@ -170,193 +132,6 @@ class Contiguous(Datatype):
     def _typemap(self):
         r = self.base.flatten(self.count)
         return (r.offsets, r.lengths)
-
-
-class HVector(Datatype):
-    """``count`` blocks of ``blocklength`` base elements, ``stride``
-    **bytes** apart (``MPI_Type_create_hvector``)."""
-
-    __slots__ = ("base", "count", "blocklength", "stride", "size", "extent")
-
-    def __init__(self, base: Datatype, count: int, blocklength: int, stride: int) -> None:
-        if count < 0 or blocklength < 0:
-            raise DatatypeError("count and blocklength must be non-negative")
-        if count > 1 and stride < blocklength * base.extent:
-            raise DatatypeError("stride would overlap consecutive blocks")
-        self.base = base
-        self.count = count
-        self.blocklength = blocklength
-        self.stride = stride
-        self.size = base.size * blocklength * count
-        if count == 0 or blocklength == 0:
-            self.extent = 0
-        else:
-            self.extent = stride * (count - 1) + blocklength * base.extent
-
-    def _typemap(self):
-        block = self.base.flatten(self.blocklength)
-        starts = self.stride * np.arange(self.count, dtype=np.int64)
-        off = (starts[:, None] + block.offsets[None, :]).ravel()
-        ln = np.broadcast_to(block.lengths, (self.count, block.lengths.size)).ravel()
-        return off, ln
-
-
-class Vector(HVector):
-    """``MPI_Type_vector``: stride counted in base-type *elements*."""
-
-    __slots__ = ()
-
-    def __init__(self, base: Datatype, count: int, blocklength: int, stride: int) -> None:
-        super().__init__(base, count, blocklength, stride * base.extent)
-
-
-class HIndexed(Datatype):
-    """Blocks of varying length at explicit **byte** displacements
-    (``MPI_Type_create_hindexed``)."""
-
-    __slots__ = ("base", "blocklengths", "displacements", "size", "extent")
-
-    def __init__(
-        self,
-        base: Datatype,
-        blocklengths: Sequence[int],
-        displacements: Sequence[int],
-    ) -> None:
-        bl = np.asarray(blocklengths, dtype=np.int64)
-        dp = np.asarray(displacements, dtype=np.int64)
-        if bl.shape != dp.shape or bl.ndim != 1:
-            raise DatatypeError("blocklengths and displacements must be equal-length 1-D")
-        if bl.size and (bl < 0).any():
-            raise DatatypeError("blocklengths must be non-negative")
-        if dp.size and (dp < 0).any():
-            raise DatatypeError("displacements must be non-negative")
-        self.base = base
-        self.blocklengths = bl
-        self.displacements = dp
-        self.size = int(bl.sum()) * base.size
-        ends = dp + bl * base.extent
-        self.extent = int(ends.max()) if ends.size else 0
-
-    def _typemap(self):
-        offs = []
-        lens = []
-        for bl, dp in zip(self.blocklengths.tolist(), self.displacements.tolist()):
-            r = self.base.flatten(bl, displacement=dp)
-            offs.append(r.offsets)
-            lens.append(r.lengths)
-        if not offs:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return np.concatenate(offs), np.concatenate(lens)
-
-
-class Indexed(HIndexed):
-    """``MPI_Type_indexed``: displacements counted in base elements."""
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        base: Datatype,
-        blocklengths: Sequence[int],
-        displacements: Sequence[int],
-    ) -> None:
-        dp = np.asarray(displacements, dtype=np.int64) * base.extent
-        super().__init__(base, blocklengths, dp)
-
-
-class Struct(Datatype):
-    """Heterogeneous fields at byte displacements
-    (``MPI_Type_create_struct``)."""
-
-    __slots__ = ("fields", "size", "extent")
-
-    def __init__(self, fields: Sequence[Tuple[Datatype, int, int]]) -> None:
-        """``fields`` is a sequence of (datatype, count, byte displacement)."""
-        if not fields:
-            raise DatatypeError("struct needs at least one field")
-        self.fields = tuple(fields)
-        self.size = sum(t.size * c for t, c, _ in self.fields)
-        self.extent = max(d + t.extent * c for t, c, d in self.fields)
-
-    def _typemap(self):
-        offs, lens = [], []
-        for t, c, d in self.fields:
-            r = t.flatten(c, displacement=d)
-            offs.append(r.offsets)
-            lens.append(r.lengths)
-        return np.concatenate(offs), np.concatenate(lens)
-
-
-class Subarray(Datatype):
-    """An n-dimensional sub-block of an n-dimensional array, C order
-    (``MPI_Type_create_subarray``) — the natural description of the
-    paper's block-block pattern and FLASH inner blocks."""
-
-    __slots__ = ("shape", "subsizes", "starts", "base", "size", "extent")
-
-    def __init__(
-        self,
-        shape: Sequence[int],
-        subsizes: Sequence[int],
-        starts: Sequence[int],
-        base: Datatype = BYTE,
-    ) -> None:
-        shape = tuple(int(s) for s in shape)
-        subsizes = tuple(int(s) for s in subsizes)
-        starts = tuple(int(s) for s in starts)
-        if not (len(shape) == len(subsizes) == len(starts)) or not shape:
-            raise DatatypeError("shape, subsizes, starts must be equal-rank and non-empty")
-        for dim, (n, sub, st) in enumerate(zip(shape, subsizes, starts)):
-            if n <= 0 or sub <= 0 or st < 0 or st + sub > n:
-                raise DatatypeError(
-                    f"dimension {dim}: subarray [{st}, {st + sub}) outside [0, {n})"
-                )
-        if base.region_count != 1:
-            raise DatatypeError(
-                "subarray base type must hold one contiguous data block "
-                "(its extent may exceed its size, e.g. a Resized element)"
-            )
-        self.shape = shape
-        self.subsizes = subsizes
-        self.starts = starts
-        self.base = base
-        n_elems = int(np.prod(subsizes))
-        self.size = n_elems * base.size
-        self.extent = int(np.prod(shape)) * base.extent
-
-    def _typemap(self):
-        eb = self.base.extent  # element stride in bytes
-        data = self.base.size  # data bytes per element
-        data_off = int(self.base.typemap()[0][0])  # data offset within element
-        lead_sub = self.subsizes[:-1]
-        lead_start = self.starts[:-1]
-        if lead_sub:
-            grids = np.meshgrid(
-                *[
-                    s + np.arange(n, dtype=np.int64)
-                    for s, n in zip(lead_start, lead_sub)
-                ],
-                indexing="ij",
-            )
-            # linear element index of each row start in the full array
-            lin = np.zeros_like(grids[0])
-            for dim, g in enumerate(grids):
-                stride = int(np.prod(self.shape[dim + 1 :]))
-                lin = lin + g * stride
-            row_starts = lin.ravel() + self.starts[-1]
-        else:
-            row_starts = np.array([self.starts[-1]], dtype=np.int64)
-        if data == eb:
-            # contiguous elements: one run per row
-            off = row_starts * eb
-            ln = np.full(off.size, self.subsizes[-1] * eb, dtype=np.int64)
-            return off.astype(np.int64), ln
-        # strided elements (e.g. a Resized double inside an interleaved
-        # variable record): one region per element
-        within = np.arange(self.subsizes[-1], dtype=np.int64) * eb
-        off = (row_starts[:, None] * eb + within[None, :]).ravel() + data_off
-        ln = np.full(off.size, data, dtype=np.int64)
-        return off.astype(np.int64), ln
 
 
 class Resized(Datatype):

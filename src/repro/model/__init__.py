@@ -2,7 +2,7 @@
 
 from .plan import RankPlan, compile_rank_plan
 from .predict import Prediction, predict_pattern, predict_plans
-from .twophase import crossover_point, predict_twophase
+from .twophase import predict_twophase
 
 __all__ = [
     "RankPlan",
@@ -11,5 +11,4 @@ __all__ = [
     "predict_pattern",
     "predict_plans",
     "predict_twophase",
-    "crossover_point",
 ]

@@ -14,13 +14,12 @@ exchange phases are charged as a separate per-rank critical path:
 
 whose maximum across ranks becomes :attr:`Prediction.exchange_bound`.
 The predicted elapsed time is ``exchange_bound + file phase``, which the
-test suite cross-validates against the discrete-event simulator and the
-crossover studies use to predict where two-phase overtakes list I/O.
+test suite cross-validates against the discrete-event simulator.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from ..regions import RegionList
 from .plan import RankPlan
 from .predict import Prediction, _wire, predict_plans
 
-__all__ = ["predict_twophase", "crossover_point"]
+__all__ = ["predict_twophase"]
 
 
 def _aggregator_regions(
@@ -161,13 +160,3 @@ def predict_twophase(
         exchange_bound=exchange_bound,
     )
 
-
-def crossover_point(
-    xs: Sequence[float], twophase: Sequence[float], other: Sequence[float]
-) -> Optional[float]:
-    """First sweep coordinate where two-phase beats ``other`` (None if it
-    never does)."""
-    for x, a, b in zip(xs, twophase, other):
-        if a < b:
-            return x
-    return None

@@ -1,4 +1,4 @@
-"""Simulated MPI substrate (barrier / bcast / gather over the DES kernel)."""
+"""Simulated MPI substrate (a barrier and the collective-call rendezvous)."""
 
 from .comm import Communicator
 

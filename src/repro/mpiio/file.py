@@ -1,8 +1,9 @@
 """MPI-IO on top of simulated PVFS: independent and two-phase collective I/O.
 
 This is the ROMIO layer the paper positions itself under (references [11]
-and [12]): applications describe noncontiguous access with MPI datatypes
-and file views, and the library turns them into file-system requests.
+and [12]): applications describe noncontiguous file access with views
+built from MPI datatypes, and the library turns them into file-system
+requests.
 
 * **Independent** operations (:meth:`MPIFile.read_at` /
   :meth:`MPIFile.write_at`) flatten the view and go straight through PVFS
@@ -33,7 +34,6 @@ import numpy as np
 from ..datatypes import BYTE, Datatype
 from ..mpi import Communicator
 from ..pvfs.client import PVFSFile
-from ..regions import gather_runs, scatter_runs
 from .twophase import MPIIOError, collective_read, collective_write, select_aggregators
 from .view import FileView
 
@@ -68,74 +68,24 @@ class MPIFile:
         self.cb_buffer = cb_buffer
 
     # ------------------------------------------------------------------
-    def set_view(
-        self, disp: int = 0, etype: Datatype = BYTE, filetype: Optional[Datatype] = None
-    ) -> None:
+    def set_view(self, disp: int = 0, filetype: Datatype = BYTE) -> None:
         """Install a view.  Purely local (ROMIO flattens lazily), so this
         is a plain call, not a simulation process."""
-        self.view = FileView(disp=disp, etype=etype, filetype=filetype or etype)
-
-    @property
-    def _client(self):
-        return self.f.client
+        self.view = FileView(disp=disp, filetype=filetype)
 
     # ------------------------------------------------------------------
     # Independent operations
     # ------------------------------------------------------------------
-    def read_at(
-        self,
-        offset: int,
-        nbytes: Optional[int] = None,
-        *,
-        memory: Optional[np.ndarray] = None,
-        mem_datatype: Optional[Datatype] = None,
-        count: int = 1,
-    ):
-        """Independent read (process).
+    def read_at(self, offset: int, nbytes: int):
+        """Independent read (process); returns the packed view stream."""
+        data = yield from self.f.read_list(self.view.regions_for(offset, nbytes))
+        return data
 
-        Two forms, as in MPI:
-
-        * ``read_at(offset, nbytes)`` — returns the packed view stream;
-        * ``read_at(offset, memory=buf, mem_datatype=t, count=k)`` —
-          scatters ``k`` instances of the memory datatype into ``buf``
-          (noncontiguous in memory AND file, the paper's hardest case).
-        """
-        if mem_datatype is not None:
-            mem_regions = mem_datatype.flatten(count)
-            nbytes = mem_regions.total_bytes
-        regions = self.view.regions_for(offset, int(nbytes))
-        data = yield from self.f.read_list(regions)
-        if mem_datatype is None:
-            return data
-        if memory is not None and data is not None:
-            scatter_runs(memory, mem_regions.offsets, mem_regions.lengths, data)
-        yield self._client.sim.timeout(nbytes / self._client.costs.memcpy_rate)
-        return memory
-
-    def write_at(
-        self,
-        offset: int,
-        data: Optional[np.ndarray],
-        nbytes: Optional[int] = None,
-        *,
-        mem_datatype: Optional[Datatype] = None,
-        count: int = 1,
-    ):
-        """Independent write (process).  With ``mem_datatype``, ``data`` is
-        the memory buffer and ``count`` instances are gathered from it;
-        otherwise ``data`` is the packed stream (``None`` needs ``nbytes``)."""
-        if mem_datatype is not None:
-            mem_regions = mem_datatype.flatten(count)
-            n = mem_regions.total_bytes
-            stream = None
-            if data is not None:
-                stream = gather_runs(data, mem_regions.offsets, mem_regions.lengths)
-            yield self._client.sim.timeout(n / self._client.costs.memcpy_rate)
-        else:
-            n = int(data.size if data is not None else nbytes)
-            stream = data
-        regions = self.view.regions_for(offset, n)
-        yield from self.f.write_list(regions, stream)
+    def write_at(self, offset: int, data: Optional[np.ndarray], nbytes: Optional[int] = None):
+        """Independent write (process) of the packed view stream ``data``
+        (``None`` on timing-only clusters, which then need ``nbytes``)."""
+        n = int(data.size if data is not None else nbytes)
+        yield from self.f.write_list(self.view.regions_for(offset, n), data)
 
     # ------------------------------------------------------------------
     # Two-phase collective operations (engine: repro.mpiio.twophase)

@@ -229,6 +229,16 @@ def _ship(f, ex: Exchange, rnd: int, src: int, dst: int, regions, payload, nbyte
     ex.deposit((dst, rnd), src, regions, payload)
 
 
+def _touches(regions: RegionList, lo: int, hi: int) -> bool:
+    """Whether the sorted, disjoint, non-empty ``regions`` hold a byte of
+    ``[lo, hi)``, i.e. ``regions.clip(lo, hi).count > 0`` without the clip:
+    the last region starting before ``hi`` ends after ``lo``."""
+    if lo >= hi:
+        return False
+    i = int(np.searchsorted(regions.offsets, hi)) - 1
+    return i >= 0 and int(regions.offsets[i] + regions.lengths[i]) > lo
+
+
 def _union(pieces: Sequence[RegionList]) -> RegionList:
     """The coalesced union of one or more region lists."""
     offsets = np.concatenate([p.offsets for p in pieces])
@@ -275,7 +285,7 @@ def collective_write(
         windows = [round_window(d, rnd, cb_buffer) for d in domains]
         # -- phase 1: redistribute this round's data to aggregators --
         wa, wb = windows[rank]
-        expected = sum(1 for r in metas.values() if r.clip(wa, wb).count > 0)
+        expected = sum(1 for r in metas.values() if _touches(r, wa, wb))
         arrival = ex.expect((rank, rnd), expected)
         send_procs = []
         for d, (a, b) in enumerate(windows):
@@ -321,7 +331,7 @@ def collective_read(
     for rnd in range(round_count(domains, cb_buffer)):
         windows = [round_window(d, rnd, cb_buffer) for d in domains]
         # how many aggregators will send me data this round?
-        a_mine = sum(1 for (a, b) in windows if regions.clip(a, b).count > 0)
+        a_mine = sum(1 for a, b in windows if _touches(regions, a, b))
         reply_ev = ex.expect((rank, rnd), a_mine)
 
         # -- phase 1: aggregator reads its window --------------------

@@ -1,11 +1,11 @@
 """MPI-IO file views: mapping view-stream positions to file regions.
 
-An MPI-IO view is ``(disp, etype, filetype)``: the visible bytes of the
-file are the data bytes of successive ``filetype`` instances tiled from
-byte ``disp``; offsets are counted in ``etype`` units of that visible
-stream.  ``FileView.regions_for`` turns "``nbytes`` starting at offset
-``off`` etypes" into the file :class:`~repro.regions.RegionList` the PVFS
-client consumes — ROMIO's flattening + indexing, vectorized.
+An MPI-IO view is ``(disp, filetype)``: the visible bytes of the file are
+the data bytes of successive ``filetype`` instances tiled from byte
+``disp``, and offsets count bytes of that visible stream (the etype is
+always a byte).  ``FileView.regions_for`` turns "``nbytes`` starting at
+stream byte ``off``" into the file :class:`~repro.regions.RegionList` the
+PVFS client consumes — ROMIO's flattening + indexing, vectorized.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class FileView:
     """One rank's window onto a file."""
 
     disp: int = 0
-    etype: Datatype = BYTE
     filetype: Datatype = BYTE
 
     def __post_init__(self) -> None:
@@ -31,41 +30,26 @@ class FileView:
             raise DatatypeError("displacement must be non-negative")
         if self.filetype.size == 0:
             raise DatatypeError("filetype must contain data")
-        if self.etype.size == 0:
-            raise DatatypeError("etype must contain data")
-        if self.filetype.size % self.etype.size:
-            raise DatatypeError(
-                f"filetype size {self.filetype.size} is not a multiple of "
-                f"etype size {self.etype.size}"
-            )
 
-    def regions_for(self, offset_etypes: int, nbytes: int) -> RegionList:
-        """File regions of ``nbytes`` of view stream starting at
-        ``offset_etypes`` etype units."""
-        if offset_etypes < 0 or nbytes < 0:
+    def regions_for(self, offset: int, nbytes: int) -> RegionList:
+        """File regions of ``nbytes`` of view stream starting at stream
+        byte ``offset``."""
+        if offset < 0 or nbytes < 0:
             raise DatatypeError("offset and nbytes must be non-negative")
         if nbytes == 0:
             return RegionList.empty()
-        if nbytes % self.etype.size:
-            raise DatatypeError(f"transfer of {nbytes} B is not a whole number of etypes")
-        stream_start = offset_etypes * self.etype.size
         fsize = self.filetype.size
-        first_instance = stream_start // fsize
-        last_instance = (stream_start + nbytes - 1) // fsize
+        first_instance = offset // fsize
+        last_instance = (offset + nbytes - 1) // fsize
         count = last_instance - first_instance + 1
         tiled = self.filetype.flatten(
             count, displacement=self.disp + first_instance * self.filetype.extent
         )
-        skip = stream_start - first_instance * fsize
+        skip = offset - first_instance * fsize
         return tiled.byte_slice(skip, nbytes)
-
-    @property
-    def is_contiguous(self) -> bool:
-        """Whether the view exposes the raw byte stream (default view)."""
-        return self.filetype.region_count == 1 and self.filetype.size == self.filetype.extent
 
     def __repr__(self) -> str:
         return (
-            f"<FileView disp={self.disp} etype={self.etype.size}B "
+            f"<FileView disp={self.disp} "
             f"filetype size={self.filetype.size}/extent={self.filetype.extent}>"
         )

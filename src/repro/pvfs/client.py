@@ -16,7 +16,8 @@ logical I/O request mirrors PVFS:
 
 Requests describing more regions than ``list_io_max_regions`` are broken
 into several logical requests, exactly as the paper's implementation does
-(Section 3.3).
+(Section 3.3); a datatype-described request (``descriptor_slots``) stays
+one.
 
 Request accounting: ``logical_requests`` counts application-level I/O
 requests (what the paper's request-count formulas predict);
@@ -95,23 +96,40 @@ class PVFSFile:
     # ------------------------------------------------------------------
     # List I/O — the paper's contribution (pvfs_read_list / pvfs_write_list)
     # ------------------------------------------------------------------
-    def read_list(self, file_regions: RegionList):
+    def read_list(self, file_regions: RegionList, descriptor_slots: Optional[int] = None):
         """Noncontiguous read.  Returns the concatenated byte stream of the
-        regions (in region order), or ``None`` in timing-only mode."""
+        regions (in region order), or ``None`` in timing-only mode.
+
+        The regions go in list requests of at most ``list_io_max_regions``
+        regions each.  With ``descriptor_slots`` they travel instead as ONE
+        logical request whose trailing data is a compact datatype
+        descriptor of that many 16-byte slots, whatever the region count
+        (the paper's Section 5 'vector datatype' extension)."""
         self._check_open()
         regions = file_regions.drop_empty()
         move = self.client.move_bytes
         out = np.zeros(regions.total_bytes, dtype=np.uint8) if move else None
+        if descriptor_slots is None:
+            chunks = regions.chunks_of(self.client.list_io_max_regions)
+        else:
+            chunks = (regions,) if regions.count else ()
         pos = 0
-        for chunk in regions.chunks_of(self.client.list_io_max_regions):
+        for chunk in chunks:
             n = chunk.total_bytes
-            yield from self._io_request("read", chunk, out[pos : pos + n] if move else None)
+            stream = out[pos : pos + n] if move else None
+            yield from self._io_request("read", chunk, stream, descriptor_slots)
             pos += n
         return out
 
-    def write_list(self, file_regions: RegionList, data: Optional[np.ndarray]):
+    def write_list(
+        self,
+        file_regions: RegionList,
+        data: Optional[np.ndarray],
+        descriptor_slots: Optional[int] = None,
+    ):
         """Noncontiguous write of ``data`` (the stream for the regions in
-        order).  ``data=None`` in timing-only mode."""
+        order).  ``data=None`` in timing-only mode.  ``descriptor_slots``
+        is as for :meth:`read_list`."""
         self._check_open()
         regions = file_regions.drop_empty()
         move = self.client.move_bytes
@@ -124,53 +142,16 @@ class PVFSFile:
                     f"write_list data is {data.size} B but regions describe "
                     f"{regions.total_bytes} B"
                 )
+        if descriptor_slots is None:
+            chunks = regions.chunks_of(self.client.list_io_max_regions)
+        else:
+            chunks = (regions,) if regions.count else ()
         pos = 0
-        for chunk in regions.chunks_of(self.client.list_io_max_regions):
+        for chunk in chunks:
             n = chunk.total_bytes
             stream = data[pos : pos + n] if move else None
-            yield from self._io_request("write", chunk, stream)
+            yield from self._io_request("write", chunk, stream, descriptor_slots)
             pos += n
-        end = regions.extent[1]
-        if end > self.size:
-            self.size = end
-
-    # ------------------------------------------------------------------
-    # Datatype-described requests (paper Section 5 future work)
-    # ------------------------------------------------------------------
-    def read_described(self, file_regions: RegionList, descriptor_slots: int = 2):
-        """Noncontiguous read whose regions are conveyed by a compact
-        datatype descriptor of ``descriptor_slots`` 16-byte slots instead of
-        per-region trailing data — ONE logical request regardless of region
-        count (the Section 5 'vector datatype' extension)."""
-        self._check_open()
-        regions = file_regions.drop_empty()
-        out = np.zeros(regions.total_bytes, dtype=np.uint8) if self.client.move_bytes else None
-        if regions.count == 0:
-            return out
-        yield from self._io_request("read", regions, out, wire_regions=descriptor_slots)
-        return out
-
-    def write_described(
-        self,
-        file_regions: RegionList,
-        data: Optional[np.ndarray],
-        descriptor_slots: int = 2,
-    ):
-        """Datatype-described noncontiguous write (one logical request)."""
-        self._check_open()
-        regions = file_regions.drop_empty()
-        if regions.count == 0:
-            return
-        if self.client.move_bytes:
-            if data is None:
-                raise PVFSError("write_described needs data when moving bytes")
-            data = np.asarray(data, dtype=np.uint8).ravel()
-            if data.size != regions.total_bytes:
-                raise PVFSError(
-                    f"write_described data is {data.size} B but regions "
-                    f"describe {regions.total_bytes} B"
-                )
-        yield from self._io_request("write", regions, data, wire_regions=descriptor_slots)
         end = regions.extent[1]
         if end > self.size:
             self.size = end

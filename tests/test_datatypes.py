@@ -1,59 +1,42 @@
 """Tests for MPI-style derived datatypes (repro.datatypes)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datatypes import (
-    BYTE,
-    DOUBLE,
-    INT,
-    Contiguous,
-    DatatypeError,
-    HIndexed,
-    HVector,
-    Indexed,
-    Resized,
-    Struct,
-    Subarray,
-    Vector,
-)
+from repro.datatypes import BYTE, Contiguous, Datatype, DatatypeError, Predefined, Resized
 
 
 class TestPredefined:
     def test_sizes(self):
         assert BYTE.size == 1
-        assert INT.size == 4
-        assert DOUBLE.size == 8
-        assert DOUBLE.extent == 8
-        assert DOUBLE.region_count == 1
+        double = Predefined("DOUBLE", 8)
+        assert double.size == 8
+        assert double.extent == 8
+        assert double.region_count == 1
 
     def test_flatten(self):
-        r = DOUBLE.flatten(3, displacement=16)
-        assert list(r) == [(16, 24)]  # contiguous doubles coalesce
+        r = BYTE.flatten(3, displacement=16)
+        assert list(r) == [(16, 3)]  # contiguous bytes coalesce
 
     def test_flatten_zero(self):
-        assert DOUBLE.flatten(0).count == 0
+        assert BYTE.flatten(0).count == 0
 
     def test_negative_count(self):
         with pytest.raises(DatatypeError):
-            DOUBLE.flatten(-1)
-
-    def test_density(self):
-        assert DOUBLE.density == 1.0
+            BYTE.flatten(-1)
 
 
 class TestContiguous:
     def test_size_extent(self):
-        t = Contiguous(INT, 5)
+        t = Contiguous(Contiguous(BYTE, 4), 5)
         assert t.size == 20
         assert t.extent == 20
 
-    def test_mul_operator(self):
-        assert (INT * 5).size == 20
-
     def test_of_noncontiguous_base(self):
-        v = Vector(BYTE, count=2, blocklength=2, stride=4)  # XX..XX..
+        # XX..XX with extent 6: two 2-byte blocks 4 bytes apart
+        v = Resized(Contiguous(Resized(Contiguous(BYTE, 2), 4), 2), 6)
         t = Contiguous(v, 2)
         r = t.flatten()
         # instances tile at extent 6: blocks at 0,4 then 6,10 -> middle pair merges
@@ -61,156 +44,45 @@ class TestContiguous:
         assert list(r) == [(0, 2), (4, 4), (10, 2)]
 
 
-class TestVector:
-    def test_basic(self):
-        t = Vector(BYTE, count=3, blocklength=2, stride=5)
-        assert t.size == 6
-        assert t.extent == 2 * 5 + 2
-        assert list(t.flatten()) == [(0, 2), (5, 2), (10, 2)]
+class _Indexed(Datatype):
+    """A user-built indexed type: byte blocks at explicit displacements."""
 
-    def test_element_stride_scales_by_base_extent(self):
-        t = Vector(DOUBLE, count=2, blocklength=1, stride=3)
-        assert list(t.flatten()) == [(0, 8), (24, 8)]
+    __slots__ = ("blocks", "size", "extent")
 
-    def test_hvector_byte_stride(self):
-        t = HVector(DOUBLE, count=2, blocklength=1, stride=10)
-        assert list(t.flatten()) == [(0, 8), (10, 8)]
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.size = sum(n for _, n in blocks)
+        self.extent = max(d + n for d, n in blocks)
 
-    def test_overlapping_stride_rejected(self):
-        with pytest.raises(DatatypeError):
-            HVector(BYTE, count=2, blocklength=4, stride=2)
-
-    def test_flatten_repetition_tiles_extent(self):
-        t = Vector(BYTE, count=2, blocklength=1, stride=2)  # X.X extent 3
-        r = t.flatten(2, displacement=100)
-        assert list(r) == [(100, 1), (102, 2), (105, 1)]
-
-    def test_density(self):
-        t = Vector(BYTE, count=2, blocklength=1, stride=4)
-        assert t.density == pytest.approx(2 / 5)
+    def _typemap(self):
+        off, ln = zip(*self.blocks)
+        return np.array(off, np.int64), np.array(ln, np.int64)
 
 
 class TestIndexed:
-    def test_hindexed(self):
-        t = HIndexed(BYTE, blocklengths=[2, 3], displacements=[0, 10])
-        assert t.size == 5
-        assert t.extent == 13
-        assert list(t.flatten()) == [(0, 2), (10, 3)]
-
-    def test_indexed_scales_displacements(self):
-        t = Indexed(INT, blocklengths=[1, 1], displacements=[0, 3])
-        assert list(t.flatten()) == [(0, 4), (12, 4)]
-
-    def test_validation(self):
-        with pytest.raises(DatatypeError):
-            HIndexed(BYTE, [1, 2], [0])
-        with pytest.raises(DatatypeError):
-            HIndexed(BYTE, [-1], [0])
-        with pytest.raises(DatatypeError):
-            HIndexed(BYTE, [1], [-5])
-
     def test_overlap_detected(self):
         with pytest.raises(DatatypeError):
-            HIndexed(BYTE, [4, 4], [0, 2]).typemap()
-
-
-class TestStruct:
-    def test_mixed_fields(self):
-        # a FLASH element: 24 doubles, checkpoint takes var v only
-        t = Struct([(DOUBLE, 1, 8), (INT, 2, 24)])
-        assert t.size == 16
-        assert t.extent == 32
-        assert list(t.flatten()) == [(8, 8), (24, 8)]
-
-    def test_empty_rejected(self):
-        with pytest.raises(DatatypeError):
-            Struct([])
-
-
-class TestSubarray:
-    def test_2d_block(self):
-        # 4x4 array, 2x2 block at (1, 1): the paper's block-block tile.
-        t = Subarray(shape=(4, 4), subsizes=(2, 2), starts=(1, 1))
-        assert t.size == 4
-        assert t.extent == 16
-        assert list(t.flatten()) == [(5, 2), (9, 2)]
-
-    def test_3d_flash_inner_block(self):
-        # 4x4x4 padded block, inner 2x2x2 at (1,1,1), double elements.
-        t = Subarray(shape=(4, 4, 4), subsizes=(2, 2, 2), starts=(1, 1, 1), base=DOUBLE)
-        assert t.size == 8 * 8
-        assert t.region_count == 4  # 2x2 rows of 2 contiguous doubles
-        first = t.flatten().offsets[0]
-        assert first == (1 * 16 + 1 * 4 + 1) * 8
-
-    def test_full_array_is_contiguous(self):
-        t = Subarray(shape=(4, 4), subsizes=(4, 4), starts=(0, 0))
-        assert t.region_count == 1
-
-    def test_row_runs_merge_when_full_width(self):
-        t = Subarray(shape=(4, 4), subsizes=(2, 4), starts=(1, 0))
-        assert list(t.flatten()) == [(4, 8)]
-
-    def test_1d(self):
-        t = Subarray(shape=(10,), subsizes=(3,), starts=(2,))
-        assert list(t.flatten()) == [(2, 3)]
-
-    def test_validation(self):
-        with pytest.raises(DatatypeError):
-            Subarray((4, 4), (2, 2), (3, 0))  # out of range
-        with pytest.raises(DatatypeError):
-            Subarray((4,), (2, 2), (0, 0))  # rank mismatch
-        with pytest.raises(DatatypeError):
-            v = Vector(BYTE, 2, 1, 2)
-            Subarray((4,), (2,), (0,), base=v)  # noncontiguous base
+            _Indexed([(0, 4), (2, 4)]).typemap()
 
 
 class TestResized:
     def test_extent_override(self):
-        t = Resized(INT, 16)
+        t = Resized(Contiguous(BYTE, 4), 16)
         assert t.size == 4
         assert t.extent == 16
         assert list(t.flatten(2)) == [(0, 4), (16, 4)]
 
     def test_negative_extent(self):
         with pytest.raises(DatatypeError):
-            Resized(INT, -1)
+            Resized(BYTE, -1)
 
 
 class TestComposition:
-    def test_vector_of_subarray(self):
-        tile = Subarray((4, 4), (2, 2), (0, 0))
-        t = HVector(tile, count=2, blocklength=1, stride=100)
-        assert t.size == 8
-        r = t.flatten()
-        assert r.count == 4
-
-    def test_flash_block_as_datatype(self):
-        """The FLASH memory layout expressed as nested datatypes must give
-        the same regions as the hand-built pattern generator."""
-        from repro.patterns import FlashConfig, flash_io
-
-        cfg = FlashConfig(n_blocks=2, nxb=2, nyb=2, nzb=2, n_vars=3, n_guard=1)
-        pattern = flash_io(1, cfg)
-        # element = 3 doubles; var v of inner 2x2x2 of a 4x4x4 padded block
-        px = cfg.nxb + 2 * cfg.n_guard
-        elem_bytes = cfg.n_vars * 8
-        one_var_inner = Subarray(
-            shape=(px, px, px),
-            subsizes=(cfg.nxb, cfg.nyb, cfg.nzb),
-            starts=(cfg.n_guard,) * 3,
-            base=Resized(DOUBLE, elem_bytes),
-        )
-        # compare the first (v=0, b=0) file region's memory bytes
-        expect = pattern.rank(0).mem_regions.slice_regions(0, 8).coalesced()
-        got = one_var_inner.flatten().coalesced()
-        assert got == expect
-
     def test_paper_cyclic_as_vector(self):
         from repro.patterns import one_dim_cyclic
 
         pattern = one_dim_cyclic(4096, 4, 8)  # block 128
-        v = HVector(BYTE, count=8, blocklength=128, stride=512)
+        v = Contiguous(Resized(Contiguous(BYTE, 128), 512), 8)
         got = v.flatten(displacement=128)  # rank 1
         assert got == pattern.rank(1).file_regions.coalesced()
 
@@ -222,18 +94,12 @@ class TestDatatypeProperties:
     @settings(max_examples=60)
     def test_vector_size_invariant(self, count, blocklength, gap, reps):
         stride = blocklength + gap
-        t = Vector(BYTE, count, blocklength, stride)
+        t = Contiguous(Resized(Contiguous(BYTE, blocklength), stride), count)
         r = t.flatten(reps)
         assert r.total_bytes == t.size * reps
         assert r.is_disjoint()
         assert r.is_sorted()
 
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
-    @settings(max_examples=40)
-    def test_subarray_volume(self, a, b, c):
-        t = Subarray((4, 4, 4), (a, b, c), (0, 0, 0))
-        assert t.flatten().total_bytes == a * b * c
-
     def test_repr(self):
-        assert "Vector" in repr(Vector(BYTE, 2, 1, 2))
+        assert "Resized" in repr(Resized(Contiguous(BYTE, 2), 4))
         assert "BYTE" in repr(BYTE)

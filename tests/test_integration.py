@@ -232,7 +232,7 @@ class TestDescribedRequests:
             f = yield from client.open("/v", create=True)
             yield from f.write_list(regions, payload)
             via_list = yield from f.read_list(regions)
-            via_vec = yield from f.read_described(regions)
+            via_vec = yield from f.read_list(regions, descriptor_slots=2)
             yield from f.close()
             return via_list, via_vec
 
@@ -246,7 +246,8 @@ class TestDescribedRequests:
 
         def wl(client):
             f = yield from client.open("/v1", create=True)
-            yield from f.read_described(regions)
+            yield from f.read_list(regions, descriptor_slots=2)
+            yield from f.read_list(RegionList.empty(), descriptor_slots=2)  # no request
             yield from f.close()
 
         cluster.run_workload(wl, clients=[0])
@@ -259,7 +260,7 @@ class TestDescribedRequests:
 
         def wl(client):
             f = yield from client.open("/v2", create=True)
-            yield from f.write_described(regions, payload)
+            yield from f.write_list(regions, payload, descriptor_slots=2)
             got = yield from f.read_list(regions)
             yield from f.close()
             return got

@@ -24,54 +24,16 @@ class TestBarrier:
         assert times == [7, 7, 7]
 
 
-class TestBcast:
-    def test_root_value_reaches_all(self):
-        sim = Simulator()
-        comm = Communicator(sim, 3)
-        got = []
-
-        def rank(sim, r):
-            value = yield from comm.bcast(r, f"from-{r}" if r == 0 else None, root=0)
-            got.append((r, value))
-
-        for r in range(3):
-            sim.process(rank(sim, r))
-        sim.run()
-        assert got == [(0, "from-0"), (1, "from-0"), (2, "from-0")]
-
-    def test_successive_bcasts_are_independent(self):
-        sim = Simulator()
-        comm = Communicator(sim, 2)
-        got = {}
-
-        def rank(sim, r):
-            a = yield from comm.bcast(r, "first" if r == 0 else None, root=0)
-            b = yield from comm.bcast(r, "second" if r == 0 else None, root=0)
-            got[r] = (a, b)
-
-        for r in range(2):
-            sim.process(rank(sim, r))
-        sim.run()
-        assert got == {0: ("first", "second"), 1: ("first", "second")}
-
-
-class TestGather:
-    def test_root_collects_in_rank_order(self):
-        sim = Simulator()
-        comm = Communicator(sim, 3)
-        out = {}
-
-        def rank(sim, r):
-            yield sim.timeout(3 - r)  # arrive in reverse order
-            res = yield from comm.gather(r, r * 10, root=1)
-            out[r] = res
-
-        for r in range(3):
-            sim.process(rank(sim, r))
-        sim.run()
-        assert out[1] == [0, 10, 20]
-        assert out[0] is None
-        assert out[2] is None
+class TestSlot:
+    def test_successive_calls_are_independent(self):
+        # each rank's k-th call of a kind meets every other rank's k-th call
+        comm = Communicator(Simulator(), 2)
+        first = comm.slot("io", 0, list)
+        second = comm.slot("io", 0, list)
+        assert first is not second
+        assert comm.slot("io", 1, list) is first
+        assert comm.slot("io", 1, list) is second
+        assert comm.slot("other", 1, list) is not first  # kinds count apart
 
 
 class TestValidation:
@@ -87,11 +49,10 @@ class TestValidation:
         comm = Communicator(sim, 1)
 
         def rank(sim):
+            yield sim.timeout(3)
             yield comm.barrier()
-            v = yield from comm.bcast(0, 42, root=0)
-            g = yield from comm.gather(0, 7, root=0)
-            return (v, g)
+            return sim.now
 
         p = sim.process(rank(sim))
         sim.run()
-        assert p.value == (42, [7])
+        assert p.value == 3  # a lone rank passes the barrier at once

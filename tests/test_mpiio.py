@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, StripeParams
-from repro.datatypes import BYTE, DOUBLE, Contiguous, DatatypeError, HVector
+from repro.datatypes import BYTE, Contiguous, Resized
 from repro.mpi import Communicator
 from repro.mpiio import FileView, open_one
 from repro.pvfs import Cluster
@@ -20,7 +20,6 @@ def make_cluster(n_clients=2, **kw) -> Cluster:
 class TestFileView:
     def test_default_view_is_raw_bytes(self):
         v = FileView()
-        assert v.is_contiguous
         assert list(v.regions_for(10, 5)) == [(10, 5)]
 
     def test_displacement_shifts(self):
@@ -29,36 +28,12 @@ class TestFileView:
 
     def test_vector_filetype(self):
         # see 2 bytes of every 8
-        v = FileView(filetype=HVector(BYTE, count=1, blocklength=2, stride=8))
-        # hvector extent = 2; tile stride comes from extent... use Resized
-        from repro.datatypes import Resized
-
         v = FileView(filetype=Resized(Contiguous(BYTE, 2), 8))
         assert list(v.regions_for(0, 6)) == [(0, 2), (8, 2), (16, 2)]
 
-    def test_offset_in_etype_units(self):
-        from repro.datatypes import Resized
-
-        v = FileView(
-            etype=DOUBLE, filetype=Resized(Contiguous(DOUBLE, 1), 32)
-        )
-        # etype offset 2 = 16 stream bytes = 2 filetype instances in
-        assert list(v.regions_for(2, 8)) == [(64, 8)]
-
     def test_partial_instance_reads(self):
-        from repro.datatypes import Resized
-
         v = FileView(filetype=Resized(Contiguous(BYTE, 4), 16))
         assert list(v.regions_for(2, 4)) == [(2, 2), (16, 2)]
-
-    def test_non_etype_multiple_rejected(self):
-        v = FileView(etype=DOUBLE, filetype=DOUBLE)
-        with pytest.raises(DatatypeError):
-            v.regions_for(0, 4)  # half a double
-
-    def test_filetype_must_hold_whole_etypes(self):
-        with pytest.raises(DatatypeError):
-            FileView(etype=DOUBLE, filetype=Contiguous(BYTE, 4))
 
     def test_zero_bytes(self):
         assert FileView().regions_for(5, 0).count == 0
@@ -66,8 +41,6 @@ class TestFileView:
 
 class TestIndependentIO:
     def test_read_write_roundtrip_with_view(self):
-        from repro.datatypes import Resized
-
         cluster = make_cluster(n_clients=2)
         comm = Communicator(cluster.sim, 2)
         # interleaved views: rank r sees bytes r*4 .. r*4+4 of every 8
@@ -89,8 +62,6 @@ class TestIndependentIO:
             np.testing.assert_array_equal(outs[r], payloads[r])
 
     def test_views_interleave_in_file(self):
-        from repro.datatypes import Resized
-
         cluster = make_cluster(n_clients=2)
         comm = Communicator(cluster.sim, 2)
 
@@ -115,60 +86,10 @@ class TestIndependentIO:
         )
 
 
-class TestMemoryDatatypes:
-    def test_noncontig_memory_and_file_roundtrip(self):
-        """The paper's hardest case (FLASH-like): noncontiguous in memory
-        AND file, through MPI datatypes on both sides."""
-        from repro.datatypes import Contiguous, Resized
-
-        cluster = make_cluster(n_clients=1)
-        comm = Communicator(cluster.sim, 1)
-        # memory: 4 data bytes every 12; file: 4 visible bytes every 8
-        mem_t = Resized(Contiguous(BYTE, 4), 12)
-        buf = np.zeros(12 * 16, np.uint8)
-        src = (np.arange(12 * 16) % 97).astype(np.uint8)
-        out = np.zeros_like(buf)
-
-        def wl(client):
-            mf = yield from open_one(comm, client, "/md")
-            mf.set_view(filetype=Resized(Contiguous(BYTE, 4), 8))
-            yield from mf.write_at(0, src, mem_datatype=mem_t, count=16)
-            yield from mf.read_at(0, memory=out, mem_datatype=mem_t, count=16)
-            yield from mf.close()
-
-        cluster.run_workload(wl)
-        from repro.regions import build_flat_indices
-
-        regions = mem_t.flatten(16)
-        idx = build_flat_indices(regions.offsets, regions.lengths)
-        np.testing.assert_array_equal(out[idx], src[idx])
-        assert (np.delete(out, idx) == 0).all()  # gaps untouched
-
-    def test_mem_datatype_gaps_not_written_to_file(self):
-        from repro.datatypes import Contiguous, Resized
-
-        cluster = make_cluster(n_clients=1)
-        comm = Communicator(cluster.sim, 1)
-        mem_t = Resized(Contiguous(BYTE, 2), 4)  # 2 data, 2 gap
-
-        def wl(client):
-            mf = yield from open_one(comm, client, "/mg")
-            src = np.array([1, 2, 99, 99, 3, 4, 99, 99], np.uint8)
-            yield from mf.write_at(0, src, mem_datatype=mem_t, count=2)
-            got = yield from mf.read_at(0, 4)
-            yield from mf.close()
-            return got
-
-        res = cluster.run_workload(wl)
-        np.testing.assert_array_equal(res.client_returns[0], [1, 2, 3, 4])
-
-
 class TestCollectiveWrite:
     def _roundtrip(self, n_ranks, stride_elems=None):
         """Each rank writes its interleaved slice collectively; verify the
         assembled file."""
-        from repro.datatypes import Resized
-
         cluster = make_cluster(n_clients=n_ranks)
         comm = Communicator(cluster.sim, n_ranks)
         piece = 8
@@ -208,8 +129,6 @@ class TestCollectiveWrite:
     def test_collective_write_coalesces_requests(self):
         """The whole point of two-phase: interleaved tiny writes become one
         streaming request per aggregator."""
-        from repro.datatypes import Resized
-
         n_ranks, piece, reps = 4, 8, 1024
 
         def run(collective):
@@ -243,8 +162,6 @@ class TestCollectiveWrite:
     @pytest.mark.parametrize("cb_nodes", [1, 2, 4])
     def test_cb_nodes_roundtrip(self, cb_nodes):
         """Any aggregator count must produce the same file contents."""
-        from repro.datatypes import BYTE, Contiguous, Resized
-
         n_ranks, piece, reps = 4, 8, 8
         cluster = make_cluster(n_clients=n_ranks)
         comm = Communicator(cluster.sim, n_ranks)
@@ -314,8 +231,6 @@ class TestCollectiveWrite:
 
 class TestCollectiveRead:
     def test_roundtrip(self):
-        from repro.datatypes import Resized
-
         n_ranks, piece, reps = 4, 8, 16
         cluster = make_cluster(n_clients=n_ranks)
         comm = Communicator(cluster.sim, n_ranks)
@@ -351,8 +266,6 @@ class TestCollectiveRead:
             np.testing.assert_array_equal(outs[r], frame[idx])
 
     def test_collective_read_matches_independent(self):
-        from repro.datatypes import Resized
-
         cluster = make_cluster(n_clients=2)
         comm = Communicator(cluster.sim, 2)
         frame = (np.arange(256) % 199).astype(np.uint8)
@@ -390,14 +303,13 @@ class TestViewProperties:
         st.integers(1, 6),   # blocklen (bytes of data per filetype)
         st.integers(0, 8),   # gap after the data
         st.integers(0, 40),  # disp
-        st.integers(0, 30),  # offset (etypes = bytes here)
+        st.integers(0, 30),  # offset (stream bytes)
         st.integers(0, 40),  # nbytes
     )
     @settings(max_examples=80, deadline=None)
     def test_regions_match_bruteforce(self, blocklen, gap, disp, offset, nbytes):
         import numpy as np
 
-        from repro.datatypes import Contiguous, Resized
         from repro.regions import build_flat_indices
 
         ft = Resized(Contiguous(BYTE, blocklen), blocklen + gap)

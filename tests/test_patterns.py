@@ -165,6 +165,8 @@ class TestFlash:
         # padded block is 4x4x4; inner elements are at (1..2)^3
         expected_first = (1 * 16 + 1 * 4 + 1) * 8  # element (z=1,y=1,x=1)
         assert offs[0] == expected_first
+        inner = [(z * 16 + y * 4 + x) * 8 for z in (1, 2) for y in (1, 2) for x in (1, 2)]
+        assert list(offs) == inner  # C order, one double per region
 
     def test_variable_interleaving_in_memory(self):
         cfg = FlashConfig(n_blocks=1, nxb=1, nyb=1, nzb=1, n_vars=4, n_guard=0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import CacheConfig, StripeParams
 from repro.core.hybrid import cluster_extents
+from repro.mpiio.twophase import _touches
 from repro.regions import (
     RegionList,
     _merge_pieces,
@@ -279,6 +280,24 @@ class TestStreamPositions:
     @given(disjoint_sorted_lists(), st.integers(0, 400))
     def test_regions_inside_their_clusters(self, regions, gap):
         self._check(cluster_extents(regions, gap), regions)
+
+
+class TestTouches:
+    """The two-phase engine counts a round's deposits with ``_touches``
+    instead of clipping; both must agree, empty windows included."""
+
+    @given(
+        region_lists(max_regions=20, max_offset=3000, max_len=150),
+        st.integers(0, 3300),
+        st.integers(0, 300),
+    )
+    @example(RegionList([10], [5]), 12, 0)  # an empty window inside a region
+    @example(RegionList([10], [5]), 15, 3)  # a region ending where the window starts
+    @example(RegionList([10], [5]), 5, 5)  # a region starting where the window ends
+    @settings(max_examples=500)
+    def test_agrees_with_clip(self, regions, lo, width):
+        r = regions.coalesced()
+        assert _touches(r, lo, lo + width) == (r.clip(lo, lo + width).count > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,41 @@ class TestReadFailover:
             assert np.array_equal(out, data)
         assert cluster.counters.get("faults.fences", 0) == 0
 
+    def test_described_requests_fail_over_byte_identical(self):
+        # VectorIO sends each strided transfer as one datatype-described
+        # request; the read after iod0's crash times out on its slice and
+        # fails over to the replica.
+        from repro.core import VectorIO
+
+        retry = RetryPolicy(
+            request_timeout=0.5, max_retries=2, backoff_base=0.01, backoff_cap=0.05
+        )
+        plan = FaultPlan((IodCrash(iod=0, at=0.5),))
+        cluster = Cluster.build(
+            ClusterConfig(
+                n_clients=1,
+                n_iods=4,
+                stripe=StripeParams(stripe_size=4096, replicas=2),
+                faults=FaultConfig(plan=plan, retry=retry),
+            )
+        )
+        fil = RegionList.strided(100, 64, 300, 1000)
+        mem = RegionList.single(0, fil.total_bytes)
+        data = _bytes(fil.total_bytes)
+        out = np.zeros_like(data)
+
+        def wl(client):
+            f = yield from client.open("/v", create=True)
+            yield from VectorIO().write(f, data, mem, fil)
+            yield client.sim.timeout(1.0)
+            yield from VectorIO().read(f, out, mem, fil)
+            yield from f.close()
+
+        cluster.run_workload(wl)
+        assert np.array_equal(out, data)
+        assert cluster.counters["client.0.failovers"] == 1
+        assert cluster.counters["client.0.logical_requests"] == 2
+
 
 # ---------------------------------------------------------------------------
 # Fencing

@@ -303,12 +303,6 @@ class TestModel:
         assert des_tp < des_ls  # two-phase wins on interleaved block-block
         assert mod_tp < mod_ls  # and the model predicts the same winner
 
-    def test_crossover_point(self):
-        from repro.model import crossover_point
-
-        assert crossover_point([1, 2, 3], [5, 3, 1], [4, 4, 4]) == 2
-        assert crossover_point([1, 2], [9, 9], [1, 1]) is None
-
     def test_cb_buffer_adds_rounds_and_cost(self):
         from repro.model import predict_twophase
 
