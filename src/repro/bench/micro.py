@@ -77,7 +77,7 @@ class KernelChurnSpec(_MicroSpec):
             mode="des",
             kind="sched",
             n_clients=self.n_procs,
-            logical_requests=pool.total_requests,
+            logical_requests=n_events,
             sim_events=sim.events_scheduled,
         )
 

@@ -188,7 +188,7 @@ class CostModel:
     client_write_turnaround: float = msec(40.0)
     #: Client library cost per region placed in a request description.
     client_region_cost: float = usec(1.5)
-    #: Manager metadata operation service time (open/close/create/stat).
+    #: Manager metadata operation service time (open/close/create).
     manager_op_cost: float = usec(900.0)
     #: Per-write-request commit cost on the I/O server: the iod issues its
     #: write(2) and the local fs orders a journal/metadata update before the

@@ -74,6 +74,16 @@ class Datatype:
         """Contiguous pieces per instance (after coalescing)."""
         return int(self.typemap()[0].size)
 
+    def check_tiling(self) -> None:
+        """Refuse to tile a type whose instances would overlap or interleave:
+        one instance's data, first byte to last, spans more than ``extent``."""
+        off, ln = self.typemap()
+        span = int(off[-1] + ln[-1] - off[0]) if off.size else 0
+        if span > self.extent:
+            raise DatatypeError(
+                f"{self!r}: an instance's data spans {span} B, more than its extent"
+            )
+
     def flatten(self, count: int = 1, displacement: int = 0) -> RegionList:
         """Regions of ``count`` consecutive instances starting at byte
         ``displacement`` — the input to ``pvfs_read_list`` et al."""
@@ -82,6 +92,8 @@ class Datatype:
         off, ln = self.typemap()
         if count == 0 or off.size == 0:
             return RegionList.empty()
+        if count > 1:
+            self.check_tiling()
         reps = displacement + self.extent * np.arange(count, dtype=np.int64)
         all_off = (reps[:, None] + off[None, :]).ravel()
         all_len = np.broadcast_to(ln, (count, ln.size)).ravel()

@@ -20,7 +20,7 @@ The execution half is :class:`~repro.faults.injector.FaultInjector`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from ..errors import ConfigError
@@ -157,17 +157,6 @@ class FaultPlan:
                 f"unknown fault record {f!r}",
             )
 
-    @classmethod
-    def empty(cls) -> "FaultPlan":
-        return cls()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.faults
-
-    def __iter__(self):
-        return iter(self.faults)
-
     def __len__(self) -> int:
         return len(self.faults)
 
@@ -261,9 +250,6 @@ class FaultConfig:
 
     plan: FaultPlan = field(default_factory=FaultPlan)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    def with_(self, **kwargs) -> "FaultConfig":
-        return replace(self, **kwargs)
 
 
 def parse_straggler_spec(spec: str) -> Straggler:

@@ -30,6 +30,7 @@ class FileView:
             raise DatatypeError("displacement must be non-negative")
         if self.filetype.size == 0:
             raise DatatypeError("filetype must contain data")
+        self.filetype.check_tiling()
 
     def regions_for(self, offset: int, nbytes: int) -> RegionList:
         """File regions of ``nbytes`` of view stream starting at stream

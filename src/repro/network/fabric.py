@@ -38,15 +38,12 @@ _LOOPBACK_RATE = 400.0e6
 class Node:
     """A cluster node with one full-duplex NIC."""
 
-    __slots__ = ("name", "tx", "rx", "bytes_sent", "bytes_received", "messages_sent")
+    __slots__ = ("name", "tx", "rx")
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.name = name
         self.tx = Resource(sim, capacity=1, name=f"{name}.tx")
         self.rx = Resource(sim, capacity=1, name=f"{name}.rx")
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.messages_sent = 0
 
     def __repr__(self) -> str:
         return f"<Node {self.name}>"
@@ -281,9 +278,6 @@ class Network:
                     src=src.name, dst=dst.name, **held,
                 )
             raise
-        src.bytes_sent += payload
-        src.messages_sent += 1
-        dst.bytes_received += payload
         cdata["net.messages"] += 1.0
         cdata["net.payload_bytes"] += payload
         cdata["net.wire_bytes"] += wire

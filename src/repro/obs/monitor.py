@@ -77,20 +77,8 @@ class ResourceMonitor:
         queue was at or below for a ``q`` fraction of the window."""
         if t1 <= t0:
             return 0.0
-        tl = self.queue_depth
-        # Build (duration, depth) segments clipped to the window; depth is
-        # 0 before the first sample and the last sample persists.
-        segments: List[Tuple[float, float]] = []
-        if not tl.times:
-            return 0.0
-        if t0 < tl.times[0]:
-            segments.append((min(t1, tl.times[0]) - t0, 0.0))
-        for i in range(len(tl.times)):
-            seg_start = tl.times[i]
-            seg_end = tl.times[i + 1] if i + 1 < len(tl.times) else t1
-            lo, hi = max(seg_start, t0), min(seg_end, t1)
-            if hi > lo:
-                segments.append((hi - lo, tl.values[i]))
+        # Depth is 0 before the first sample and the last sample persists.
+        segments = list(self.queue_depth.segments(t0, t1))
         total = sum(d for d, _ in segments)
         if total <= 0.0:
             return 0.0

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from ..simulate import Span
 from .bottleneck import BottleneckReport, attribute
 from .monitor import ResourceMonitor, build_lanes, lane_layout
-from .perfetto import FAULT_CATEGORIES, build_trace, write_trace
+from .perfetto import FAULT_CATEGORIES, write_trace
 
 __all__ = ["RunCapture", "ObsSession"]
 
@@ -130,12 +130,6 @@ class ObsSession:
         if run is None:
             raise ValueError("no runs captured — nothing to export")
         return write_trace(run, path)
-
-    def build_trace(self, run: Optional[RunCapture] = None) -> dict:
-        run = run or self.best_run()
-        if run is None:
-            raise ValueError("no runs captured — nothing to export")
-        return build_trace(run)
 
     def report(self, run: Optional[RunCapture] = None) -> BottleneckReport:
         run = run or self.best_run()

@@ -15,13 +15,7 @@ from .protocol import (
     response_wire_bytes,
 )
 from .replication import DirtyRange, FenceView, ReplicationState
-from .striping import (
-    ServerSlice,
-    StripeMap,
-    map_regions,
-    replica_chain,
-    server_for_offset,
-)
+from .striping import ServerSlice, map_regions, replica_chain
 
 __all__ = [
     "Cluster",
@@ -39,11 +33,9 @@ __all__ = [
     "REQUEST_HEADER_BYTES",
     "RESPONSE_HEADER_BYTES",
     "BYTES_PER_REGION",
-    "StripeMap",
     "ServerSlice",
     "map_regions",
     "replica_chain",
-    "server_for_offset",
     "ReplicationState",
     "FenceView",
     "DirtyRange",

@@ -179,8 +179,7 @@ class PVFSFile:
         yield sim.timeout(
             costs.client_request_cost + costs.client_region_cost * regions.count
         )
-        smap = map_regions(regions, self.stripe, client.n_iods)
-        slices = smap.slices
+        slices = map_regions(regions, self.stripe, client.n_iods)
         if not slices:
             return
         replicated = self.replicas > 1
@@ -517,13 +516,6 @@ class PVFSClient:
         )
         self.scope.add("opens")
         return PVFSFile(self, meta)
-
-    def stat(self, path: str):
-        meta = yield from self._manager_op("stat", path=path)
-        return meta
-
-    def unlink(self, path: str):
-        yield from self._manager_op("unlink", path=path)
 
     # ------------------------------------------------------------------
     def _manager_op(self, op: str, **kw):

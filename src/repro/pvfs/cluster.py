@@ -154,9 +154,6 @@ class Cluster:
         """
         return cls(config or ClusterConfig.chiba_city(), move_bytes=move_bytes, trace=trace)
 
-    def client(self, index: int) -> PVFSClient:
-        return self.clients[index]
-
     # ----------------------------------------------------------------
     def run_workload(
         self,

@@ -97,7 +97,6 @@ class IOD:
         self.service_scale = 1.0
         # -- crash/recovery state ---------------------------------------
         self.alive = True
-        self.crashes = 0
         self.crashed_at: Optional[float] = None
         self.restarted_at: Optional[float] = None
         #: Completion time of the first request served after the most
@@ -114,8 +113,6 @@ class IOD:
         self.cluster = None
         self.fenced = False
         self.fence_epoch = 0
-        self.resyncs = 0
-        self.resync_bytes = 0
         self._rejoin_proc: Optional[Process] = None
         self._proc: Process = sim.process(self._run(), name=f"iod{index}")
 
@@ -161,7 +158,6 @@ class IOD:
         if not self.alive:
             return
         self.alive = False
-        self.crashes += 1
         self.crashed_at = self.sim.now
         self.first_service_after_restart = None
         self.scope.add("crashes")
@@ -220,9 +216,7 @@ class IOD:
         # Fresh inbox (a rebooted daemon listens on a fresh socket): the
         # crashed service loop's pending get() would otherwise still be
         # queued as a getter and swallow the first delivered request.
-        old = self.inbox
-        self.inbox = Store(self.sim, name=old.name)
-        self.inbox.total_put = old.total_put
+        self.inbox = Store(self.sim, name=self.inbox.name)
         self.scope.add("restarts")
         self._proc = self.sim.process(self._run(), name=f"iod{self.index}")
         if self.fenced and self.cluster is not None:
@@ -426,8 +420,6 @@ class IOD:
                 break
         except Interrupt:
             return  # crashed again mid-resync; dirty ranges remain recorded
-        self.resyncs += 1
-        self.resync_bytes += copied
         self.scope.add("resyncs")
         self.scope.add("resync_bytes", copied)
         state.note(sim.now, f"iod{self.index} resynced {copied} B and rejoined")

@@ -1,6 +1,6 @@
 """The PVFS manager daemon: metadata operations only.
 
-Clients contact the manager to open, create, stat, and close files; the
+Clients contact the manager to open, create, and close files; the
 manager replies with file metadata (handle, striping parameters, size, and
 implicitly the I/O daemon locations).  It never participates in data
 transfer (paper Section 2), so its only performance role in the benchmarks
@@ -32,7 +32,7 @@ __all__ = ["Manager"]
 
 @dataclass(frozen=True)
 class _MetaReply:
-    """Immutable snapshot sent back to clients on open/stat."""
+    """Immutable snapshot sent back to clients on open."""
 
     file_id: int
     path: str
@@ -91,16 +91,11 @@ class Manager:
                 meta = ns.lookup(req.path)
             meta.open_count += 1
             return self._snapshot(meta)
-        if req.op == "stat":
-            return self._snapshot(ns.lookup(req.path))
         if req.op == "close":
             meta = ns.by_id(req.file_id)
             meta.open_count = max(meta.open_count - 1, 0)
             if req.size_hint:
                 meta.grow_to(req.size_hint)
-            return True
-        if req.op == "unlink":
-            ns.unlink(req.path)
             return True
         if req.op == "report_failure":
             return self._fence(req.iod)

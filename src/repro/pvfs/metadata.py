@@ -31,11 +31,6 @@ class FileMetadata:
         if end > self.size:
             self.size = end
 
-    @property
-    def replicas(self) -> int:
-        """Copies per stripe (chain replication); 1 = the paper's layout."""
-        return self.stripe.replicas
-
 
 class Namespace:
     """The manager's path table."""
@@ -47,12 +42,6 @@ class Namespace:
         self._file_ids = itertools.count(1)
         self._by_path: Dict[str, FileMetadata] = {}
         self._by_id: Dict[int, FileMetadata] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_path)
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._by_path
 
     def create(
         self,
@@ -82,9 +71,3 @@ class Namespace:
             return self._by_id[file_id]
         except KeyError:
             raise NoSuchFileError(f"no such file id: {file_id}") from None
-
-    def unlink(self, path: str) -> FileMetadata:
-        meta = self.lookup(path)
-        del self._by_path[path]
-        del self._by_id[meta.file_id]
-        return meta

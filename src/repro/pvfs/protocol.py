@@ -78,11 +78,11 @@ class IORequest:
     """One request as received by an I/O daemon.
 
     ``regions`` are *physical* runs in the server's stripe file, in request
-    stream order.  ``n_described`` is how many regions the trailing data
-    describes (for wire sizing — it equals ``regions.count``).  For writes,
-    ``data`` is the in-band payload (or ``None`` when the run is
-    timing-only).  ``response`` is the event the client waits on; the iod
-    succeeds it with the read data / write ack.
+    stream order; the trailing data describes each of them (or fills
+    ``wire_regions`` descriptor slots).  For writes, ``data`` is the in-band
+    payload (or ``None`` when the run is timing-only).  ``response`` is the
+    event the client waits on; the iod succeeds it with the read data /
+    write ack.
     """
 
     kind: str  # "read" | "write"
@@ -124,10 +124,6 @@ class IORequest:
                 )
 
     @property
-    def n_described(self) -> int:
-        return self.regions.count
-
-    @property
     def store_key(self):
         """Byte-store / disk-model key on the receiving daemon: the bare
         ``file_id`` for primary copies, ``(file_id, primary)`` for replica
@@ -155,8 +151,8 @@ class IORequest:
 
 @dataclass
 class ManagerRequest:
-    """A metadata operation (open / close / stat / unlink, and the fencing
-    ops report_failure / rejoin); ``create`` makes an open create."""
+    """A metadata operation (open / close, and the fencing ops
+    report_failure / rejoin); ``create`` makes an open create."""
 
     op: str
     path: Optional[str] = None
@@ -172,14 +168,7 @@ class ManagerRequest:
     #: unresponsive daemon; ``rejoin`` the resynced one asking back in).
     iod: Optional[int] = None
 
-    _OPS = (
-        "open",
-        "close",
-        "stat",
-        "unlink",
-        "report_failure",
-        "rejoin",
-    )
+    _OPS = ("open", "close", "report_failure", "rejoin")
 
     def __post_init__(self) -> None:
         if self.op not in self._OPS:

@@ -8,15 +8,15 @@ server ``(base + u % pcount) % n_iods`` at physical offset
 stripe file.
 
 :func:`map_regions` performs this mapping for a whole
-:class:`~repro.regions.RegionList` at once and returns a :class:`StripeMap`
-that remembers, for every piece, where it falls in the *request byte
-stream* — which is what lets clients carve a write payload into per-server
-slices and reassemble read responses, all with numpy fancy indexing.
+:class:`~repro.regions.RegionList` at once and returns one
+:class:`ServerSlice` per involved server, which remembers where each of its
+pieces falls in the *request byte stream* — what lets clients carve a write
+payload into per-server slices and reassemble read responses.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,24 +24,11 @@ from ..config import StripeParams
 from ..errors import ConfigError
 from ..regions import RegionList, split_with_parents
 
-__all__ = [
-    "StripeMap",
-    "ServerSlice",
-    "map_regions",
-    "replica_chain",
-    "server_for_offset",
-]
+__all__ = ["ServerSlice", "map_regions", "replica_chain"]
 
 #: Shared read-only stream offset for the single-piece fast case below.
 _ZERO1 = np.zeros(1, dtype=np.int64)
 _ZERO1.setflags(write=False)
-
-
-def server_for_offset(offset: int, stripe: StripeParams, n_iods: int) -> int:
-    """Which server stores logical byte ``offset``."""
-    pcount = stripe.resolve_pcount(n_iods)
-    unit = offset // stripe.stripe_size
-    return (stripe.base + unit % pcount) % n_iods
 
 
 def replica_chain(primary: int, replicas: int, n_iods: int) -> Tuple[int, ...]:
@@ -81,41 +68,10 @@ class ServerSlice:
         self.physical = physical
         self.stream_offsets = stream_offsets
 
-    @property
-    def nbytes(self) -> int:
-        return self.physical.total_bytes
 
-
-class StripeMap:
-    """The full decomposition of one logical request across servers, one
-    slice per involved server in ascending server order."""
-
-    __slots__ = ("slices", "total_bytes")
-
-    def __init__(self, slices: Tuple[ServerSlice, ...], total_bytes: int) -> None:
-        self.slices = slices
-        self.total_bytes = total_bytes
-
-    @property
-    def n_servers(self) -> int:
-        return len(self.slices)
-
-    @property
-    def servers(self) -> List[int]:
-        return [s.server for s in self.slices]
-
-    def __iter__(self) -> Iterator[ServerSlice]:
-        return iter(self.slices)
-
-    def slice_for(self, server: int) -> ServerSlice:
-        for s in self.slices:
-            if s.server == server:
-                return s
-        raise KeyError(f"server {server} not involved in this request")
-
-
-def map_regions(regions: RegionList, stripe: StripeParams, n_iods: int) -> StripeMap:
-    """Decompose logical ``regions`` (in request stream order) per server.
+def map_regions(regions: RegionList, stripe: StripeParams, n_iods: int) -> Tuple[ServerSlice, ...]:
+    """Decompose logical ``regions`` (in request stream order) per server:
+    one slice per involved server, in ascending server order.
 
     Split at stripe-unit boundaries, compute each piece's server and
     physical offset, then group pieces by server preserving stream order
@@ -145,7 +101,7 @@ def map_regions(regions: RegionList, stripe: StripeParams, n_iods: int) -> Strip
                 phys = (unit // pcount) * ssize + start % ssize
                 pieces.append((server, phys, stop - start, start - off))
             pieces.sort()
-            slices = tuple(
+            return tuple(
                 ServerSlice(
                     server,
                     RegionList._trusted(
@@ -155,10 +111,9 @@ def map_regions(regions: RegionList, stripe: StripeParams, n_iods: int) -> Strip
                 )
                 for server, phys, piece_len, pos in pieces
             )
-            return StripeMap(slices, ln)
     pieces, _, unit = split_with_parents(regions, ssize)
     if pieces.count == 0:
-        return StripeMap((), 0)
+        return ()
     server = (base + unit % pcount) % n_iods
     phys_off = (unit // pcount) * ssize + pieces.offsets % ssize
     stream_off = np.concatenate(([0], np.cumsum(pieces.lengths)[:-1]))
@@ -170,7 +125,7 @@ def map_regions(regions: RegionList, stripe: StripeParams, n_iods: int) -> Strip
     lengths = pieces.lengths[order]
     stream_off = stream_off[order]
     edges = [0, *(np.flatnonzero(np.diff(sorted_server)) + 1).tolist(), order.size]
-    slices = tuple(
+    return tuple(
         ServerSlice(
             int(sorted_server[a]),
             RegionList._trusted(phys_off[a:b], lengths[a:b], nonempty=True),
@@ -178,4 +133,3 @@ def map_regions(regions: RegionList, stripe: StripeParams, n_iods: int) -> Strip
         )
         for a, b in zip(edges, edges[1:])
     )
-    return StripeMap(slices, pieces.total_bytes)

@@ -203,15 +203,6 @@ class RegionList:
         r = self.drop_empty().sorted()
         return r.count <= 1 or bool((r.offsets[1:] >= r.ends[:-1]).all())
 
-    def is_contiguous(self) -> bool:
-        """True when the non-empty regions form one contiguous run in order."""
-        mask = self.lengths > 0
-        if mask.sum() <= 1:
-            return True
-        off = self.offsets[mask]
-        ln = self.lengths[mask]
-        return bool((off[1:] == (off + ln)[:-1]).all())
-
     # ------------------------------------------------------------------
     # Transformations (all return new RegionLists)
     # ------------------------------------------------------------------
@@ -303,22 +294,6 @@ class RegionList:
         end = np.minimum(r.ends, window_end)
         mask = end > start
         return RegionList._trusted(start[mask], (end - start)[mask], nonempty=True)
-
-    def gaps(self) -> "RegionList":
-        """The complement of this list within its extent.
-
-        Requires a disjoint list; the result is the sorted list of holes
-        between coalesced regions.  Empty input -> empty output.
-        """
-        if not self.is_disjoint():
-            raise RegionError("gaps() requires a disjoint region list")
-        r = self.coalesced()
-        if r.count <= 1:
-            return RegionList.empty()
-        gap_off = r.ends[:-1]
-        gap_len = r.offsets[1:] - r.ends[:-1]
-        mask = gap_len > 0
-        return RegionList(gap_off[mask], gap_len[mask])
 
     def byte_slice(self, skip: int, take: int) -> "RegionList":
         """The sub-list covering bytes ``[skip, skip + take)`` of this

@@ -20,7 +20,7 @@ Public surface::
 from .events import AllOf, AnyOf, Event, Timeout
 from .fastpath import NO_FASTPATH_ENV, fastpath_enabled
 from .kernel import Interrupt, Process, Simulator
-from .resources import Barrier, Mutex, Request, Resource, Store, hold
+from .resources import Barrier, Request, Resource, Store
 from .stats import Counters, ScopedCounters, Timeline
 from .trace import Span, Tracer
 
@@ -34,10 +34,8 @@ __all__ = [
     "AnyOf",
     "Resource",
     "Request",
-    "Mutex",
     "Store",
     "Barrier",
-    "hold",
     "Counters",
     "ScopedCounters",
     "Timeline",

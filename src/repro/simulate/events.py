@@ -83,7 +83,7 @@ class Event:
             raise SimulationError("cannot trigger an event in the past")
         self._triggered = True
         self._value = value
-        # Inlined Simulator._enqueue (every triggered event passes here).
+        # Onto the simulator's heap (every triggered event passes here).
         sim = self.sim
         _heappush(sim._heap, (sim.now + delay, sim._seq, self))
         sim._seq += 1
@@ -140,7 +140,7 @@ class Timeout(Event):
     def __init__(self, sim, delay: float, value: Any = None) -> None:
         # Timeouts are the single most-created event kind, so this sets the
         # slots directly and enqueues inline rather than chaining through
-        # Event.__init__ + Simulator._enqueue.
+        # Event.__init__ + Event.succeed.
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
         self.sim = sim

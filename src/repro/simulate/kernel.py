@@ -156,9 +156,6 @@ class Process(Event):
             self._step(ev._value, throw=True)
 
     def _step(self, value: Any, throw: bool) -> None:
-        sim = self.sim
-        prev = sim._active_process
-        sim._active_process = self
         try:
             while True:
                 if throw:
@@ -195,8 +192,6 @@ class Process(Event):
             # would tie the value to the process (a cycle) and, through its
             # callers, to the host stack that ran the simulation.
             self.fail(exc.with_traceback(exc.__traceback__.tb_next))
-        finally:
-            sim._active_process = prev
 
     def __repr__(self) -> str:
         state = "done" if self.triggered else "alive"
@@ -227,7 +222,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._cancelled_events = 0
-        self._active_process: Optional[Process] = None
         self._running = False
         #: Kernel fast paths (eager process start, analytic NIC transfers,
         #: lazy cancellation) — bit-identical by construction; disabled by
@@ -261,17 +255,7 @@ class Simulator:
         self._heap.clear()
         vars(self).pop("timeout", None)
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- scheduling -----------------------------------------------------
-    def _enqueue(self, delay: float, event: Event) -> None:
-        if delay < 0:
-            raise SimulationError("cannot schedule into the past")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-        self._seq += 1
-
     @property
     def events_scheduled(self) -> int:
         """Total *live* events ever enqueued — a deterministic churn

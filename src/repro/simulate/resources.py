@@ -4,19 +4,18 @@
 * :class:`Store` — an unbounded FIFO of items (daemon request queues).
 * :class:`Barrier` — a reusable n-party barrier (the simulated
   ``MPI_Barrier`` the paper uses to serialize data-sieving writes).
-* :class:`Mutex` — a convenience capacity-1 resource.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Deque, List, Optional
 
 from ..errors import SimulationError
 from .events import _UNSET, Event
 from .kernel import Simulator
 
-__all__ = ["Resource", "Request", "Store", "Barrier", "Mutex", "hold"]
+__all__ = ["Resource", "Request", "Store", "Barrier"]
 
 
 class Request(Event):
@@ -76,7 +75,6 @@ class Resource:
         self.name = name
         self._queue: Deque[Request] = deque()
         self._users: List[Request] = []
-        self.total_requests = 0
 
     @property
     def in_use(self) -> int:
@@ -88,7 +86,6 @@ class Resource:
 
     def request(self) -> Request:
         req = Request(self)
-        self.total_requests += 1
         self._queue.append(req)
         if len(self._users) < self.capacity:
             self._grant()
@@ -99,13 +96,11 @@ class Resource:
 
         Returns an opaque token to pass to :meth:`release`, or ``None`` when
         the resource is busy or anyone is queued (strict FCFS: a fast claim
-        must never overtake a waiter).  ``total_requests`` counts it like an
-        immediately-granted :meth:`request`.  This is the NIC fast path's
+        must never overtake a waiter).  This is the NIC fast path's
         primitive: it skips the Request event and its delay-0 grant dispatch.
         """
         if self._queue or len(self._users) >= self.capacity:
             return None
-        self.total_requests += 1
         tok = _FastClaim()
         self._users.append(tok)
         return tok
@@ -141,26 +136,6 @@ class Resource:
         )
 
 
-class Mutex(Resource):
-    """A capacity-1 resource (PVFS has no file locks; this exists for the
-    harness-level serialization the paper implements with barriers, and for
-    the hybrid extension)."""
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        super().__init__(sim, capacity=1, name=name)
-
-
-def hold(sim: Simulator, resource: Resource, duration: float) -> Generator:
-    """Process helper: acquire ``resource``, hold it ``duration``, release.
-
-    Usage: ``yield sim.process(hold(sim, cpu, cost))`` or inline
-    ``yield from hold(sim, cpu, cost)`` inside another process.
-    """
-    with resource.request() as req:
-        yield req
-        yield sim.timeout(duration)
-
-
 class Store:
     """Unbounded FIFO of Python objects with blocking :meth:`get`.
 
@@ -173,14 +148,12 @@ class Store:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self.total_put = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
         """Deposit an item (never blocks)."""
-        self.total_put += 1
         # Hand off directly if a getter is waiting.
         while self._getters:
             getter = self._getters.popleft()

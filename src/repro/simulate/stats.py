@@ -15,7 +15,7 @@ __all__ = ["Counters", "Timeline"]
 
 
 class Counters:
-    """A defaultdict-of-floats with namespacing and merge support.
+    """A defaultdict-of-floats with namespacing.
 
     Keys are dotted strings, e.g. ``"iod.3.requests"`` or
     ``"net.bytes_tx"``.
@@ -26,9 +26,6 @@ class Counters:
 
     def add(self, key: str, amount: float = 1.0) -> None:
         self._data[key] += amount
-
-    def set(self, key: str, value: float) -> None:
-        self._data[key] = value
 
     def get(self, key: str, default: float = 0.0) -> float:
         return self._data.get(key, default)
@@ -44,11 +41,6 @@ class Counters:
 
     def items(self) -> List[Tuple[str, float]]:
         return sorted(self._data.items())
-
-    def merge(self, other: "Counters") -> "Counters":
-        for k, v in other._data.items():
-            self._data[k] += v
-        return self
 
     def scoped(self, prefix: str) -> "ScopedCounters":
         """A view that prefixes every key with ``prefix + '.'``."""
@@ -77,25 +69,14 @@ class ScopedCounters:
     through :class:`Counters` per call.
     """
 
-    __slots__ = ("_base", "_prefix", "_data", "_dot")
+    __slots__ = ("_data", "_dot")
 
     def __init__(self, base: Counters, prefix: str) -> None:
-        self._base = base
-        self._prefix = prefix.rstrip(".")
         self._data = base._data
-        self._dot = self._prefix + "."
+        self._dot = prefix.rstrip(".") + "."
 
     def add(self, key: str, amount: float = 1.0) -> None:
         self._data[self._dot + key] += amount
-
-    def set(self, key: str, value: float) -> None:
-        self._data[self._dot + key] = value
-
-    def get(self, key: str, default: float = 0.0) -> float:
-        return self._data.get(self._dot + key, default)
-
-    def __getitem__(self, key: str) -> float:
-        return self._data.get(self._dot + key, 0.0)
 
 
 class Timeline:
@@ -115,58 +96,38 @@ class Timeline:
     def __len__(self) -> int:
         return len(self.times)
 
-    def last(self) -> Tuple[float, float]:
-        if not self.times:
-            raise IndexError("empty timeline")
-        return self.times[-1], self.values[-1]
-
     def max_value(self) -> float:
         return max(self.values) if self.values else 0.0
 
-    def time_weighted_mean(self) -> float:
-        """Mean of the piecewise-constant signal defined by the samples.
-
-        Guarded edge cases: an empty timeline is 0.0, a single sample is
-        that sample's value, and coincident samples (zero total span) yield
-        the last value recorded.
-        """
-        if not self.values:
-            return 0.0
-        if len(self.times) < 2:
-            return self.values[0]
-        span = self.times[-1] - self.times[0]
-        if span <= 0.0:
-            return self.values[-1]
-        total = 0.0
-        for i in range(len(self.times) - 1):
-            total += self.values[i] * (self.times[i + 1] - self.times[i])
-        return total / span
-
-    def integrate(self, t0: float, t1: float, initial: float = 0.0) -> float:
-        """Integral of the piecewise-constant signal over ``[t0, t1]``.
+    def segments(self, t0: float, t1: float, initial: float = 0.0) -> Iterator[Tuple[float, float]]:
+        """The piecewise-constant signal clipped to ``[t0, t1]``, as
+        (duration, value) pieces in time order.
 
         Sample i's value holds from ``times[i]`` until the next sample; the
         last value persists beyond ``times[-1]``.  Before the first sample
-        the signal is ``initial`` (queue depths start at zero, not at the
-        first recorded depth).  Used to compute utilization over arbitrary
-        sub-windows of a run.
+        (the whole window, for an empty timeline) the signal is ``initial``:
+        queue depths start at zero, not at the first recorded depth.
+        """
+        times, values = self.times, self.values
+        first = times[0] if times else t1
+        if t0 < first:
+            yield min(t1, first) - t0, initial
+        last = len(times) - 1
+        for i, start in enumerate(times):
+            end = times[i + 1] if i < last else t1
+            lo, hi = max(start, t0), min(end, t1)
+            if hi > lo:
+                yield hi - lo, values[i]
+
+    def integrate(self, t0: float, t1: float, initial: float = 0.0) -> float:
+        """Integral of the signal over ``[t0, t1]`` (see :meth:`segments`).
+        Used to compute utilization over arbitrary sub-windows of a run.
         """
         if t1 < t0:
             raise ValueError(f"integration window reversed: {t0} .. {t1}")
-        if not self.times:
-            return initial * (t1 - t0)
         total = 0.0
-        # Segment before the first sample.
-        if t0 < self.times[0]:
-            total += initial * (min(t1, self.times[0]) - t0)
-        # Interior segments [times[i], times[i+1]) at values[i].
-        for i in range(len(self.times)):
-            seg_start = self.times[i]
-            seg_end = self.times[i + 1] if i + 1 < len(self.times) else t1
-            lo = max(seg_start, t0)
-            hi = min(seg_end, t1)
-            if hi > lo:
-                total += self.values[i] * (hi - lo)
+        for duration, value in self.segments(t0, t1, initial):
+            total += value * duration
         return total
 
     def mean_over(self, t0: float, t1: float, initial: float = 0.0) -> float:

@@ -82,18 +82,12 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def categories(self) -> List[str]:
-        return sorted({s.category for s in self.spans})
-
     def spans_for(self, category: str, label: Optional[str] = None) -> List[Span]:
         return [
             s
             for s in self.spans
             if s.category == category and (label is None or s.label == label)
         ]
-
-    def durations(self, category: str) -> List[float]:
-        return [s.duration for s in self.spans_for(category)]
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, Dict[str, float]]:

@@ -36,15 +36,10 @@ class ByteStore:
             raise StorageError("chunk_size must be positive")
         self.chunk_size = chunk_size
         self._files: Dict[Hashable, Dict[int, np.ndarray]] = {}
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     # ------------------------------------------------------------------
     def _chunks(self, file_id: Hashable) -> Dict[int, np.ndarray]:
         return self._files.setdefault(file_id, {})
-
-    def delete(self, file_id: Hashable) -> None:
-        self._files.pop(file_id, None)
 
     def allocated_bytes(self, file_id: Hashable) -> int:
         return len(self._files.get(file_id, {})) * self.chunk_size
@@ -75,13 +70,11 @@ class ByteStore:
                 n = hi - lo
                 chunk[lo - c * cs : hi - c * cs] = data[pos : pos + n]
                 pos += n
-        self.bytes_written += int(regions.total_bytes)
 
     def read(self, file_id: Hashable, regions: RegionList) -> np.ndarray:
         """Gather the regions' bytes (in region order) into a new array."""
         out = np.zeros(regions.total_bytes, dtype=np.uint8)
         chunks = self._files.get(file_id)
-        self.bytes_read += int(regions.total_bytes)
         if not chunks:
             return out
         cs = self.chunk_size

@@ -77,6 +77,27 @@ class TestResized:
             Resized(BYTE, -1)
 
 
+class TestOverlappingInstances:
+    """A type whose data spans more than its extent cannot be tiled."""
+
+    SHORT = Resized(Contiguous(BYTE, 8), 4)
+
+    def test_flatten_refuses_overlapping_instances(self):
+        assert list(self.SHORT.flatten(1)) == [(0, 8)]  # one instance is fine
+        with pytest.raises(DatatypeError):
+            self.SHORT.flatten(2)
+        # size 16, which used to flatten to one 12-byte region
+        with pytest.raises(DatatypeError):
+            Contiguous(self.SHORT, 2).flatten()
+
+    def test_file_view_refuses_overlapping_filetype(self):
+        from repro.mpiio import FileView
+
+        with pytest.raises(DatatypeError):
+            FileView(filetype=self.SHORT)
+        FileView(filetype=Resized(Contiguous(BYTE, 8), 8))  # tiles exactly
+
+
 class TestComposition:
     def test_paper_cyclic_as_vector(self):
         from repro.patterns import one_dim_cyclic

@@ -125,8 +125,8 @@ class TestPlanValidation:
                 parse_straggler_spec(bad)
 
     def test_plan_helpers(self):
-        plan = FaultPlan.empty()
-        assert plan.is_empty and len(plan) == 0
+        plan = FaultPlan()
+        assert len(plan) == 0 and plan.stragglers() == plan.scheduled() == ()
         plan = FaultPlan((Straggler(0, 2.0), IodCrash(1, at=1.0)))
         assert len(plan) == 2
         assert plan.stragglers() == (Straggler(0, 2.0),)
@@ -154,7 +154,7 @@ class TestCrashRecovery:
     def test_recovery_time_reported(self, baseline):
         cluster, result, _ = _roundtrip(_crash_config(baseline.elapsed))
         iod = cluster.iods[0]
-        assert iod.crashes == 1
+        assert cluster.counters["iod.0.crashes"] == 1
         assert iod.restarted_at is not None
         rec = cluster.fault_injector.recovery_times()
         assert rec[0] is not None
@@ -207,10 +207,11 @@ class TestCrashRecovery:
         assert isinstance(req_event.value, ServerCrashed)
         # crash/restart are idempotent.
         iod.crash()
-        assert iod.crashes == 1
+        assert cluster.counters["iod.0.crashes"] == 1
         iod.restart()
         iod.restart()
-        assert iod.alive and iod.crashes == 1
+        assert iod.alive and cluster.counters["iod.0.crashes"] == 1
+        assert cluster.counters["iod.0.restarts"] == 1
 
     def test_restart_boots_cold_cache(self, baseline):
         cluster, _, _ = _roundtrip(_crash_config(baseline.elapsed))
@@ -331,7 +332,7 @@ class TestStragglerConfig:
 
 class TestObsIntegration:
     def test_trace_and_report_show_fault_activity(self, baseline):
-        from repro.obs import ObsSession
+        from repro.obs import ObsSession, build_trace
 
         obs = ObsSession()
         cfg = CFG.with_(faults=_crash_config(baseline.elapsed))
@@ -351,7 +352,7 @@ class TestObsIntegration:
 
         cluster.run_workload(workload)
         run = obs.capture(cluster, label="chaos/crash")
-        doc = obs.build_trace(run)
+        doc = build_trace(run)
         cats = {ev.get("cat") for ev in doc["traceEvents"]}
         assert "fault.crash" in cats
         assert "client.retry_backoff" in cats

@@ -1,5 +1,5 @@
 """Tests for less-traveled branches: report gaps, chart edge values,
-network byte conservation."""
+network traffic records that agree."""
 
 import numpy as np
 
@@ -42,30 +42,54 @@ class TestChartEdges:
 
 
 class TestNetworkConservation:
-    def test_bytes_sent_equal_bytes_received(self):
-        """Across any workload, total payload sent must equal total
-        payload received (no bytes invented or lost by the fabric)."""
-        cluster = Cluster.build(
-            ClusterConfig(n_clients=3, n_iods=3, stripe=StripeParams(stripe_size=256))
-        )
+    """The fabric's counters and its ``net.xfer`` spans are the two records
+    of the traffic: one span per counted message, with the same bytes."""
 
-        def wl(client):
-            regions = RegionList.strided(client.index * 64, 20, 32, 1024)
-            f = yield from client.open("/cons", create=True)
-            yield from f.write_list(regions, np.zeros(640, np.uint8))
-            yield from f.read_list(regions)
-            yield from f.close()
+    CFG = ClusterConfig(n_clients=4, n_iods=4, stripe=StripeParams(stripe_size=16384))
 
-        cluster.run_workload(wl)
-        nodes = [cluster.manager.node] + [i.node for i in cluster.iods] + [
-            c.node for c in cluster.clients
-        ]
-        sent = sum({id(n): n for n in nodes}[k].bytes_sent for k in {id(n) for n in nodes})
-        received = sum(
-            {id(n): n for n in nodes}[k].bytes_received for k in {id(n) for n in nodes}
+    @staticmethod
+    def cyclic_list_write(client):
+        regions = RegionList.strided(client.index * 4096, 64, 4096, 16384)
+        f = yield from client.open("/cons", create=True)
+        yield from f.write_list(regions, np.full(64 * 4096, client.index, np.uint8))
+        yield from f.read_list(regions)
+        yield from f.close()
+
+    @staticmethod
+    def assert_records_agree(cluster):
+        assert cluster.tracer.dropped == 0
+        meta = [dict(s.meta) for s in cluster.tracer.spans_for("net.xfer")]
+        counters = cluster.counters
+        assert counters["net.messages"] == len(meta) > 0
+        assert counters["net.payload_bytes"] == sum(m["payload_bytes"] for m in meta)
+        assert counters["net.wire_bytes"] == sum(m["wire_bytes"] for m in meta)
+
+    def test_counters_match_xfer_spans(self):
+        cluster = Cluster.build(self.CFG, trace=True)
+        cluster.run_workload(self.cyclic_list_write)
+        self.assert_records_agree(cluster)
+
+    def test_counters_match_xfer_spans_under_crash_and_retry(self):
+        """Refused, timed-out and replayed requests are in the mix, and
+        transfers cut off mid-wire (``net.abort``), which count as neither."""
+        from repro.faults import FaultConfig, FaultPlan, IodCrash, RetryPolicy
+
+        clean = Cluster.build(self.CFG, move_bytes=False)
+        elapsed = clean.run_workload(self.cyclic_list_write).elapsed
+        faults = FaultConfig(
+            plan=FaultPlan((IodCrash(iod=0, at=elapsed / 3, restart_after=elapsed),)),
+            retry=RetryPolicy(
+                request_timeout=elapsed / 4, max_retries=20, backoff_base=elapsed / 10
+            ),
         )
-        assert sent == received
-        assert sent > 0
+        cluster = Cluster.build(self.CFG.with_(faults=faults), trace=True)
+        cluster.run_workload(self.cyclic_list_write)
+        counters = cluster.counters
+        assert counters["iod.0.crashes"] == 1
+        assert counters.total("client", ".timeouts") > 0
+        assert counters.total("client", ".retries") > counters.total("client", ".timeouts")
+        assert cluster.tracer.spans_for("net.abort")
+        self.assert_records_agree(cluster)
 
     def test_request_response_message_pairing(self):
         """Every I/O server message produces exactly one response: the

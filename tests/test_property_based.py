@@ -167,17 +167,6 @@ class TestRegionProperties:
         expect = {x for x in byte_set(r) if lo <= x < hi}
         assert byte_set(clipped) == expect
 
-    @given(disjoint_sorted_lists())
-    def test_gaps_tile_extent(self, r):
-        g = r.gaps()
-        combined = byte_set(r) | byte_set(g)
-        lo, hi = r.extent
-        assert combined == set(range(lo, hi))
-
-    @given(disjoint_sorted_lists())
-    def test_gaps_disjoint_from_regions(self, r):
-        assert not (byte_set(r) & byte_set(r.gaps()))
-
 
 class TestPairPiecesProperties:
     @given(region_lists(min_regions=1), st.data())
@@ -311,13 +300,12 @@ class TestStripingProperties:
     )
     def test_map_partitions_stream(self, regions, stripe_size, n_iods):
         sp = StripeParams(stripe_size=stripe_size)
-        smap = map_regions(regions, sp, n_iods)
-        assert smap.total_bytes == regions.drop_empty().total_bytes
+        slices = map_regions(regions, sp, n_iods)
         covered = np.concatenate(
-            [build_flat_indices(sl.stream_offsets, sl.physical.lengths) for sl in smap]
-        ) if smap.n_servers else np.empty(0, np.int64)
+            [build_flat_indices(sl.stream_offsets, sl.physical.lengths) for sl in slices]
+        ) if slices else np.empty(0, np.int64)
         covered.sort()
-        np.testing.assert_array_equal(covered, np.arange(smap.total_bytes))
+        np.testing.assert_array_equal(covered, np.arange(regions.total_bytes))
 
     @staticmethod
     def _reference_map(regions, sp, n_iods):
@@ -337,7 +325,7 @@ class TestStripingProperties:
         return [(server, groups[server]) for server in sorted(groups)]
 
     @staticmethod
-    def _as_runs(smap):
+    def _as_runs(slices):
         return [
             (
                 sl.server,
@@ -349,7 +337,7 @@ class TestStripingProperties:
                     )
                 ),
             )
-            for sl in smap
+            for sl in slices
         ]
 
     @given(stripe_layouts(), st.data())
@@ -365,16 +353,15 @@ class TestStripingProperties:
             st.integers(max(start, (first + units - 1) * ssize), (first + units) * ssize - 1)
         )
         region = RegionList.single(start, last_byte - start + 1)
-        smap = map_regions(region, sp, n_iods)
-        assert self._as_runs(smap) == self._reference_map(region, sp, n_iods)
-        assert smap.total_bytes == region.total_bytes
+        slices = map_regions(region, sp, n_iods)
+        assert self._as_runs(slices) == self._reference_map(region, sp, n_iods)
 
     @given(stripe_layouts(), region_lists(max_regions=20, max_offset=3000, max_len=150))
     def test_region_list_matches_reference(self, layout, regions):
         sp, n_iods = layout
-        smap = map_regions(regions, sp, n_iods)
-        assert self._as_runs(smap) == self._reference_map(regions, sp, n_iods)
-        assert smap.total_bytes == regions.drop_empty().total_bytes
+        assert self._as_runs(map_regions(regions, sp, n_iods)) == self._reference_map(
+            regions, sp, n_iods
+        )
 
     @given(
         region_lists(max_regions=15, max_offset=2000, max_len=100),
@@ -383,8 +370,7 @@ class TestStripingProperties:
     )
     def test_no_piece_crosses_stripe_unit(self, regions, stripe_size, n_iods):
         sp = StripeParams(stripe_size=stripe_size)
-        smap = map_regions(regions, sp, n_iods)
-        for sl in smap:
+        for sl in map_regions(regions, sp, n_iods):
             # physical pieces must stay within one stripe unit each
             unit = sl.physical.offsets // stripe_size
             end_unit = (sl.physical.ends - 1) // stripe_size

@@ -18,7 +18,7 @@ class TestCreate:
         a = ns.create("/a")
         b = ns.create("/b")
         assert a.file_id != b.file_id
-        assert len(ns) == 2
+        assert (ns.by_id(a.file_id), ns.by_id(b.file_id)) == (a, b)
 
     def test_each_cluster_numbers_its_files_from_one(self):
         # File ids (and the error text that names them) must not depend on
@@ -55,9 +55,9 @@ class TestCreate:
 class TestLookup:
     def test_lookup_and_contains(self, ns):
         created = ns.create("/x")
-        assert "/x" in ns
         assert ns.lookup("/x") is created
-        assert "/y" not in ns
+        with pytest.raises(NoSuchFileError):
+            ns.lookup("/y")
 
     def test_lookup_missing(self, ns):
         with pytest.raises(NoSuchFileError):
@@ -68,19 +68,6 @@ class TestLookup:
         assert ns.by_id(meta.file_id) is meta
         with pytest.raises(NoSuchFileError):
             ns.by_id(999_999)
-
-
-class TestUnlink:
-    def test_unlink_removes_both_indexes(self, ns):
-        meta = ns.create("/x")
-        ns.unlink("/x")
-        assert "/x" not in ns
-        with pytest.raises(NoSuchFileError):
-            ns.by_id(meta.file_id)
-
-    def test_unlink_missing(self, ns):
-        with pytest.raises(NoSuchFileError):
-            ns.unlink("/ghost")
 
 
 class TestFileMetadata:

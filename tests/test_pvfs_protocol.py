@@ -67,7 +67,7 @@ class TestIORequest:
 
     def test_read_sizes(self):
         req = self.make("read", n=4)
-        assert req.n_described == 4
+        assert req.regions.count == 4
         assert req.data_bytes == 0
         assert req.wire_bytes == request_wire_bytes(4)
         assert req.response_bytes == RESPONSE_HEADER_BYTES + 40

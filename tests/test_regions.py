@@ -83,11 +83,6 @@ class TestProperties:
         assert not RegionList([0, 4], [5, 5]).is_disjoint()
         assert RegionList([10, 0], [5, 5]).is_disjoint()  # unsorted input
 
-    def test_is_contiguous(self):
-        assert RegionList([0, 5], [5, 3]).is_contiguous()
-        assert not RegionList([0, 6], [5, 3]).is_contiguous()
-        assert RegionList.single(7, 3).is_contiguous()
-
 
 class TestTransforms:
     def test_sorted(self):
@@ -127,17 +122,6 @@ class TestTransforms:
     def test_clip_bad_window(self):
         with pytest.raises(RegionError):
             RegionList([0], [5]).clip(10, 5)
-
-    def test_gaps(self):
-        r = RegionList([0, 10, 13], [5, 2, 4])
-        assert list(r.gaps()) == [(5, 5), (12, 1)]
-
-    def test_gaps_of_contiguous_is_empty(self):
-        assert RegionList([0, 5], [5, 5]).gaps().count == 0
-
-    def test_gaps_requires_disjoint(self):
-        with pytest.raises(RegionError):
-            RegionList([0, 2], [5, 5]).gaps()
 
     def test_concat_and_take(self):
         r = RegionList([0], [1]).concat(RegionList([10], [2]))

@@ -136,7 +136,7 @@ class TestReadFailover:
     def test_report_covers_every_fault_lane_category(self):
         # The bottleneck report's fault table covers every category the
         # trace draws on "faults" lanes, fence/resync/failover included.
-        from repro.obs import ObsSession
+        from repro.obs import ObsSession, build_trace
 
         plan = FaultPlan((IodCrash(iod=1, at=0.05, restart_after=5.0),))
         cluster = _cluster(replicas=2, n_clients=2, plan=plan)
@@ -144,7 +144,7 @@ class TestReadFailover:
         obs.attach(cluster)
         cluster.run_workload(self._workload(_bytes(self.N)))
         run = obs.capture(cluster)
-        events = obs.build_trace(run)["traceEvents"]
+        events = build_trace(run)["traceEvents"]
         fault_lanes = {
             (e["pid"], e["tid"])
             for e in events

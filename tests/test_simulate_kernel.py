@@ -188,19 +188,6 @@ class TestProcess:
         sim.run()
         assert proc.value == "early"
 
-    def test_active_process(self):
-        sim = Simulator()
-        seen = []
-
-        def p(sim):
-            seen.append(sim.active_process)
-            yield sim.timeout(0)
-
-        proc = sim.process(p(sim))
-        sim.run()
-        assert seen == [proc]
-        assert sim.active_process is None
-
     def test_interrupt(self):
         sim = Simulator()
 

@@ -1,9 +1,9 @@
-"""Tests for Resource / Store / Barrier / Mutex (repro.simulate.resources)."""
+"""Tests for Resource / Store / Barrier (repro.simulate.resources)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulate import Barrier, Mutex, Resource, Simulator, Store, hold
+from repro.simulate import Barrier, Resource, Simulator, Store
 
 
 class TestResource:
@@ -82,32 +82,13 @@ class TestResource:
         p3 = sim.process(third(sim))
         sim.run()
         assert p3.value == 5  # quitter did not consume a grant
-        assert res.total_requests == 3  # the cancelled request still counts
 
     def test_bad_capacity(self):
         with pytest.raises(SimulationError):
             Resource(Simulator(), capacity=0)
 
-    def test_hold_helper(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-
-        def p(sim):
-            yield from hold(sim, res, 3.0)
-            return sim.now
-
-        proc = sim.process(p(sim))
-        sim.run()
-        assert proc.value == 3.0
-        assert res.in_use == 0
-
     def test_repr(self):
         assert "Resource" in repr(Resource(Simulator(), name="disk"))
-
-
-class TestMutex:
-    def test_is_capacity_one(self):
-        assert Mutex(Simulator()).capacity == 1
 
 
 class TestStore:
@@ -168,7 +149,6 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
-        assert store.total_put == 2
 
     def test_repr(self):
         assert "Store" in repr(Store(Simulator()))

@@ -14,12 +14,6 @@ class TestCounters:
         assert c.get("missing", 7.0) == 7.0
         assert c["missing"] == 0.0
 
-    def test_set_overwrites(self):
-        c = Counters()
-        c.add("x", 5)
-        c.set("x", 1)
-        assert c["x"] == 1
-
     def test_contains_and_iter_sorted(self):
         c = Counters()
         c.add("b")
@@ -28,15 +22,6 @@ class TestCounters:
         assert "z" not in c
         assert list(c) == ["a", "b"]
         assert c.items() == [("a", 1.0), ("b", 1.0)]
-
-    def test_merge_accumulates(self):
-        a, b = Counters(), Counters()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 3)
-        a.merge(b)
-        assert a["x"] == 3
-        assert a["y"] == 3
 
     def test_total_prefix(self):
         c = Counters()
@@ -49,10 +34,10 @@ class TestCounters:
         c = Counters()
         s = c.scoped("client.3")
         s.add("requests", 2)
-        s.set("bytes", 10)
-        assert c["client.3.requests"] == 2
-        assert s["requests"] == 2
-        assert s.get("bytes") == 10
+        c.add("client.3.requests")
+        s.add("bytes", 10)
+        assert c["client.3.requests"] == 3
+        assert c.items() == [("client.3.bytes", 10.0), ("client.3.requests", 3.0)]
 
     def test_repr(self):
         c = Counters()
@@ -66,7 +51,7 @@ class TestTimeline:
         t.record(0.0, 1)
         t.record(2.0, 3)
         assert len(t) == 2
-        assert t.last() == (2.0, 3)
+        assert (t.times[-1], t.values[-1]) == (2.0, 3)
         assert t.max_value() == 3
 
     def test_rejects_time_travel(self):
@@ -79,29 +64,29 @@ class TestTimeline:
         t = Timeline()
         assert len(t) == 0
         assert t.max_value() == 0.0
-        with pytest.raises(IndexError):
-            t.last()
+        assert list(t.segments(0.0, 2.0)) == [(2.0, 0.0)]
 
+    # The time-weighted mean of the samples is ``mean_over`` their span.
     def test_time_weighted_mean(self):
         t = Timeline()
         t.record(0.0, 0.0)
         t.record(1.0, 10.0)  # value 0 held for 1s
         t.record(3.0, 0.0)  # value 10 held for 2s
-        assert t.time_weighted_mean() == pytest.approx((0 * 1 + 10 * 2) / 3)
+        assert t.mean_over(0.0, 3.0) == pytest.approx((0 * 1 + 10 * 2) / 3)
 
     def test_time_weighted_mean_single_sample(self):
         t = Timeline()
         t.record(1.0, 4.0)
-        assert t.time_weighted_mean() == 4.0
+        assert t.mean_over(1.0, 2.0) == 4.0
 
     def test_time_weighted_mean_zero_span(self):
         t = Timeline()
         t.record(1.0, 4.0)
         t.record(1.0, 6.0)
-        assert t.time_weighted_mean() == 6.0
+        assert t.mean_over(1.0, 2.0) == 6.0  # coincident samples: the last wins
 
     def test_time_weighted_mean_empty(self):
-        assert Timeline().time_weighted_mean() == 0.0
+        assert Timeline().mean_over(0.0, 3.0) == 0.0
 
 
 class TestTimelineIntegrate:
@@ -140,6 +125,12 @@ class TestTimelineIntegrate:
         t = Timeline()
         assert t.integrate(0.0, 4.0) == 0.0
         assert t.integrate(0.0, 4.0, initial=2.5) == pytest.approx(10.0)
+
+    def test_segments_clip_to_window(self):
+        t = self.timeline()
+        assert list(t.segments(0.0, 5.0, initial=7.0)) == [(1.0, 7.0), (2.0, 2.0), (2.0, 4.0)]
+        assert list(t.segments(2.0, 2.5)) == [(0.5, 2.0)]
+        assert list(t.segments(3.0, 3.0)) == []
 
     def test_integrate_reversed_window_raises(self):
         with pytest.raises(ValueError):

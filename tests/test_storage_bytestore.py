@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.config import ClusterConfig
 from repro.errors import StorageError
+from repro.pvfs import Cluster
 from repro.regions import RegionList
 from repro.storage import ByteStore
 
@@ -65,19 +67,21 @@ class TestByteStore:
         store.write("f", RegionList([0, 5], [0, 2]), np.array([3, 4], np.uint8))
         assert list(store.read("f", RegionList.single(5, 2))) == [3, 4]
 
-    def test_delete(self):
-        store = ByteStore()
-        store.write("f", RegionList.single(0, 4), np.ones(4, np.uint8))
-        store.delete("f")
-        assert (store.read("f", RegionList.single(0, 4)) == 0).all()
-        assert store.allocated_bytes("f") == 0
-
     def test_counters(self):
-        store = ByteStore()
-        store.write("f", RegionList.single(0, 4), np.ones(4, np.uint8))
-        store.read("f", RegionList.single(0, 2))
-        assert store.bytes_written == 4
-        assert store.bytes_read == 2
+        # A daemon's counters record the bytes its store writes and reads.
+        cluster = Cluster.build(ClusterConfig(n_clients=1, n_iods=1))
+
+        def wl(client):
+            f = yield from client.open("/f", create=True)
+            yield from f.write(0, np.ones(4, np.uint8))
+            back = yield from f.read(0, 2)
+            yield from f.close()
+            return back
+
+        res = cluster.run_workload(wl)
+        np.testing.assert_array_equal(res.client_returns[0], np.ones(2, np.uint8))
+        assert cluster.counters["iod.0.write_bytes"] == 4
+        assert cluster.counters["iod.0.read_bytes"] == 2
 
     def test_sparse_allocation(self):
         store = ByteStore(chunk_size=1024)

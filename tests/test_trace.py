@@ -15,7 +15,7 @@ class TestTracer:
         t.record("cat", "x", 0.0, 1.0)
         t.record("cat", "y", 1.0, 3.0)
         assert len(t) == 2
-        assert t.categories() == ["cat"]
+        assert [s.label for s in t.spans] == ["x", "y"]
 
     def test_disabled_records_nothing(self):
         t = Tracer(enabled=False)
@@ -41,7 +41,7 @@ class TestTracer:
         t.record("b", "x", 0, 3)
         assert len(t.spans_for("a")) == 2
         assert len(t.spans_for("a", label="x")) == 1
-        assert t.durations("b") == [3]
+        assert [s.duration for s in t.spans_for("b")] == [3]
 
     def test_capacity_drops(self):
         t = Tracer(capacity=2)

@@ -12,9 +12,14 @@ under ``src/repro`` that never ran is printed with its line count,
 followed by the total.
 
 An entry is a candidate for deletion, not proof of dead code: the tests
-may be its only caller, or it may be kept for symmetry.  Sweeps stay at
-``--jobs 1``, since a worker process would re-run this script, and
-``bench run --profile`` is left out because it installs its own profiler.
+may be its only caller, or it may be kept for symmetry.  An entry that
+perfbench's layer table names explicitly (``perfbench.layers.ENTRY_POINTS``,
+its ``*`` rows aside) is marked ``[perfbench]`` and counted on the total
+line: deleting it makes perfbench's traced pass report it missing.
+
+Sweeps stay at ``--jobs 1``, since a worker process would re-run this
+script, and ``bench run --profile`` is left out because it installs its
+own profiler.
 
 Usage::
 
@@ -25,6 +30,8 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import runpy
 import sys
@@ -60,6 +67,26 @@ def defined_functions() -> Dict[Site, Tuple[str, int]]:
     for path in sorted((SRC / "repro").rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), str(path), "")
     return found
+
+
+def perfbench_named() -> Set[Site]:
+    """Sites of the functions perfbench's layer table names explicitly."""
+    from perfbench.layers import ENTRY_POINTS
+
+    sites: Set[Site] = set()
+    for _layer, module, target in ENTRY_POINTS:
+        owner = importlib.import_module(module)
+        if "." in target:
+            cls_name, target = target.split(".", 1)
+            owner = getattr(owner, cls_name, None)  # perfbench reports a missing one
+        if target == "*":
+            continue
+        for name in target.split("|"):
+            fn = inspect.getattr_static(owner, name, None)
+            code = getattr(getattr(fn, "__func__", fn), "__code__", None)
+            if code is not None:
+                sites.add((code.co_filename, code.co_firstlineno))
+    return sites
 
 
 def run_traffic(tmp: Path) -> None:
@@ -100,14 +127,24 @@ def main() -> int:
         finally:
             sys.setprofile(None)
 
-    functions = total = 0
-    for (path, line), (name, n_lines) in sorted(defined_functions().items()):
-        if (path, line) in called:
+    # After the traffic: importing a module here would run its import-time
+    # calls outside the profile.
+    named = perfbench_named()
+    functions = total = marked = marked_lines = 0
+    for site, (name, n_lines) in sorted(defined_functions().items()):
+        if site in called:
             continue
-        print(f"{Path(path).relative_to(SRC)}:{line}  {name}  {n_lines}")
+        tag = "  [perfbench]" if site in named else ""
+        print(f"{Path(site[0]).relative_to(SRC)}:{site[1]}  {name}  {n_lines}{tag}")
         functions += 1
         total += n_lines
-    print(f"{functions} functions, {total} lines that no traffic calls")
+        if tag:
+            marked += 1
+            marked_lines += n_lines
+    print(
+        f"{functions} functions, {total} lines that no traffic calls"
+        f" ({marked} functions, {marked_lines} lines named by perfbench)"
+    )
     return 0
 
 
